@@ -675,8 +675,13 @@ def _gsnm_contour(model: Gsnm, p: float):
     """Cached contour samples of the four-gamma Mellin-Barnes integrand.
 
     The vertical line sits halfway between t = 0 and the first left pole;
-    z and the constant C follow the contour form of the shadowed MGF.
+    z and the constant C follow the contour form of the shadowed MGF,
+    which exists for p > 0 only.
     """
+    if p < 0:
+        raise MethodUnavailableError(
+            f"no Mellin-Barnes MGF for {model!r} with p = {p}: the GSNM "
+            "contour form needs p > 0")
     m, beta, m_s, omega_s = model.m, model.beta, model.m_s, model.omega_s
     b = model.b
     sigma = -0.5 * min(m_s / p, m * beta / (2.0 * p))

@@ -149,7 +149,7 @@ def mc_optimal_cutoff(spec: CombinerSpec, qos: QosSpec,
     per_batch = [_empirical_cutoff(g, a_eff) for g in batches]
     mean, se = _batch_stats(per_batch)
     pooled = _empirical_cutoff(np.concatenate(batches), a_eff)
-    return McEstimate(pooled, se / math.sqrt(1.0), cfg.samples,
+    return McEstimate(pooled, se, cfg.samples,
                       warning=None if abs(pooled - mean) < 5 * se else
                       "batch cutoffs disagree with pooled solve")
 

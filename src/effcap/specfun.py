@@ -5,10 +5,11 @@ confluent hypergeometric). The pieces scipy does not cover are implemented
 here with controlled accuracy:
 
 * incomplete gamma functions of a complex argument (series / continued
-  fraction / shifted Laguerre-type path integral),
+  fraction / the imaginary-axis exponential integral below),
 * the generalized exponential integral E_nu(z) of real order, including the
-  imaginary axis, where the defining ray is rotated by -pi/4 so the
-  integrand decays,
+  imaginary axis, where Gauss-Laguerre quadrature runs along the
+  steepest-descent ray t = 1 - i s, on which the integrand decays as e^-s
+  (Gil, Segura & Temme, Numerical Methods for Special Functions, 2007),
 * the parabolic cylinder function D_p(z) for p <= 0 and complex z via its
   integral representation,
 * positive zeros of J_nu for real order.
@@ -102,44 +103,13 @@ def _upper_cf(a: float, z: complex, tol: float) -> complex:
     raise NumericError("incomplete gamma continued fraction did not converge")
 
 
-# Graded panel edges reused by the shifted-path integrals: fine near the
-# origin where the algebraic factor varies, stretching into the e^-s tail.
-_PANELS = np.array([0.0, 0.35, 0.8, 1.4, 2.2, 3.2, 4.5, 6.5, 9.0, 12.5,
-                    17.0, 23.0, 30.0, 38.0, 48.0])
-_GLX, _GLW = np.polynomial.legendre.leggauss(24)
-
-
-def _panel_nodes():
-    a = _PANELS[:-1]
-    b = _PANELS[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    s = (mid + half * _GLX[None, :]).ravel()
-    w = (half * _GLW[None, :] * np.ones_like(mid)).ravel()
-    return s, w
-
-
-_SNODES, _SWEIGHTS = _panel_nodes()
-
-
-def _upper_path(a: float, z: np.ndarray) -> np.ndarray:
-    """Gamma(a,z) = e^-z int_0^inf (z+s)^(a-1) e^-s ds on a shifted path.
-
-    Valid whenever the ray z + s stays off the branch cut, i.e. Im z != 0
-    or Re z > 0; accurate when |z| is not small (the series covers that).
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zs = z[:, None] + _SNODES[None, :]
-    vals = np.exp((a - 1.0) * np.log(zs) - _SNODES[None, :])
-    out = np.exp(-z) * (vals @ _SWEIGHTS)
-    return out
-
-
 def lower_incomplete_gamma(a: float, z, tol: float = 1e-12):
     """Lower incomplete gamma gamma(a, z) for a > 0 and complex z.
 
-    Series for |z| <= a + 1, continued fraction (Re z > 0) or a shifted
-    path integral (imaginary-axis z) otherwise.
+    Series for |z| <= a + 1 (and on the imaginary axis for |z| < 4);
+    beyond that the continued fraction for Re z > 0, and on the imaginary
+    axis Gamma(a, i w) = (i w)^a E_{1-a}(i w) from the Gauss-Laguerre ray.
+    Other z with Re z < 0 beyond the series region raise DomainError.
     """
     if a <= 0:
         raise DomainError("lower_incomplete_gamma requires a > 0")
@@ -149,24 +119,25 @@ def lower_incomplete_gamma(a: float, z, tol: float = 1e-12):
     ga = sp.gamma(a)
 
     zero = zz == 0
-    small = (np.abs(zz) <= a + 1.0) & ~zero
+    imag = zz.real == 0
+    small = ((np.abs(zz) <= a + 1.0) | (imag & (np.abs(zz) < _RAY_MIN))) \
+        & ~zero
     big = ~small & ~zero
+    if np.any(big & (zz.real < 0)):
+        raise DomainError("incomplete gamma beyond the series region needs "
+                          "Re z > 0 or Re z = 0 (the negative real axis is "
+                          "its branch cut)")
     out[zero] = 0.0
     if np.any(small):
         out[small] = _lower_series(a, zz[small], tol)
-    if np.any(big):
-        zb = zz[big]
-        res = np.empty_like(zb)
-        pos = zb.real > 0
-        for i, zv in enumerate(zb):
-            if pos[i]:
-                res[i] = ga - _upper_cf(a, complex(zv), tol)
-        if np.any(~pos):
-            if np.any(np.abs(zb[~pos].imag) < 1e-12):
-                raise DomainError("incomplete gamma undefined on the negative "
-                                  "real axis")
-            res[~pos] = ga - _upper_path(a, zb[~pos])
-        out[big] = res
+    for i in np.nonzero(big & ~imag)[0]:
+        out[i] = ga - _upper_cf(a, complex(zz[i]), tol)
+    ray = big & imag
+    if np.any(ray):
+        w = zz[ray].imag
+        aw = np.abs(w)
+        up = np.exp(a * np.log(1j * aw)) * _expint_ray(1.0 - a, aw)
+        out[ray] = ga - np.where(w < 0, np.conj(up), up)
     if np.any(np.isnan(out)):
         raise NumericError("incomplete gamma produced NaN")
     return complex(out[0]) if scalar else out
@@ -216,19 +187,41 @@ def _expint_series(nu: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expint_rotated(nu: float, omega: np.ndarray) -> np.ndarray:
-    """E_nu(i*omega) for omega > 0 by rotating the ray to t = 1 + s e^{-i pi/4}.
+# E_nu(i w) and gamma(a, i w) take their series below this |w| and the
+# Gauss-Laguerre ray at and above it (gamma keeps its series up to |z| = a + 1
+# when that is larger).
+_RAY_MIN = 4.0
 
-    After s = sqrt(2) sigma / omega the decay is exactly e^-sigma and a
-    fixed graded Gauss grid integrates the smooth remainder for all omega.
+
+@lru_cache(maxsize=None)
+def _laguerre(n: int):
+    return np.polynomial.laguerre.laggauss(n)
+
+
+def _expint_ray(nu: float, omega: np.ndarray) -> np.ndarray:
+    """E_nu(i*omega) for real order and omega >= _RAY_MIN.
+
+    On the steepest-descent ray t = 1 - i*sigma/omega,
+
+        E_nu(i w) = -i e^{-i w}/w int_0^inf e^-sigma (1 - i sigma/w)^-nu dsigma,
+
+    and Gauss-Laguerre integrates the remainder, which is analytic within
+    |sigma| < w.  64 nodes reach ~1e-13 relative for w >= 4, 32 nodes for
+    w >= 10.  The remainder is formed from its modulus and phase in real
+    arithmetic, which is several times cheaper than a complex power.
     """
     omega = np.asarray(omega, dtype=float)
-    rot = np.exp(-1j * math.pi / 4.0)
-    sig = _SNODES[None, :]
-    t = 1.0 + (math.sqrt(2.0) * sig / omega[:, None]) * rot
-    integrand = np.exp(-sig * (1.0 + 1j)) * np.exp(-nu * np.log(t))
-    tail = integrand @ _SWEIGHTS
-    return np.exp(-1j * omega) * rot * math.sqrt(2.0) / omega * tail
+    tail = np.empty(omega.shape, dtype=complex)
+    near = omega < 10.0
+    for sel, n in ((near, 64), (~near, 32)):
+        if np.any(sel):
+            x, w = _laguerre(n)
+            r = x[None, :] / omega[sel, None]
+            mag = np.exp(-0.5 * nu * np.log1p(r * r))
+            phase = nu * np.arctan(r)
+            tail[sel] = (mag * np.cos(phase)) @ w \
+                + 1j * ((mag * np.sin(phase)) @ w)
+    return -1j * np.exp(-1j * omega) / omega * tail
 
 
 def expint_iomega(nu: float, omega) -> np.ndarray:
@@ -241,11 +234,11 @@ def expint_iomega(nu: float, omega) -> np.ndarray:
     out = np.empty(om.shape, dtype=complex)
     neg = om < 0
     a = np.abs(om)
-    small = a < 2.0
+    small = a < _RAY_MIN
     if np.any(small):
         out[small] = _expint_series(nu, 1j * a[small])
     if np.any(~small):
-        out[~small] = _expint_rotated(nu, a[~small])
+        out[~small] = _expint_ray(nu, a[~small])
     out[neg] = np.conj(out[neg])
     return out
 

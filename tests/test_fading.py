@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from effcap.errors import DomainError, ParameterError, UnsupportedModelError
+from effcap.errors import (
+    DomainError,
+    MethodUnavailableError,
+    ParameterError,
+    UnsupportedModelError,
+)
 from effcap.fading import (
     AlphaEtaMu,
     AlphaKappaMu,
@@ -250,6 +255,11 @@ class TestGsnmTransform:
                 comp = float(np.real(_transform(g, p,
                                                 np.array([u + 0j]), 1e-9)[0]))
                 assert mb == pytest.approx(comp, rel=3e-6)
+
+    def test_negative_power_refused(self):
+        g = Gsnm(2.4, 2.35, 3.6, 1.0)
+        with pytest.raises(MethodUnavailableError, match=r"Gsnm\(.*p = -2"):
+            mgf_rp(g, -2.0, 0.5)
 
     def test_reduces_to_gg_for_weak_shadowing(self):
         g = Gsnm(2.0, 1.5, 1e4, 1.0)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from effcap import combiner
 from effcap.combiner import CombinerSpec
-from effcap.errors import DomainError, MethodUnavailableError
+from effcap.errors import DomainError, MethodUnavailableError, NumericError
 from effcap.fading import GeneralizedGamma, Nakagami, sample_envelope
 from effcap.policies import (
     QosSpec,
@@ -14,6 +15,7 @@ from effcap.policies import (
     ec_ora,
     ec_tifr,
     kernel_cq,
+    _outage_mass_bound,
     optimal_cutoff,
 )
 
@@ -204,6 +206,34 @@ class TestTifr:
         got = ec_tifr(det_spec(CombinerSpec.mrc), QosSpec(0.01),
                       gamma0=0.5).value
         assert got == pytest.approx(DET_GAMMA, rel=1e-3)
+
+    def test_search_diagnostics_and_optimum(self):
+        qos = QosSpec(0.01)
+        res = ec_tifr(NAK2_MRC, qos)
+        diag = res.diagnostics
+        assert diag["iterations"] <= 20
+        assert 0.0 < diag["bracket_width"] < 1e-2
+        lng0 = math.log(res.cutoff_gamma0)
+        grid = [ec_tifr(NAK2_MRC, qos, gamma0=math.exp(x)).value
+                for x in np.linspace(lng0 - 0.02, lng0 + 0.02, 21)]
+        assert res.value >= max(grid) * (1.0 - 1e-7)
+
+
+class TestOutageMassBound:
+    def test_numeric_failure_gives_trivial_bound(self, monkeypatch):
+        def fail(spec, s):
+            raise NumericError("moment quadrature did not converge")
+
+        monkeypatch.setattr(combiner, "x_inverse_moment", fail)
+        assert _outage_mass_bound(NAK2_MRC, 1e-3) == 1.0
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def fail(spec, s):
+            raise ZeroDivisionError("a bug, not a numeric failure")
+
+        monkeypatch.setattr(combiner, "x_inverse_moment", fail)
+        with pytest.raises(ZeroDivisionError):
+            _outage_mass_bound(NAK2_MRC, 1e-3)
 
 
 class TestPolicyStructure:

@@ -48,11 +48,15 @@ class TestIncompleteGamma:
             assert lo + up == pytest.approx(math.gamma(a), rel=1e-10)
 
     def test_imaginary_axis_against_mpmath(self):
-        for a in (0.5, 1.2, 3.0):
-            for w in (0.3, 2.0, 9.0, 120.0):
-                ref = complex(mp.gammainc(a, 0, 1j * w))
-                got = sf.lower_incomplete_gamma(a, 1j * w)
-                assert got == pytest.approx(ref, rel=1e-10)
+        # both sides of the series/ray switch at |z| = 4 and of the
+        # 64/32-node switch at |z| = 10
+        for a in (0.5, 1.05, 1.2, 1.5, 2.0, 3.0):
+            for w in (0.3, 2.0, 3.99, 4.0, 4.01, 9.0, 9.99, 10.0, 10.01,
+                      120.0, 1e3):
+                for z in (1j * w, -1j * w):
+                    ref = complex(mp.gammainc(a, 0, z))
+                    got = sf.lower_incomplete_gamma(a, z)
+                    assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_positive_real_axis_tolerance(self):
         for a in (0.7, 4.0):
@@ -64,6 +68,10 @@ class TestIncompleteGamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             sf.lower_incomplete_gamma(-1.0, 1.0)
+        # beyond the series region only Re z > 0 and Re z = 0 have a route
+        for z in (-10.0, -6.0 + 2.0j):
+            with pytest.raises(DomainError):
+                sf.lower_incomplete_gamma(1.5, z)
 
 
 class TestExpint:
@@ -97,15 +105,15 @@ class TestExpint:
                 assert sf.expint_en(nu, z) == pytest.approx(direct, rel=1e-8)
 
     def test_imag_axis_vectorized(self):
-        nu = 0.8
-        w = np.array([0.05, 0.5, 1.9, 2.1, 8.0, 300.0])
-        got = sf.expint_iomega(nu, w)
-        for wi, gi in zip(w, got):
-            ref = complex(mp.expint(nu, 1j * wi))
-            assert gi == pytest.approx(ref, rel=1e-9)
-        # Hermitian symmetry
-        assert sf.expint_iomega(nu, -w)[2] == pytest.approx(
-            np.conj(got[2]), rel=1e-13)
+        w = np.array([0.05, 0.5, 1.9, 2.1, 3.99, 4.0, 4.01, 8.0, 9.99,
+                      10.0, 10.01, 300.0, 1e3])
+        for nu in (0.05, 0.5, 0.8, 0.97, 1.0, 1.5, 2.0):
+            got = sf.expint_iomega(nu, w)
+            for wi, gi in zip(w, got):
+                ref = complex(mp.expint(nu, 1j * wi))
+                assert gi == pytest.approx(ref, rel=1e-12, abs=0)
+            # Hermitian symmetry
+            assert np.array_equal(sf.expint_iomega(nu, -w), np.conj(got))
 
     def test_domain(self):
         with pytest.raises(DomainError):
