@@ -7,17 +7,25 @@ moments, the high-SNR tail expansion M(u) ~ C u^-d, and an exact sampler.
 
 Evaluation strategy
 -------------------
-The working representation is a Gauss rule with weight exp(-t^2) applied
+Characteristic functions with p > 0 are trapezoid sums on a ray.  X = R^p
+is written as c W^a over a power variable W whose density is analytic
+(GSNM: a mixture of such terms over its 32-node Gamma shadow rule), and
+Phi(w) = int f_X(x) exp(i w x) dx is summed in u = ln|x| along the ray
+x = e^(u + i phi), phi = a min(pi/(2a), pi/4), where the W density and the
+kernel both decay (a concentrated density, whose modulus would grow off
+the real axis, gets a narrower ray).  The integrand is analytic in a
+strip about the ray, so the sum converges exponentially in the step
+(Trefethen & Weideman, SIAM Rev. 56, 2014); its density part is sampled
+once per (model, p) and cached, and every batch of frequencies costs one
+matrix product.  Real
+and complex (Bromwich) arguments use a Gauss rule with weight exp(-t^2)
 after a model-specific change of variable that absorbs the density's
-exponential decay exactly, so the remaining factor grows at most
-algebraically.  Arguments far up the imaginary axis (characteristic
-functions at large frequency, Bromwich samples) defeat any fixed rule, so
-those evaluations rotate the integration ray into the complex plane until
-both the density tail and the transform kernel decay; closed forms are
-used wherever the model admits one (Nakagami p in {1, 2, -2}, alpha-eta-mu
-at p = alpha).  The GSNM transform is a one-dimensional Mellin-Barnes
-contour integral with four gamma factors, evaluated on a cached uniform
-grid along the vertical contour.
+exponential decay, with an adaptive rotated-ray quadrature where that
+rule cannot reach.  Closed forms are used wherever the model admits one
+(Nakagami p in {2, -2}, and p = 1 off the imaginary axis; alpha-eta-mu at
+p = alpha).  The GSNM moment generating function is a one-dimensional
+Mellin-Barnes contour integral with four gamma factors, evaluated on a
+cached uniform grid along the vertical contour.
 
 All model values are immutable and hashable; evaluators are pure.
 """
@@ -40,7 +48,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .quadrature import gauss_halfline_rule, integrate_semi_infinite
-from .specfun import gaussian_laplace_moment
 
 __all__ = [
     "Nakagami",
@@ -392,6 +399,20 @@ def _power_map(model, p: float) -> tuple[float, float, float]:
     raise UnsupportedModelError(type(model).__name__)
 
 
+def _w_mean_shape(model) -> tuple[float, float]:
+    """E[W] and the Gamma shape E[W]^2 / Var W of _power_map's W."""
+    if isinstance(model, (Nakagami, GeneralizedGamma)):
+        m = _as_gg(model)[0]
+        return m, m
+    if isinstance(model, AlphaKappaMu):
+        k = model.kappa
+        return 1.0, model.mu * (1.0 + k) ** 2 / (1.0 + 2.0 * k)
+    if isinstance(model, AlphaEtaMu):
+        eta = model.eta
+        return 1.0, model.mu * (1.0 + eta) ** 2 / (1.0 + eta * eta)
+    raise UnsupportedModelError(type(model).__name__)
+
+
 def _rotated_transform(model, p: float, s: complex, tol: float) -> complex:
     """E[exp(-s R^p)] by rotating the power-variable ray, p > 0, Re s >= 0."""
     c, a, orig = _power_map(model, p)
@@ -497,59 +518,177 @@ def _inv_gamma_laplace(m: float, c: float, s: float, j: int) -> float:
     return float(est.value * math.exp(peak))
 
 
-@lru_cache(maxsize=512)
-def _rotated_batch_grid(model: FadingModel, p: float):
-    """Cached shared grid for the batched rotated transform."""
-    c, a, orig = _power_map(model, p)
-    psi = min(0.5 * math.pi / a, 0.5 * math.pi - 0.25)
-    ray = complex(math.cos(psi), math.sin(psi))
-    chi = psi * a - 0.5 * math.pi  # in (-pi/2, 0]
-    echi = complex(math.cos(chi), math.sin(chi))
-    tau_max = (45.0 / max(math.cos(chi), 0.05)) ** (1.0 / a)
+# ---------------------------------------------------------------------------
+# Characteristic functions: one cached trapezoid ray per (model, p)
+# ---------------------------------------------------------------------------
 
-    # head tau in [0, 1] via tau = sigma^(1/(orig+1)); tail graded geometric
-    ap1 = orig + 1.0
-    head_edges = np.linspace(0.0, 1.0, 17)
-    tails = [1.0]
-    while tails[-1] < tau_max:
-        tails.append(tails[-1] * 1.35)
-    tail_edges = np.array(tails)
-
-    from .quadrature import _WK15, _XK15
-
-    def panel_nodes(edges):
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfs = 0.5 * np.diff(edges)
-        nodes = (mids[:, None] + halfs[:, None] * _XK15[None, :]).ravel()
-        wts = (halfs[:, None] * _WK15[None, :]).ravel()
-        return nodes, wts
-
-    sig, wsig = panel_nodes(head_edges)
-    tau_h = sig ** (1.0 / ap1)
-    jac_h = (1.0 / ap1) * sig ** (1.0 / ap1 - 1.0)
-    tau_t, w_t = panel_nodes(tail_edges)
-    tau = np.concatenate([tau_h, tau_t])
-    wts = np.concatenate([wsig * jac_h, w_t])
-    kern = np.exp(-(tau ** a) * echi)
-    return c, a, ray, tau, wts * kern
+# ln(1/eps) for the truncation and step of the ray rule, eps ~ 2e-16
+_RAY_LOGTOL = 36.0
+# ln of the cancellation factor sum|g_j| / |sum g_j| the ray angle aims at
+_RAY_LOSS = 2.5
+# largest error of the grid's total mass sum g_j = Phi(0); the density's
+# own rounding reaches 4e-10 at kappa ~ 1e3, mu ~ 300
+_RAY_MASS_TOL = 1e-9
+# nodes evaluated per extension of a ray grid
+_RAY_CHUNK = 32
 
 
-def _rotated_transform_batch(model, p: float, omega: np.ndarray,
-                             tol: float) -> np.ndarray:
-    """E[exp(i w R^p)] for a batch of large positive frequencies, p > 0.
+@dataclass(frozen=True, eq=False)
+class _RayRule:
+    """Trapezoid rule Phi(w) ~= sum_j g_j exp(i w x_j) for X = R^p, p > 0.
 
-    All frequencies share one rotated ray; scaling the power variable by
-    (c|s|)^(-1/a) makes the transform kernel frequency-independent, so a
-    single cached graded grid serves every batch.
+    X is a mixture over components k of c_k W^a (weights exp(logw_k), one
+    component unless the model is GSNM).  Node j sits at
+    x_j = exp(u0 + j h + i phi), phi = a psi.  With
+    0 < psi <= min(pi/(2a), pi/4) the W density decays along the ray and
+    the kernel exp(i w x) is bounded for every w > 0.  Within phi/2 of the
+    ray both still hold and the integrand in u = ln|x| is analytic, so the
+    step h = pi phi / _RAY_LOGTOL bounds the discretization error by
+    exp(-_RAY_LOGTOL) relative to the sum's own scale.
+
+    Off the real axis |f_W| rises above f_W before it decays, and the sum
+    then cancels: for W ~ Gamma(m) exactly, sum|g_j| = cos(psi)^-m.  psi
+    is capped where that factor reaches e^_RAY_LOSS, with m the Gamma
+    shape of W (exact for GG, Nakagami, GSNM and alpha-mu, a close match
+    for kappa > 0 and alpha-eta-mu).
     """
-    c, a, ray, tau, wk = _rotated_batch_grid(model, p)
-    v0 = (c * omega) ** (-1.0 / a)
-    wmat = np.outer(v0, tau) * ray
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = _power_pdf_logc(model, wmat)
-    vals = np.exp(lg)
-    out = (vals @ wk) * v0 * ray
-    return out
+
+    logw: np.ndarray
+    lnc: np.ndarray
+    a: float
+    wmodel: FadingModel
+    psi: float
+    phi: float
+    h: float
+    u0: float
+    slope: float  # d ln|g| / du as u -> -inf: the origin power of f_X(x) x
+
+    def weights(self, j: np.ndarray):
+        """Nodes x_j and weights g_j = h f_X(x_j) x_j."""
+        u = self.u0 + self.h * j
+        lw = (u[None, :] - self.lnc[:, None]) / self.a + 1j * self.psi
+        with np.errstate(divide="ignore", over="ignore", under="ignore",
+                         invalid="ignore"):
+            lf = _power_pdf_logc(self.wmodel, np.exp(lw))
+            g = np.exp(self.logw[:, None] + lf + lw).sum(axis=0) \
+                * (self.h / self.a)
+        return np.exp(u + 1j * self.phi), np.nan_to_num(g, nan=0.0)
+
+
+def _ray_rule(model: FadingModel, p: float) -> _RayRule:
+    if isinstance(model, Gsnm):
+        # conditionally on the shadow power S, R is GG(m, beta, S):
+        # R^p = (S/b)^(p/2) W^(p/beta) with W ~ Gamma(m, 1)
+        logw, shadows = _shadow_terms(model, 32)
+        wmodel = GeneralizedGamma(model.m, model.beta, 1.0)
+        lnc = 0.5 * p * (np.log(shadows) - math.log(model.b))
+        _, a, orig = _power_map(wmodel, p)
+    else:
+        wmodel = model
+        c, a, orig = _power_map(model, p)
+        logw, lnc = np.zeros(1), np.array([math.log(c)])
+    mean, shape = _w_mean_shape(wmodel)
+    psi = min(0.5 * math.pi / a, 0.25 * math.pi,
+              math.acos(math.exp(-_RAY_LOSS / shape)))
+    phi = a * psi
+    # anchor where W is at its mean (the component mean for GSNM); the
+    # grid finds its own extent
+    u0 = float(np.exp(logw) @ lnc) + a * math.log(mean)
+    return _RayRule(logw, lnc, a, wmodel, psi, phi,
+                    math.pi * phi / _RAY_LOGTOL, u0, (orig + 1.0) / a)
+
+
+def _log_abs(g):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(g))
+
+
+@dataclass(frozen=True, eq=False)
+class _RayGrid:
+    """Nodes j_first, j_first + 1, ... of a _RayRule, with their x_j, g_j."""
+
+    rule: _RayRule
+    x: np.ndarray
+    g: np.ndarray
+    j_first: int
+    peak_log: float  # max_j ln|g_j|
+    peak_u: float  # ln|x_j| at that node
+
+
+def _extend_left(rule: _RayRule, j_first: int, x, g, floor: float):
+    """Prepend nodes until the first lies below ln|g| = floor."""
+    while _log_abs(g[0]) > floor:
+        # the left tail falls no faster than `slope` per unit u
+        n = max(_RAY_CHUNK, math.ceil((_log_abs(g[0]) - floor)
+                                      / (rule.slope * rule.h)) + 1)
+        xn, gn = rule.weights(np.arange(j_first - n, j_first))
+        x, g = np.concatenate([xn, x]), np.concatenate([gn, g])
+        j_first -= n
+    # drop all but one of the nodes past the floor
+    k = max(int(np.argmax(_log_abs(g) > floor)) - 1, 0)
+    return j_first + k, x[k:], g[k:]
+
+
+def _ray_grid_base(rule: _RayRule) -> _RayGrid:
+    """The density on the ray down to exp(-_RAY_LOGTOL) of its peak."""
+    j = np.arange(-_RAY_CHUNK, _RAY_CHUNK)
+    x, g = rule.weights(j)
+    while _log_abs(g[-1]) > _log_abs(g).max() - _RAY_LOGTOL:
+        jn = np.arange(j[-1] + 1, j[-1] + 1 + _RAY_CHUNK)
+        xn, gn = rule.weights(jn)
+        j = np.concatenate([j, jn])
+        x, g = np.concatenate([x, xn]), np.concatenate([g, gn])
+    lg = _log_abs(g)
+    ipk = int(np.argmax(lg))
+    floor = lg[ipk] - _RAY_LOGTOL
+    last = len(g) - int(np.argmax(lg[::-1] > floor))
+    x, g = x[:last + 1], g[:last + 1]
+    j_first, x, g = _extend_left(rule, int(j[0]), x, g, floor)
+    return _RayGrid(rule, x, g, j_first, float(lg[ipk]),
+                    rule.u0 + rule.h * int(j[ipk]))
+
+
+@lru_cache(maxsize=1024)
+def _ray_grid(model: FadingModel, p: float, level: int) -> _RayGrid:
+    """Ray grid accurate for w up to 10^level / x_peak.
+
+    Level 0 covers the density to exp(-_RAY_LOGTOL) of its peak on both
+    sides.  Phi(w) ~ w^-slope once w x_peak >> 1, so each further level
+    reaches one decade further towards the origin and slope decades
+    deeper, keeping the truncation error relative to |Phi(w)|.
+    """
+    if level > 0:
+        base = _ray_grid(model, p, level - 1)
+        floor = base.peak_log - _RAY_LOGTOL \
+            - level * math.log(10.0) * base.rule.slope
+        j_first, x, g = _extend_left(base.rule, base.j_first, base.x,
+                                     base.g, floor)
+        return _RayGrid(base.rule, x, g, j_first, base.peak_log,
+                        base.peak_u)
+    rule = _ray_rule(model, p)
+    grid = _ray_grid_base(rule)
+    # Phi(0) = 1, or the shadow rule's own total for GSNM
+    mass, want = complex(grid.g.sum()), float(np.exp(rule.logw).sum())
+    if not abs(mass - want) <= _RAY_MASS_TOL:
+        raise NumericError(
+            f"characteristic-function ray grid for {model!r}, p = {p}: "
+            f"total mass {mass:.6g} (must be {want:.6g}) from "
+            f"{grid.g.size} nodes", best_estimate=mass)
+    return grid
+
+
+def _ray_chf(model: FadingModel, p: float, omega: np.ndarray) -> np.ndarray:
+    """E[exp(i w R^p)] for nonzero real w and p > 0, from the cached ray."""
+    a = np.abs(omega)
+    base = _ray_grid(model, p, 0)
+    level = max(0, math.ceil((math.log(a.max()) + base.peak_u)
+                             / math.log(10.0)))
+    grid = _ray_grid(model, p, level) if level else base
+    ix = 1j * grid.x
+    out = np.empty(a.shape, dtype=complex)
+    for i in range(0, a.size, 256):  # bounds the kernel matrix
+        out[i:i + 256] = np.exp(np.multiply.outer(a[i:i + 256], ix)) @ grid.g
+    return np.where(omega < 0, np.conj(out), out)
 
 
 def _transform(model: FadingModel, p: float, s, tol: float = 1e-9):
@@ -557,11 +696,26 @@ def _transform(model: FadingModel, p: float, s, tol: float = 1e-9):
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s.real < -1e-12):
         raise DomainError("transform requires Re s >= 0")
-    if isinstance(model, Nakagami) and p in (2.0, 1.0, -2.0):
+    if isinstance(model, Nakagami) and p in (2.0, -2.0):
         return _nakagami_closed(model, p, s)
     if isinstance(model, AlphaEtaMu) and p == model.alpha:
         s1, s2 = model.gamma_scales
         return np.exp(-model.mu * (np.log1p(s1 * s) + np.log1p(s2 * s)))
+    axis = (s.real == 0.0) & (s.imag != 0.0)
+    if p < 0 or not np.any(axis):
+        return _transform_off_axis(model, p, s, tol)
+    out = np.empty(s.shape, dtype=complex)
+    out[axis] = _ray_chf(model, p, -s[axis].imag)
+    if not np.all(axis):
+        out[~axis] = _transform_off_axis(model, p, s[~axis], tol)
+    return out
+
+
+def _transform_off_axis(model: FadingModel, p: float, s: np.ndarray,
+                        tol: float):
+    """_transform for real and Bromwich arguments, and for p < 0."""
+    if isinstance(model, Nakagami) and p == 1.0:
+        return _nakagami_closed(model, p, s)
     if isinstance(model, Gsnm):
         # conditional-GG scaling: M(s; omega) = M_unit(s * omega^(p/2)),
         # so the whole shadow rule reduces to one unit-model evaluation
@@ -592,16 +746,8 @@ def _transform(model: FadingModel, p: float, s, tol: float = 1e-9):
     if np.any(easy | mid):
         idx = easy | mid
         out[idx] = _plain_sum_escalating(model, p, s[idx], tol)
-    if np.any(hard):
-        # pure characteristic-function batches share one rotated grid
-        imagneg = hard & (np.abs(s.real) <= 1e-12 * np.abs(s.imag)) \
-            & (s.imag < 0)
-        if np.any(imagneg):
-            out[imagneg] = _rotated_transform_batch(model, p,
-                                                    -s[imagneg].imag, tol)
-        rest = hard & ~imagneg
-        for i in np.nonzero(rest)[0]:
-            out[i] = _rotated_transform(model, p, complex(s[i]), tol)
+    for i in np.nonzero(hard)[0]:
+        out[i] = _rotated_transform(model, p, complex(s[i]), tol)
     return out
 
 
@@ -614,9 +760,13 @@ def _plain_sum_escalating(model, p, s, tol):
     if np.all(np.abs(v1 - v2) <= np.maximum(10 * tol * np.abs(v2), 1e-7)):
         return v2
     v3 = _plain_transform(model, p, s, 64)
-    if np.all(np.abs(v2 - v3) <= np.maximum(100 * tol * np.abs(v3), 5e-7)):
+    excess = np.abs(v2 - v3) - np.maximum(100 * tol * np.abs(v3), 5e-7)
+    if np.all(excess <= 0):
         return v3
-    raise NumericError("fading transform quadrature did not converge")
+    worst = complex(s[np.argmax(excess)])
+    raise NumericError(
+        f"fading transform quadrature did not converge for {model!r}, "
+        f"p = {p}, worst at s = {worst:.6g}", best_estimate=v3)
 
 
 def mgf_rp(model: FadingModel, p: float, u, tol: float = 1e-9):
@@ -757,12 +907,6 @@ def _origin_behaviour_log(model: FadingModel) -> tuple[float, float]:
         "no closed origin behaviour for " + type(model).__name__)
 
 
-def _origin_behaviour(model: FadingModel) -> tuple[float, float]:
-    """(a0, c); overflows to inf for near-deterministic parameters."""
-    ln_a0, c = _origin_behaviour_log(model)
-    return (math.exp(ln_a0) if ln_a0 < 700 else math.inf), c
-
-
 def _origin_exponent(model: FadingModel) -> float:
     """Exponent c with f_R(r) ~ r^(c-1) at the origin (log-safe)."""
     if isinstance(model, (Nakagami, GeneralizedGamma)):
@@ -835,7 +979,10 @@ def moment_rp(model: FadingModel, p: float, n: int, tol: float = 1e-9):
     v3 = eval_at(64)
     if abs(v2 - v3) <= 100 * tol * abs(v3):
         return v3
-    raise NumericError("moment quadrature did not converge")
+    raise NumericError(
+        f"moment quadrature did not converge for {model!r}: "
+        f"E[R^{power}] ~ {v3:.6g}, change {abs(v2 - v3):.2e}",
+        best_estimate=v3)
 
 
 def sample_envelope(model: FadingModel, rng: np.random.Generator,

@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from effcap.errors import (
     DomainError,
     MethodUnavailableError,
+    NumericError,
     ParameterError,
     UnsupportedModelError,
 )
@@ -22,6 +24,7 @@ from effcap.fading import (
     sample_envelope,
     tail_expansion,
 )
+from effcap.quadrature import gauss_halfline_rule
 
 ALL_MODELS = [
     Nakagami(1.5, 1.0),
@@ -266,3 +269,180 @@ class TestGsnmTransform:
         gg = GeneralizedGamma(2.0, 1.5, 1.0)
         for u in (0.3, 1.0, 5.0):
             assert abs(mgf_rp(g, 1.0, u) - mgf_rp(gg, 1.0, u)) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# mpmath references for the characteristic function of R^p
+# ---------------------------------------------------------------------------
+
+def _mp_power_law(model, p):
+    """(log density of W, c, a, typical W) with R^p = c W^a, in mpmath."""
+    if isinstance(model, (Nakagami, GeneralizedGamma)):
+        beta = 2 if isinstance(model, Nakagami) else mp.mpf(model.beta)
+        m = mp.mpf(model.m)
+        lgm = mp.loggamma(m)
+        b = mp.exp(mp.loggamma(m + 2 / beta) - lgm)
+        return ((lambda w: (m - 1) * mp.log(w) - w - lgm),
+                (model.omega / b) ** (mp.mpf(p) / 2), p / beta, m)
+    mu = mp.mpf(model.mu)
+    a = p / mp.mpf(model.alpha)
+    half = mp.mpf(1) / 2
+    if isinstance(model, AlphaKappaMu):
+        k = mp.mpf(model.kappa)
+        if k == 0:
+            const = mu * mp.log(mu) - mp.loggamma(mu)
+            return ((lambda w: const + (mu - 1) * mp.log(w) - mu * w),
+                    1, a, 1)
+        const = (mp.log(mu) + (mu + 1) / 2 * mp.log(1 + k)
+                 - (mu - 1) / 2 * mp.log(k) - mu * k)
+        z = 2 * mu * mp.sqrt(k * (1 + k))
+        return ((lambda w: const + (mu - 1) / 2 * mp.log(w)
+                 - mu * (1 + k) * w
+                 + mp.log(mp.besseli(mu - 1, z * mp.sqrt(w)))), 1, a, 1)
+    eta = mp.mpf(model.eta)
+    h = (1 + eta) ** 2 / (4 * eta)
+    big_h = (eta * eta - 1) / (4 * eta)
+    const = (mp.log(2 * mp.sqrt(mp.pi)) + (mu + half) * mp.log(mu)
+             + mu * mp.log(h) - mp.loggamma(mu)
+             - (mu - half) * mp.log(big_h))
+    return ((lambda w: const + (mu - half) * mp.log(w) - 2 * mu * h * w
+             + mp.log(mp.besseli(mu - half, 2 * mu * big_h * w))), 1, a, 1)
+
+
+def _mp_chf(model, p, omega, dps=25):
+    """E[exp(i omega R^p)] by mpmath.quad of the power density.
+
+    The integral runs along the ray arg W = psi/2, half the angle of the
+    ray chf_rp sums on, so the two share no nodes; by Cauchy's theorem
+    every such ray gives the same value.
+    """
+    with mp.workdps(dps):
+        log_pdf, c, a, w_typ = _mp_power_law(model, p)
+        om = mp.mpf(omega)
+        psi = min(mp.pi / (2 * a), mp.pi / 4) / 2
+        ray = mp.expj(psi)
+
+        def f(t):
+            w = t * ray
+            return mp.exp(log_pdf(w) + 1j * om * c * w ** a) * ray
+
+        t_kern = (om * c) ** (-1 / a)
+        return complex(mp.quad(f, sorted({0, t_kern, w_typ, mp.inf})))
+
+
+def _gsnm_mixture_chf(model, p, omega):
+    """The 32-node Gamma shadow mixture of mpmath GG references."""
+    rule = gauss_halfline_rule(32)
+    t = rule.nodes
+    logw = (math.log(2.0) - math.lgamma(model.m_s) + np.log(rule.weights)
+            + (2 * model.m_s - 1) * np.log(t))
+    shadows = model.omega_s * t * t / model.m_s
+    return sum(math.exp(lw) * _mp_chf(
+        GeneralizedGamma(model.m, model.beta, s), p, omega)
+        for lw, s in zip(logw, shadows))
+
+
+CHF_OMEGAS = np.array([0.1, 1.0, 5.0, 30.0, 300.0])
+GSNM_REF_MODEL = Gsnm(2.0, 2.5, 3.0, 1.0)
+# _gsnm_mixture_chf(GSNM_REF_MODEL, p, w) for w in CHF_OMEGAS at 25 digits
+# (about 30 s per p to regenerate)
+GSNM_CHF_REF = {
+    1.0: [0.9950073405422033 + 0.09182963307224995j,
+          0.5672623963825861 + 0.7334555977484941j,
+          -0.17168161928143005 - 0.14594735957112245j,
+          8.08700560451191e-05 + 9.749550922084236e-05j,
+          5.185269442899069e-10 + 1.0290711029901913e-09j],
+    2.0: [0.9912589116562778 + 0.09921101522258344j,
+          0.503530239550774 + 0.5728636994178691j,
+          -0.08723137132670644 + 0.15931399615005626j,
+          -0.0075775859173136395 + 0.00025544426754859435j,
+          -3.636795520068291e-05 - 2.1275587856870545e-05j],
+}
+
+
+def _rel_err(got, ref):
+    ref = np.asarray(ref)
+    return np.abs(np.asarray(got) - ref) / np.abs(ref)
+
+
+class TestChfReference:
+    @pytest.mark.parametrize("model,p", [
+        (GeneralizedGamma(2.2, 1.5), 1.0),
+        (GeneralizedGamma(0.7, 2.6), 2.0),  # m < 1
+        (AlphaKappaMu(2.1, 1.5, 1.8), 2.0),
+        (AlphaKappaMu(2.0, 0.0, 0.8), 1.0),  # alpha-mu with mu < 1
+        (AlphaEtaMu(2.5, 3.0, 1.2), 1.0),
+        (Nakagami(1.5), 1.0),
+    ])
+    def test_against_mpmath(self, model, p):
+        ref = [_mp_chf(model, p, w) for w in CHF_OMEGAS]
+        got = chf_rp(model, p, CHF_OMEGAS)
+        assert np.all(_rel_err(got, ref) <= 1e-10)
+        assert np.all(_rel_err(chf_rp(model, p, -CHF_OMEGAS),
+                               np.conj(ref)) <= 1e-10)
+
+    @pytest.mark.parametrize("model", [
+        Nakagami(50.0),
+        AlphaKappaMu(2.0, 3.0, 20.0),
+        AlphaEtaMu(2.5, 3.0, 30.0),
+    ])
+    def test_concentrated_density(self, model):
+        # |f_W| of Gamma(50) grows by 2^25 along a ray at 45 degrees; the
+        # ray angle shrinks with the density's Gamma shape so that the sum
+        # does not cancel
+        omegas = np.array([0.1, 1.0, 10.0])
+        ref = [_mp_chf(model, 1.0, w) for w in omegas]
+        assert np.all(_rel_err(chf_rp(model, 1.0, omegas), ref) <= 1e-10)
+
+    def test_alpha_mu_matches_nakagami(self):
+        # alpha-mu with alpha = 2 is Nakagami(mu), parametrized around
+        # E[R^2] = 1 instead of Gamma(m, 1): the two rays anchor apart
+        omegas = np.array([0.1, 1.0, 5.0, 30.0])
+        for mu in (30.0, 300.0):
+            got = chf_rp(AlphaKappaMu(2.0, 0.0, mu), 1.0, omegas)
+            ref = chf_rp(Nakagami(mu), 1.0, omegas)
+            assert np.all(_rel_err(got, ref) <= 1e-10)
+            assert abs(got[0] - 1.0) < 0.1
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_gsnm_against_mpmath_mixture(self, p):
+        got = chf_rp(GSNM_REF_MODEL, p, CHF_OMEGAS)
+        assert np.all(_rel_err(got, GSNM_CHF_REF[p]) <= 1e-10)
+
+    def test_one_sample_matches_its_batch(self):
+        # a frequency's value does not depend on the batch it arrives in
+        model = AlphaKappaMu(1.8, 2.0, 1.5)
+        batch = chf_rp(model, 1.0, np.geomspace(0.05, 500.0, 40))
+        for k in (0, 17, 39):
+            w = np.geomspace(0.05, 500.0, 40)[k]
+            assert chf_rp(model, 1.0, w) == pytest.approx(batch[k],
+                                                          rel=1e-12)
+
+
+class TestErrorContext:
+    def test_transform_failure_names_model_and_argument(self):
+        # GG with m < 1 defeats the fixed Gauss rule on the real axis
+        model = GeneralizedGamma(0.7, 2.0)
+        with pytest.raises(NumericError) as info:
+            mgf_rp(model, 2.0, 0.01)
+        msg = str(info.value)
+        assert repr(model) in msg and "p = 2.0" in msg and "0.01" in msg
+        assert info.value.best_estimate is not None
+
+    def test_chf_grid_failure_names_model(self):
+        # sp.ive underflows in this alpha-eta-mu density (mu = 300, eta
+        # near 1), so every ray node is zero; the grid's total mass must
+        # be Phi(0) = 1
+        model = AlphaEtaMu(2.0, 1.001, 300.0)
+        with pytest.raises(NumericError) as info:
+            chf_rp(model, 1.0, 1.0)
+        assert repr(model) in str(info.value) and "p = 1.0" in str(info.value)
+
+    def test_moment_failure_names_model_and_power(self):
+        # Nakagami AF with m off a half-integer: E[R^-2] does not converge
+        model = Nakagami(1.3)
+        with pytest.raises(NumericError) as info:
+            moment_rp(model, -2.0, 1)
+        msg = str(info.value)
+        assert repr(model) in msg and "R^-2.0" in msg
+        assert math.isfinite(info.value.best_estimate)

@@ -6,7 +6,7 @@ import pytest
 from effcap import combiner
 from effcap.combiner import CombinerSpec
 from effcap.errors import DomainError, MethodUnavailableError, NumericError
-from effcap.fading import GeneralizedGamma, Nakagami, sample_envelope
+from effcap.fading import GeneralizedGamma, Gsnm, Nakagami, sample_envelope
 from effcap.policies import (
     QosSpec,
     ec_cifr,
@@ -217,6 +217,26 @@ class TestTifr:
         grid = [ec_tifr(NAK2_MRC, qos, gamma0=math.exp(x)).value
                 for x in np.linspace(lng0 - 0.02, lng0 + 0.02, 21)]
         assert res.value >= max(grid) * (1.0 - 1e-7)
+
+
+class TestRegressionValues:
+    """Frozen values of cells whose every CHF sample is a quadrature."""
+
+    def test_dual_nakagami_egc_opra(self):
+        got = ec_opra_chf(NAK2_EGC, QosSpec(1e-2)).value
+        assert got == pytest.approx(1.2483190235, rel=1e-9)
+
+    def test_dual_nakagami_egc_tifr(self):
+        got = ec_tifr(NAK2_EGC, QosSpec(1e-2)).value
+        assert got == pytest.approx(1.3658134424, rel=1e-9)
+
+    def test_dual_gsnm_egc_tifr_finishes(self):
+        # two shadowed branches, 5 dB: each rate evaluation needs GSNM CHF
+        # samples across the whole Gil-Pelaez range
+        spec = CombinerSpec.egc([Gsnm(2.0, 2.5, 3.0, 1.0)] * 2,
+                                10 ** 0.5)
+        got = ec_tifr(spec, QosSpec(1e-2)).value
+        assert math.isfinite(got) and got > 0.0
 
 
 class TestOutageMassBound:
