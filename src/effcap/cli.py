@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import yaml
@@ -51,13 +51,13 @@ from .policies import (
 
 CSV_HEADER = "policy,method,snr_db,theta,A,ec_bits_s_hz,gamma0,err_estimate,status"
 
-_MODEL_PARSERS = {
-    "nakagami": (Nakagami, ("m", "omega")),
-    "generalized_gamma": (GeneralizedGamma, ("m", "beta", "omega")),
-    "gg": (GeneralizedGamma, ("m", "beta", "omega")),
-    "gsnm": (Gsnm, ("m", "beta", "m_s", "omega_s")),
-    "alpha_kappa_mu": (AlphaKappaMu, ("alpha", "kappa", "mu")),
-    "alpha_eta_mu": (AlphaEtaMu, ("alpha", "eta", "mu")),
+_MODELS = {
+    "nakagami": Nakagami,
+    "generalized_gamma": GeneralizedGamma,
+    "gg": GeneralizedGamma,
+    "gsnm": Gsnm,
+    "alpha_kappa_mu": AlphaKappaMu,
+    "alpha_eta_mu": AlphaEtaMu,
 }
 
 _PRESETS = {"mrc", "egc", "af"}
@@ -65,14 +65,13 @@ _PRESETS = {"mrc", "egc", "af"}
 
 def parse_model(block: dict) -> FadingModel:
     kind = str(block.get("model", "")).lower()
-    if kind not in _MODEL_PARSERS:
+    if kind not in _MODELS:
         raise ParameterError(f"unknown fading model '{kind}'")
-    cls, names = _MODEL_PARSERS[kind]
-    kwargs = {}
-    for name in names:
-        if name in block:
-            kwargs[name] = float(block[name])
-    missing = [n for n in names if n not in kwargs and n not in ("omega",)]
+    cls = _MODELS[kind]
+    params = fields(cls)
+    kwargs = {f.name: float(block[f.name]) for f in params if f.name in block}
+    missing = [f.name for f in params
+               if f.name not in kwargs and f.default is MISSING]
     if missing:
         raise ParameterError(f"model '{kind}' missing parameters {missing}")
     return cls(**kwargs)
@@ -344,7 +343,9 @@ def write_outputs(rows, out_dir: str, stem: str):
 def compare(analytic_rows, mc_rows, tol_sigma: float):
     """Per-point z-scores of analytic vs Monte-Carlo values.
 
-    Returns (report text, all_pass).  Grids must align exactly.
+    A point whose analytic or Monte-Carlo evaluation raised is reported as
+    ``analytic-failed`` or ``mc-failed`` and does not pass.  Returns
+    (report text, all_pass).  Grids must align exactly.
     """
     key = lambda r: (r["policy"], r["snr_db"], r["theta"])
     mc_by_key = {key(r): r for r in mc_rows}
@@ -356,14 +357,19 @@ def compare(analytic_rows, mc_rows, tol_sigma: float):
         if m is None:
             continue
         matched += 1
-        se = m["err_estimate"]
-        diff = abs(r["ec_bits_s_hz"] - m["ec_bits_s_hz"])
-        z = diff / se if se > 0 else (0.0 if diff < 1e-12 else float("inf"))
-        verdict = "pass" if z <= tol_sigma else "FAIL"
-        if verdict == "FAIL":
-            ok = False
+        if r["status"].startswith("error"):
+            z, verdict = "-", "analytic-failed"
+        elif m["status"].startswith("error"):
+            z, verdict = "-", "mc-failed"
+        else:
+            se = m["err_estimate"]
+            diff = abs(r["ec_bits_s_hz"] - m["ec_bits_s_hz"])
+            zv = diff / se if se > 0 else (0.0 if diff < 1e-12
+                                           else float("inf"))
+            z, verdict = f"{zv:.3f}", "pass" if zv <= tol_sigma else "FAIL"
+        ok = ok and verdict == "pass"
         lines.append(f"{r['policy']} {_fmt(r['snr_db'])} {_fmt(r['theta'])} "
-                     f"{z:.3f} {verdict}")
+                     f"{z} {verdict}")
     if matched != len(analytic_rows) or matched != len(mc_rows):
         raise ParameterError("analytic and MC grids do not align")
     lines.append(f"summary: {'PASS' if ok else 'FAIL'} "

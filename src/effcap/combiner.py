@@ -18,17 +18,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, MethodUnavailableError, NumericError, ParameterError
-from .fading import (
-    FadingModel,
-    GeneralizedGamma,
-    Gsnm,
-    Nakagami,
-    chf_rp,
-    mgf_rp,
-    moment_rp,
-)
-from .fading import _shadow_terms, _terms_for  # noqa: F401 (reuse)
+from .errors import DomainError, ParameterError
+from .fading import FadingModel, chf_rp, mgf_rp, mgf_rp_deriv, moment_rp
 from .quadrature import (
     gk15_panels,
     integrate_alternating,
@@ -147,44 +138,6 @@ def chf_x(spec: CombinerSpec, omega, tol: float = 1e-9):
     return out
 
 
-def _branch_mgf_deriv(model: FadingModel, p: float, u, tol: float = 1e-9):
-    """d/du E[exp(-u R^p)] in closed or quadrature-analytic form."""
-    u = np.asarray(u, dtype=float)
-    if isinstance(model, Nakagami) and p == 2.0:
-        m, om = model.m, model.omega
-        return -om * (1.0 + u * om / m) ** (-m - 1.0)
-    if isinstance(model, Nakagami) and p == -2.0:
-        m, om = model.m, model.omega
-        if m <= 60.0:
-            # d/dz [z^(m/2) K_m(2 sqrt z)] = -z^((m-1)/2) K_{m-1}(2 sqrt z)
-            z = u * m / om
-            return (2.0 / sp.gamma(m)) * (m / om) * (
-                -(z ** ((m - 1.0) / 2.0)) * sp.kv(m - 1.0, 2.0 * np.sqrt(z)))
-        from .fading import _inv_gamma_laplace
-
-        return -np.array([_inv_gamma_laplace(m, m / om, float(x), 1)
-                          for x in np.atleast_1d(u)])
-    if isinstance(model, Gsnm):
-        logs, shadows = _shadow_terms(model, 32)
-        out = np.zeros_like(u)
-        for ls, s in zip(logs, shadows):
-            out += math.exp(ls) * _branch_mgf_deriv(
-                GeneralizedGamma(model.m, model.beta, s), p, u, tol)
-        return out
-
-    def eval_at(n):
-        logc, r = _terms_for(model, n)
-        rp = r ** p
-        ex = logc[None, :] + np.log(rp)[None, :] \
-            - np.atleast_1d(u)[:, None] * rp[None, :]
-        return -np.exp(ex).sum(axis=1)
-
-    v2, v3 = eval_at(32), eval_at(64)
-    if np.any(np.abs(v2 - v3) > np.maximum(100 * tol * np.abs(v3), 5e-7)):
-        raise NumericError("branch MGF derivative did not converge")
-    return v3 if u.ndim else float(v3[0])
-
-
 def mgf_x_derivative(spec: CombinerSpec, u, tol: float = 1e-9):
     """dM_X/du via the product rule over branch derivatives (< 0)."""
     u = np.asarray(u, dtype=float)
@@ -192,28 +145,13 @@ def mgf_x_derivative(spec: CombinerSpec, u, tol: float = 1e-9):
         raise DomainError("mgf_x_derivative requires u > 0")
     vals = [np.atleast_1d(mgf_rp(b, spec.p, u, tol=tol))
             for b in spec.branches]
-    ders = [np.atleast_1d(_branch_mgf_deriv(b, spec.p, u, tol))
+    ders = [np.atleast_1d(mgf_rp_deriv(b, spec.p, u, tol))
             for b in spec.branches]
     prod = np.prod(np.vstack(vals), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = sum(d / v for d, v in zip(ders, vals))
     out = np.where(prod == 0.0, 0.0, prod * ratio)  # deep-tail underflow
     return out if u.ndim else float(out[0])
-
-
-def mgf_x_derivative_fd(spec: CombinerSpec, u: float) -> float:
-    """Richardson-refined fourth-order central difference (self-check)."""
-    h = max(1e-5, 1e-4 * u)
-    if u - 2 * h <= 0:
-        h = u / 4.0
-
-    def d4(hh):
-        pts = np.array([u - 2 * hh, u - hh, u + hh, u + 2 * hh])
-        m = np.asarray(joint_mgf_x(spec, pts))
-        return (m[0] - 8 * m[1] + 8 * m[2] - m[3]) / (12 * hh)
-
-    d1, d2 = d4(h), d4(h / 2.0)
-    return float((16.0 * d2 - d1) / 15.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +165,8 @@ def _branch_moments(model: FadingModel, p: float, n_max: int) -> tuple:
 
 
 def x_tail_exponent(spec: CombinerSpec) -> float:
-    """Tail exponent d of M_X(u) ~ C u^-d (numeric probe for GSNM)."""
-    from .fading import Gsnm, _origin_exponent, mgf_rp
-
-    d = 0.0
-    for b in spec.branches:
-        if isinstance(b, Gsnm):
-            lo, hi = 2e2, 2e3
-            mlo, mhi = mgf_rp(b, spec.p, lo), mgf_rp(b, spec.p, hi)
-            d += (math.log(mlo) - math.log(mhi)) / math.log(hi / lo)
-        else:
-            d += _origin_exponent(b) / spec.p
-    return d
+    """Tail exponent d of M_X(u) ~ C u^-d: branch origin exponents over p."""
+    return sum(b.origin()[1] / spec.p for b in spec.branches)
 
 
 def x_inverse_moment(spec: CombinerSpec, s: float, tol: float = 1e-9) -> float:
@@ -456,16 +384,15 @@ def cdf_x_euler_laplace(spec: CombinerSpec, x: float,
 # ---------------------------------------------------------------------------
 
 def _gamma_sum_params(spec: CombinerSpec):
-    """(shape, scale) when X is an exact Gamma sum (Nakagami, p = 2,
-    equal Gamma scale across branches); None otherwise."""
-    if spec.p != 2.0:
+    """(shape, scale) when X is an exact Gamma sum (Gamma-law branches
+    with one common scale); None otherwise."""
+    laws = [b.power_gamma(spec.p) for b in spec.branches]
+    if None in laws:
         return None
-    if not all(isinstance(b, Nakagami) for b in spec.branches):
-        return None
-    scales = {b.omega / b.m for b in spec.branches}
+    scales = {scale for _, scale in laws}
     if len(scales) != 1:
         return None
-    return sum(b.m for b in spec.branches), scales.pop()
+    return sum(shape for shape, _ in laws), scales.pop()
 
 
 def incomplete_mgf_x(spec: CombinerSpec, s: float, v: float,

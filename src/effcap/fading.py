@@ -1,31 +1,52 @@
 """Fading envelope models: Nakagami-m, generalized gamma, Gamma-shadowed
 generalized Nakagami (GSNM), alpha-kappa-mu and alpha-eta-mu.
 
-Each model supplies the density of the envelope R, the transform pair
-M(u) = E[exp(-u R^p)] / Phi(w) = E[exp(i w R^p)] for real p, fractional
-moments, the high-SNR tail expansion M(u) ~ C u^-d, and an exact sampler.
+The model protocol
+------------------
+Every model is a frozen, hashable dataclass deriving from ``FadingModel``,
+and every evaluator in this module reads a model only through that
+protocol.  A model describes its envelope R through a power variable W
+with R^p = c W^a:
+
+* ``power_logpdf(w)``: ln f_W(w), one formula valid at complex w;
+* ``power_map(p)``: (c, a, k) with R^p = c W^a and f_W(w) ~ w^k at 0;
+* ``decay``: the rate lambda of the exponential decay of f_W;
+* ``w_mean_shape()``: E[W] and the Gamma shape E[W]^2 / Var W;
+* ``origin()``: (ln a0, c) with f_R(r) = a0 r^(c-1) (1 + o(1)) as
+  r -> 0 (ln a0 is None where the model has no closed tail);
+* ``moment(power)``: the exact E[R^power], or None;
+* ``sample(rng, n)``: exact envelope draws;
+* ``mixture()``: (log-weights, envelope scales, unit model).  R is
+  scale_k times the unit's envelope with probability exp(logw_k).  Every
+  model but GSNM is its own single component.  GSNM is a unit-power
+  generalized gamma, which supplies the power-variable methods, scaled by
+  its shadow amplitude, a Nakagami(m_s, omega_s) envelope taken on the
+  32-node Gauss rule.
+
+Closed forms are optional methods that return None where a model has
+none: ``closed_transform`` (Nakagami p in {2, -2}, and p = 1 off the
+imaginary axis; alpha-eta-mu at p = alpha; the GSNM Mellin-Barnes
+contour on the real axis), ``closed_transform_deriv`` (Nakagami
+p in {2, -2}) and ``power_gamma`` (Nakagami p = 2, an exact Gamma law).
+Nakagami is the generalized gamma with beta = 2 and inherits its methods.
 
 Evaluation strategy
 -------------------
-Characteristic functions with p > 0 are trapezoid sums on a ray.  X = R^p
-is written as c W^a over a power variable W whose density is analytic
-(GSNM: a mixture of such terms over its 32-node Gamma shadow rule), and
-Phi(w) = int f_X(x) exp(i w x) dx is summed in u = ln|x| along the ray
-x = e^(u + i phi), phi = a min(pi/(2a), pi/4), where the W density and the
-kernel both decay (a concentrated density, whose modulus would grow off
-the real axis, gets a narrower ray).  The integrand is analytic in a
-strip about the ray, so the sum converges exponentially in the step
+Characteristic functions with p > 0 are trapezoid sums on a ray.
+Phi(w) = int f_X(x) exp(i w x) dx, X = R^p, is summed in u = ln|x| along
+the ray x = e^(u + i phi), phi = a min(pi/(2a), pi/4), where the W density
+and the kernel both decay (a concentrated density, whose modulus would
+grow off the real axis, gets a narrower ray).  The integrand is analytic
+in a strip about the ray, so the sum converges exponentially in the step
 (Trefethen & Weideman, SIAM Rev. 56, 2014); its density part is sampled
 once per (model, p) and cached, and every batch of frequencies costs one
-matrix product.  Real
-and complex (Bromwich) arguments use a Gauss rule with weight exp(-t^2)
-after a model-specific change of variable that absorbs the density's
-exponential decay, with an adaptive rotated-ray quadrature where that
-rule cannot reach.  Closed forms are used wherever the model admits one
-(Nakagami p in {2, -2}, and p = 1 off the imaginary axis; alpha-eta-mu at
-p = alpha).  The GSNM moment generating function is a one-dimensional
-Mellin-Barnes contour integral with four gamma factors, evaluated on a
-cached uniform grid along the vertical contour.
+matrix product.  Real and complex (Bromwich) arguments and moments without
+a closed form use a Gauss rule with weight exp(-t^2) under W = t^2/lambda,
+which absorbs the density's exponential decay, with an adaptive
+rotated-ray quadrature where that rule cannot reach.  The GSNM moment
+generating function is a one-dimensional Mellin-Barnes contour integral
+with four gamma factors, evaluated on a cached uniform grid along the
+vertical contour.
 
 All model values are immutable and hashable; evaluators are pure.
 """
@@ -35,7 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 from scipy import special as sp
@@ -59,25 +79,91 @@ __all__ = [
     "TailExpansion",
     "pdf_envelope",
     "mgf_rp",
+    "mgf_rp_deriv",
     "chf_rp",
     "tail_expansion",
     "moment_rp",
     "sample_envelope",
 ]
 
-_LN2PI = math.log(2 * math.pi)
+# the single component of every model but GSNM
+_ONE_LOGW = np.zeros(1)
+_ONE_SCALE = np.ones(1)
+_ONE_LOGW.flags.writeable = False
+_ONE_SCALE.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
-# Model parameter records
+# The model protocol and the model records
 # ---------------------------------------------------------------------------
+
+class FadingModel:
+    """Base of every fading model; see the module docstring."""
+
+    def mixture(self):
+        """(log-weights, envelope scales, unit model)."""
+        return _ONE_LOGW, _ONE_SCALE, self
+
+    def closed_transform(self, p: float, s: np.ndarray):
+        """E[exp(-s R^p)] for complex s (Re s >= 0) in closed form, or None."""
+        return None
+
+    def closed_transform_deriv(self, p: float, u: np.ndarray):
+        """d/du E[exp(-u R^p)] for real u > 0 in closed form, or None."""
+        return None
+
+    def power_gamma(self, p: float):
+        """(shape, scale) when R^p is Gamma distributed, else None."""
+        return None
+
+    def moment(self, power: float):
+        """E[R^power] in closed form, or None."""
+        return None
+
+
+class _GammaPower(FadingModel):
+    """R = sqrt(omega/b) W^(1/beta) with W ~ Gamma(m, 1)."""
+
+    decay = 1.0
+
+    @property
+    def b(self) -> float:
+        """Gamma(m + 2/beta)/Gamma(m); normalizes E[R^2] to omega."""
+        return math.exp(sp.gammaln(self.m + 2.0 / self.beta)
+                        - sp.gammaln(self.m))
+
+    def power_logpdf(self, w):
+        return (self.m - 1.0) * np.log(w) - w - sp.gammaln(self.m)
+
+    def power_map(self, p: float):
+        return (self.omega / self.b) ** (p / 2.0), p / self.beta, self.m - 1.0
+
+    def w_mean_shape(self):
+        return self.m, self.m
+
+    def origin(self):
+        m, beta = self.m, self.beta
+        lnb = float(sp.gammaln(m + 2.0 / beta) - sp.gammaln(m))
+        ln_a0 = (math.log(beta) + 0.5 * beta * m * (lnb - math.log(self.omega))
+                 - float(sp.gammaln(m)))
+        return ln_a0, beta * m
+
+    def moment(self, power: float):
+        return (self.omega / self.b) ** (power / 2.0) * math.exp(
+            sp.gammaln(self.m + power / self.beta) - sp.gammaln(self.m))
+
+    def sample(self, rng, n):
+        w = rng.gamma(self.m, 1.0, n)
+        return math.sqrt(self.omega / self.b) * w ** (1.0 / self.beta)
+
 
 @dataclass(frozen=True)
-class Nakagami:
+class Nakagami(_GammaPower):
     """Nakagami-m envelope with mean-square power omega = E[R^2]."""
 
     m: float
     omega: float = 1.0
+    beta = 2.0
 
     def __post_init__(self):
         if self.m < 0.5:
@@ -85,9 +171,66 @@ class Nakagami:
         if self.omega <= 0:
             raise ParameterError("Nakagami requires omega > 0")
 
+    def power_gamma(self, p: float):
+        return (self.m, self.omega / self.m) if p == 2.0 else None
+
+    def closed_transform(self, p: float, s: np.ndarray):
+        """p = 2 and p = -2 everywhere; p = 1 by the Watson expansion off
+        the imaginary axis only (the ray grid serves the axis)."""
+        m, omega = self.m, self.omega
+        if p == 2.0:
+            return np.exp(-m * np.log1p(s * omega / m))
+        if p == 1.0 and not np.any((s.real == 0.0) & (s.imag != 0.0)):
+            from .specfun import gaussian_laplace_moment_log
+
+            scale = math.sqrt(omega / (2.0 * m))
+            pref = (1.0 - m) * math.log(2.0) - sp.gammaln(m)
+            out = np.empty(s.shape, dtype=complex)
+            for i, sv in enumerate(s):
+                mant, logscale = gaussian_laplace_moment_log(2.0 * m,
+                                                             -sv * scale)
+                out[i] = mant * math.exp(min(pref + logscale, 705.0))
+            return out
+        if p != -2.0:
+            return None
+        out = np.empty(s.shape, dtype=complex)
+        zero = s == 0
+        out[zero] = 1.0
+        sv = s[~zero]
+        if m <= 60.0:
+            arg = sv * m / omega
+            out[~zero] = (2.0 / sp.gamma(m)) * arg ** (m / 2.0) \
+                * sp.kv(m, 2.0 * np.sqrt(arg))
+        else:
+            # the Bessel-K pair overflows at large order; integrate the
+            # inverse-gamma kernel directly (real arguments suffice there)
+            if np.any(np.abs(sv.imag) > 1e-12 * (1.0 + np.abs(sv.real))):
+                raise MethodUnavailableError(
+                    "complex inverse-power transform needs m <= 60")
+            out[~zero] = [_inv_gamma_laplace(m, m / omega, float(x.real), 0)
+                          for x in sv]
+        return out
+
+    def closed_transform_deriv(self, p: float, u: np.ndarray):
+        m, om = self.m, self.omega
+        if p == 2.0:
+            return -om * (1.0 + u * om / m) ** (-m - 1.0)
+        if p != -2.0:
+            return None
+        if m <= 60.0:
+            # d/dz [z^(m/2) K_m(2 sqrt z)] = -z^((m-1)/2) K_{m-1}(2 sqrt z)
+            z = u * m / om
+            return (2.0 / sp.gamma(m)) * (m / om) * (
+                -(z ** ((m - 1.0) / 2.0)) * sp.kv(m - 1.0, 2.0 * np.sqrt(z)))
+        return -np.array([_inv_gamma_laplace(m, m / om, float(x), 1)
+                          for x in np.atleast_1d(u)])
+
+    def sample(self, rng, n):
+        return np.sqrt(rng.gamma(self.m, self.omega / self.m, n))
+
 
 @dataclass(frozen=True)
-class GeneralizedGamma:
+class GeneralizedGamma(_GammaPower):
     """Generalized gamma (Stacy) envelope; beta = 2 reduces to Nakagami."""
 
     m: float
@@ -102,15 +245,9 @@ class GeneralizedGamma:
         if self.omega <= 0:
             raise ParameterError("GeneralizedGamma requires omega > 0")
 
-    @property
-    def b(self) -> float:
-        """Gamma(m + 2/beta)/Gamma(m); normalizes E[R^2] to omega."""
-        return math.exp(sp.gammaln(self.m + 2.0 / self.beta)
-                        - sp.gammaln(self.m))
-
 
 @dataclass(frozen=True)
-class Gsnm:
+class Gsnm(FadingModel):
     """Generalized Nakagami multipath compounded with Gamma shadow power.
 
     Conditioned on the shadow power S ~ Gamma(m_s, omega_s/m_s), the
@@ -133,9 +270,43 @@ class Gsnm:
         return math.exp(sp.gammaln(self.m + 2.0 / self.beta)
                         - sp.gammaln(self.m))
 
+    def mixture(self):
+        return _gsnm_mixture(self)
+
+    def closed_transform(self, p: float, s: np.ndarray):
+        """The Mellin-Barnes form of the MGF, for real s only."""
+        if np.any(s.imag != 0.0):
+            return None
+        return _gsnm_mgf_mb(self, p, s.real)
+
+    def origin(self):
+        # f_R(r) ~ r^(beta m - 1) from the multipath and ~ r^(2 m_s - 1)
+        # from the shadow; the paper gives no tail constant
+        return None, min(self.beta * self.m, 2.0 * self.m_s)
+
+    def moment(self, power: float):
+        return ((self.omega_s / (self.m_s * self.b)) ** (power / 2.0)
+                * math.exp(sp.gammaln(self.m_s + power / 2.0)
+                           - sp.gammaln(self.m_s))
+                * math.exp(sp.gammaln(self.m + power / self.beta)
+                           - sp.gammaln(self.m)))
+
+    def sample(self, rng, n):
+        s = rng.gamma(self.m_s, self.omega_s / self.m_s, n)
+        w = rng.gamma(self.m, 1.0, n)
+        return np.sqrt(s / self.b) * w ** (1.0 / self.beta)
+
+
+@lru_cache(maxsize=128)
+def _gsnm_mixture(model: Gsnm):
+    # R = S^(1/2) R_unit, and the shadow amplitude S^(1/2) is a
+    # Nakagami(m_s, omega_s) envelope
+    logw, scales = _envelope_terms(Nakagami(model.m_s, model.omega_s), 32)
+    return logw, scales, GeneralizedGamma(model.m, model.beta, 1.0)
+
 
 @dataclass(frozen=True)
-class AlphaKappaMu:
+class AlphaKappaMu(FadingModel):
     """alpha-kappa-mu envelope, normalized so E[R^alpha] = 1."""
 
     alpha: float
@@ -148,9 +319,53 @@ class AlphaKappaMu:
         if self.kappa < 0:
             raise ParameterError("AlphaKappaMu requires kappa >= 0")
 
+    @property
+    def decay(self) -> float:
+        return self.mu * (1.0 + self.kappa)
+
+    def power_logpdf(self, w):
+        k, mu = self.kappa, self.mu
+        if k == 0.0:
+            return (mu * math.log(mu) + (mu - 1) * np.log(w) - mu * w
+                    - sp.gammaln(mu))
+        arg = 2.0 * mu * np.sqrt(k * (1.0 + k)) * np.sqrt(w)
+        return (math.log(mu) + 0.5 * (mu + 1) * math.log(1.0 + k)
+                - 0.5 * (mu - 1) * math.log(k) - mu * k
+                + 0.5 * (mu - 1) * np.log(w) - mu * (1.0 + k) * w
+                + np.log(sp.ive(mu - 1.0, arg)) + np.abs(np.real(arg)))
+
+    def power_map(self, p: float):
+        return 1.0, p / self.alpha, self.mu - 1.0
+
+    def w_mean_shape(self):
+        k = self.kappa
+        return 1.0, self.mu * (1.0 + k) ** 2 / (1.0 + 2.0 * k)
+
+    def origin(self):
+        a, k, mu = self.alpha, self.kappa, self.mu
+        lg = (math.log(a) + mu * math.log(mu) + mu * math.log1p(k)
+              - mu * k - float(sp.gammaln(mu)))
+        return lg, a * mu
+
+    def moment(self, power: float):
+        if self.kappa != 0.0:
+            return None
+        # alpha-mu: R^alpha ~ Gamma(mu, 1/mu)
+        e = power / self.alpha
+        return math.exp(sp.gammaln(self.mu + e) - sp.gammaln(self.mu)
+                        - e * math.log(self.mu))
+
+    def sample(self, rng, n):
+        mu, k = self.mu, self.kappa
+        if k == 0.0:
+            y = rng.chisquare(2.0 * mu, n)
+        else:
+            y = rng.noncentral_chisquare(2.0 * mu, 2.0 * mu * k, n)
+        return (y / (2.0 * mu * (1.0 + k))) ** (1.0 / self.alpha)
+
 
 @dataclass(frozen=True)
-class AlphaEtaMu:
+class AlphaEtaMu(FadingModel):
     """alpha-eta-mu envelope (format with eta > 1), E[R^alpha] = 1.
 
     The printed density uses (eta-1)^(1/2-mu), so only eta > 1 is
@@ -176,9 +391,52 @@ class AlphaEtaMu:
         s2 = 1.0 / (self.mu * (1.0 + self.eta))
         return s1, s2
 
+    def _hoyt(self):
+        """(h, H) of the eta-mu density in the format with eta > 1."""
+        eta = self.eta
+        return (1.0 + eta) ** 2 / (4.0 * eta), (eta * eta - 1.0) / (4.0 * eta)
 
-FadingModel = Union[Nakagami, GeneralizedGamma, Gsnm, AlphaKappaMu,
-                    AlphaEtaMu]
+    @property
+    def decay(self) -> float:
+        return self.mu * (1.0 + self.eta) / self.eta  # 2 mu (h - H)
+
+    def power_logpdf(self, w):
+        mu = self.mu
+        h, habs = self._hoyt()
+        pref = (math.log(2.0) + 0.5 * math.log(math.pi)
+                + (mu + 0.5) * math.log(mu) + mu * math.log(h)
+                - sp.gammaln(mu) - (mu - 0.5) * math.log(habs))
+        arg = 2.0 * mu * habs * w
+        # exp(-2 mu h w) I(arg) = exp(-decay w) ive(arg) exp(|Re arg| - arg)
+        return (pref + (mu - 0.5) * np.log(w) + np.log(sp.ive(mu - 0.5, arg))
+                + (np.abs(np.real(arg)) - arg) - self.decay * w)
+
+    def power_map(self, p: float):
+        return 1.0, p / self.alpha, 2.0 * self.mu - 1.0
+
+    def w_mean_shape(self):
+        eta = self.eta
+        return 1.0, self.mu * (1.0 + eta) ** 2 / (1.0 + eta * eta)
+
+    def origin(self):
+        a, mu = self.alpha, self.mu
+        h, _ = self._hoyt()
+        # a0 = 2 a sqrt(pi) mu^2mu h^mu / (Gamma(mu) Gamma(mu+1/2))
+        lg = (math.log(2.0 * a) + 0.5 * math.log(math.pi)
+              + 2.0 * mu * math.log(mu) + mu * math.log(h)
+              - float(sp.gammaln(mu)) - float(sp.gammaln(mu + 0.5)))
+        return lg, 2.0 * a * mu
+
+    def closed_transform(self, p: float, s: np.ndarray):
+        if p != self.alpha:
+            return None
+        s1, s2 = self.gamma_scales
+        return np.exp(-self.mu * (np.log1p(s1 * s) + np.log1p(s2 * s)))
+
+    def sample(self, rng, n):
+        s1, s2 = self.gamma_scales
+        w = rng.gamma(self.mu, s1, n) + rng.gamma(self.mu, s2, n)
+        return w ** (1.0 / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -194,152 +452,46 @@ class TailExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-rule term tables:  E[g(R)] ~= sum_k exp(logc_k) g(r_k)
+# Gauss-rule terms:  E[g(R)] ~= sum_k exp(logc_k) g(r_k)
 # ---------------------------------------------------------------------------
 
-def _hoyt_constants(model: AlphaEtaMu) -> tuple[float, float, float]:
-    eta = model.eta
-    h = (1.0 + eta) ** 2 / (4.0 * eta)
-    habs = (eta * eta - 1.0) / (4.0 * eta)
-    rho = 2.0 * model.mu * (h - habs)  # = mu (1+eta)/eta
-    return h, habs, rho
+def _gauss_terms(logpdf, decay: float, n: int):
+    """(log-weights, nodes) with E[g(W)] ~= sum_k exp(logc_k) g(w_k).
+
+    W = t^2/decay carries the half-line rule with weight exp(-t^2) onto a
+    W whose density exp(logpdf) decays like exp(-decay w).
+    """
+    rule = gauss_halfline_rule(n)
+    t = rule.nodes
+    w = t * t / decay
+    logc = (np.log(rule.weights) + t * t + np.real(logpdf(w))
+            + np.log(2.0 * t / decay))
+    return logc, w
 
 
 @lru_cache(maxsize=512)
-def _gauss_terms(model: FadingModel, n: int):
-    """(log-coefficients, envelope nodes) for the half-line Gauss rule."""
-    rule = gauss_halfline_rule(n)
-    t = rule.nodes
-    logw = np.log(rule.weights)
-    if isinstance(model, (Nakagami, GeneralizedGamma)):
-        m, beta, omega = _as_gg(model)
-        b = math.exp(sp.gammaln(m + 2.0 / beta) - sp.gammaln(m))
-        logc = math.log(2.0) - sp.gammaln(m) + logw + (2 * m - 1) * np.log(t)
-        r = math.sqrt(omega / b) * t ** (2.0 / beta)
-        return logc, r
-    if isinstance(model, AlphaKappaMu):
-        a, k, mu = model.alpha, model.kappa, model.mu
-        if k == 0.0:
-            logc = (math.log(2.0) - sp.gammaln(mu) + logw
-                    + (2 * mu - 1) * np.log(t))
-        else:
-            arg = 2.0 * math.sqrt(k * mu) * t
-            logc = (math.log(2.0) - mu * k
-                    + 0.5 * (1 - mu) * math.log(k * mu) + logw
-                    + mu * np.log(t) + np.log(sp.ive(mu - 1.0, arg)) + arg)
-        r = (t * t / (mu * (1.0 + k))) ** (1.0 / a)
-        return logc, r
-    if isinstance(model, AlphaEtaMu):
-        a, mu = model.alpha, model.mu
-        h, habs, rho = _hoyt_constants(model)
-        pref = (math.log(2.0) + 0.5 * math.log(math.pi)
-                + (mu + 0.5) * math.log(mu) + mu * math.log(h)
-                - sp.gammaln(mu) - (mu - 0.5) * math.log(habs))
-        w = t * t / rho
-        arg = 2.0 * mu * habs * w
-        # exp(-2 mu h w) * I(arg) * exp(rho w) == ive(arg); decay absorbed
-        logc = (logw + pref + (mu - 0.5) * np.log(w)
-                + np.log(sp.ive(mu - 0.5, arg)) + np.log(2 * t / rho))
-        r = w ** (1.0 / a)
-        return logc, r
-    raise UnsupportedModelError(f"no Gauss terms for {type(model).__name__}")
+def _envelope_terms(model: FadingModel, n: int):
+    """(log-coefficients, envelope nodes) over every mixture component."""
+    logw, scales, unit = model.mixture()
+    logc, w = _gauss_terms(unit.power_logpdf, unit.decay, n)
+    c, a, _ = unit.power_map(1.0)
+    r = c * w ** a
+    return (logw[:, None] + logc).ravel(), (scales[:, None] * r).ravel()
 
-
-def _as_gg(model) -> tuple[float, float, float]:
-    if isinstance(model, Nakagami):
-        return model.m, 2.0, model.omega
-    return model.m, model.beta, model.omega
-
-
-def _shadow_terms(model: Gsnm, n: int):
-    """Outer Gauss rule over the Gamma shadow power of a GSNM model."""
-    rule = gauss_halfline_rule(n)
-    t = rule.nodes
-    logc = (math.log(2.0) - sp.gammaln(model.m_s) + np.log(rule.weights)
-            + (2 * model.m_s - 1) * np.log(t))
-    shadows = model.omega_s * t * t / model.m_s
-    return logc, shadows
-
-
-@lru_cache(maxsize=512)
-def _gsnm_terms(model: Gsnm, n: int):
-    logs, shadows = _shadow_terms(model, n)
-    logcs = []
-    rs = []
-    for ls, s in zip(logs, shadows):
-        lc, r = _gauss_terms(GeneralizedGamma(model.m, model.beta, s), n)
-        logcs.append(ls + lc)
-        rs.append(r)
-    return np.concatenate(logcs), np.concatenate(rs)
-
-
-def _terms_for(model: FadingModel, n: int):
-    if isinstance(model, Gsnm):
-        return _gsnm_terms(model, n)
-    return _gauss_terms(model, n)
-
-
-# ---------------------------------------------------------------------------
-# Densities
-# ---------------------------------------------------------------------------
 
 def pdf_envelope(model: FadingModel, r):
     """Density of the fading envelope at r > 0 (vectorized)."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("pdf_envelope requires r > 0")
-    if isinstance(model, (Nakagami, GeneralizedGamma)):
-        m, beta, omega = _as_gg(model)
-        b = math.exp(sp.gammaln(m + 2.0 / beta) - sp.gammaln(m))
-        c = (b / omega) ** (beta / 2.0)
-        logf = (math.log(beta) + m * math.log(c) + (beta * m - 1) * np.log(r)
-                - c * r ** beta - sp.gammaln(m))
-        return np.exp(logf)
-    if isinstance(model, Gsnm):
-        logs, shadows = _shadow_terms(model, 32)
-        vals = np.zeros_like(r)
-        for ls, s in zip(logs, shadows):
-            vals += math.exp(ls) * pdf_envelope(
-                GeneralizedGamma(model.m, model.beta, s), r)
-        return vals
-    if isinstance(model, AlphaKappaMu):
-        a, k, mu = model.alpha, model.kappa, model.mu
-        w = r ** a
-        return a * r ** (a - 1.0) * _akm_power_pdf(k, mu, w)
-    if isinstance(model, AlphaEtaMu):
-        a = model.alpha
-        w = r ** a
-        return a * r ** (a - 1.0) * _aem_power_pdf(model, w)
-    raise UnsupportedModelError(type(model).__name__)
-
-
-def _akm_power_pdf(k: float, mu: float, w):
-    """kappa-mu power density with unit mean."""
-    w = np.asarray(w, dtype=float)
-    if k == 0.0:
-        logf = (mu * math.log(mu) + (mu - 1) * np.log(w) - mu * w
-                - sp.gammaln(mu))
-        return np.exp(logf)
-    arg = 2.0 * mu * np.sqrt(k * (1.0 + k) * w)
-    logf = (math.log(mu) + 0.5 * (mu + 1) * math.log(1.0 + k)
-            - 0.5 * (mu - 1) * math.log(k) - mu * k
-            + 0.5 * (mu - 1) * np.log(w) - mu * (1.0 + k) * w
-            + np.log(sp.ive(mu - 1.0, arg)) + arg)
-    return np.exp(logf)
-
-
-def _aem_power_pdf(model: AlphaEtaMu, w):
-    """eta-mu power density with unit mean (format with eta > 1)."""
-    w = np.asarray(w, dtype=float)
-    mu = model.mu
-    h, habs, rho = _hoyt_constants(model)
-    pref = (math.log(2.0) + 0.5 * math.log(math.pi)
-            + (mu + 0.5) * math.log(mu) + mu * math.log(h)
-            - sp.gammaln(mu) - (mu - 0.5) * math.log(habs))
-    arg = 2.0 * mu * habs * w
-    logf = (pref + (mu - 0.5) * np.log(w)
-            + np.log(sp.ive(mu - 0.5, arg)) - rho * w)
-    return np.exp(logf)
+    logw, scales, unit = model.mixture()
+    c, a, _ = unit.power_map(1.0)
+    x = r[..., None] / scales
+    w = (x / c) ** (1.0 / a)
+    # f_R(r) = sum_k exp(logw_k) f_W(w) (dw/dx) / scale_k, dw/dx = w/(a x)
+    logf = (np.real(unit.power_logpdf(w)) + np.log(w / (a * x)) + logw
+            - np.log(scales))
+    return np.exp(logf).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,75 +499,20 @@ def _aem_power_pdf(model: AlphaEtaMu, w):
 # ---------------------------------------------------------------------------
 
 def _phase_span(model: FadingModel, p: float, n: int) -> np.ndarray:
-    _, r = _terms_for(model, n)
+    _, r = _envelope_terms(model, n)
     return np.max(r ** p)
 
 
 def _plain_transform(model: FadingModel, p: float, s, n: int):
-    logc, r = _terms_for(model, n)
+    logc, r = _envelope_terms(model, n)
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     ex = logc[None, :] - s[:, None] * (r ** p)[None, :]
     return np.exp(ex).sum(axis=1)
 
 
-def _power_pdf_logc(model, wc):
-    """log density of the power variable W = R^p_ref at complex w."""
-    if isinstance(model, (Nakagami, GeneralizedGamma)):
-        m, _, _ = _as_gg(model)
-        return (m - 1.0) * np.log(wc) - wc - sp.gammaln(m)
-    if isinstance(model, AlphaKappaMu):
-        k, mu = model.kappa, model.mu
-        if k == 0.0:
-            return (mu * math.log(mu) + (mu - 1) * np.log(wc) - mu * wc
-                    - sp.gammaln(mu))
-        arg = 2.0 * mu * np.sqrt(k * (1.0 + k)) * np.sqrt(wc)
-        return (math.log(mu) + 0.5 * (mu + 1) * math.log(1.0 + k)
-                - 0.5 * (mu - 1) * math.log(k) - mu * k
-                + 0.5 * (mu - 1) * np.log(wc) - mu * (1.0 + k) * wc
-                + np.log(sp.ive(mu - 1.0, arg)) + np.abs(np.real(arg)))
-    if isinstance(model, AlphaEtaMu):
-        mu = model.mu
-        h, habs, rho = _hoyt_constants(model)
-        pref = (math.log(2.0) + 0.5 * math.log(math.pi)
-                + (mu + 0.5) * math.log(mu) + mu * math.log(h)
-                - sp.gammaln(mu) - (mu - 0.5) * math.log(habs))
-        arg = 2.0 * mu * habs * wc
-        return (pref + (mu - 0.5) * np.log(wc)
-                + np.log(sp.ive(mu - 0.5, arg)) + np.abs(np.real(arg))
-                - 2.0 * mu * h * wc)
-    raise UnsupportedModelError(type(model).__name__)
-
-
-def _power_map(model, p: float) -> tuple[float, float, float]:
-    """(scale c, exponent a, origin power of f_W) with R^p = c W^a."""
-    if isinstance(model, (Nakagami, GeneralizedGamma)):
-        m, beta, omega = _as_gg(model)
-        b = math.exp(sp.gammaln(m + 2.0 / beta) - sp.gammaln(m))
-        return (omega / b) ** (p / 2.0), p / beta, m - 1.0
-    if isinstance(model, AlphaKappaMu):
-        return 1.0, p / model.alpha, model.mu - 1.0
-    if isinstance(model, AlphaEtaMu):
-        return 1.0, p / model.alpha, 2.0 * model.mu - 1.0
-    raise UnsupportedModelError(type(model).__name__)
-
-
-def _w_mean_shape(model) -> tuple[float, float]:
-    """E[W] and the Gamma shape E[W]^2 / Var W of _power_map's W."""
-    if isinstance(model, (Nakagami, GeneralizedGamma)):
-        m = _as_gg(model)[0]
-        return m, m
-    if isinstance(model, AlphaKappaMu):
-        k = model.kappa
-        return 1.0, model.mu * (1.0 + k) ** 2 / (1.0 + 2.0 * k)
-    if isinstance(model, AlphaEtaMu):
-        eta = model.eta
-        return 1.0, model.mu * (1.0 + eta) ** 2 / (1.0 + eta * eta)
-    raise UnsupportedModelError(type(model).__name__)
-
-
 def _rotated_transform(model, p: float, s: complex, tol: float) -> complex:
     """E[exp(-s R^p)] by rotating the power-variable ray, p > 0, Re s >= 0."""
-    c, a, orig = _power_map(model, p)
+    c, a, orig = model.power_map(p)
     if a <= 0:
         raise MethodUnavailableError(
             "rotated transform needs a positive power map")
@@ -428,7 +525,7 @@ def _rotated_transform(model, p: float, s: complex, tol: float) -> complex:
     def logmag(v):
         wc = v * ray
         with np.errstate(divide="ignore"):
-            lg = _power_pdf_logc(model, wc)
+            lg = model.power_logpdf(wc)
         return np.real(lg - s * c * wc ** a)
 
     # Locate where the mass per log-interval peaks, then rescale the
@@ -444,50 +541,12 @@ def _rotated_transform(model, p: float, s: complex, tol: float) -> complex:
         v = np.asarray(v, dtype=float)
         wc = (w_peak * v) * ray
         with np.errstate(divide="ignore"):
-            lg = _power_pdf_logc(model, wc)
+            lg = model.power_logpdf(wc)
         return np.exp(lg - s * c * wc ** a - peaklog
                       + math.log(w_peak)) * ray
 
     est = integrate_semi_infinite(f, tol=tol, origin_power=orig, scale=3.0)
     return complex(est.value * math.exp(peaklog))
-
-
-def _nakagami_closed(model: Nakagami, p: float, s):
-    """Closed transforms for p in {2, 1, -2} (complex s, Re s >= 0)."""
-    m, omega = model.m, model.omega
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    if p == 2.0:
-        return np.exp(-m * np.log1p(s * omega / m))
-    if p == 1.0:
-        from .specfun import gaussian_laplace_moment_log
-
-        scale = math.sqrt(omega / (2.0 * m))
-        pref = (1.0 - m) * math.log(2.0) - sp.gammaln(m)
-        out = np.empty(s.shape, dtype=complex)
-        for i, sv in enumerate(s):
-            mant, logscale = gaussian_laplace_moment_log(2.0 * m,
-                                                         -sv * scale)
-            out[i] = mant * math.exp(min(pref + logscale, 705.0))
-        return out
-    if p == -2.0:
-        out = np.empty(s.shape, dtype=complex)
-        zero = s == 0
-        out[zero] = 1.0
-        sv = s[~zero]
-        if m <= 60.0:
-            arg = sv * m / omega
-            out[~zero] = (2.0 / sp.gamma(m)) * arg ** (m / 2.0) \
-                * sp.kv(m, 2.0 * np.sqrt(arg))
-        else:
-            # the Bessel-K pair overflows at large order; integrate the
-            # inverse-gamma kernel directly (real arguments suffice there)
-            if np.any(np.abs(sv.imag) > 1e-12 * (1.0 + np.abs(sv.real))):
-                raise MethodUnavailableError(
-                    "complex inverse-power transform needs m <= 60")
-            out[~zero] = [_inv_gamma_laplace(m, m / omega, float(x.real), 0)
-                          for x in sv]
-        return out
-    return None
 
 
 def _inv_gamma_laplace(m: float, c: float, s: float, j: int) -> float:
@@ -537,8 +596,8 @@ _RAY_CHUNK = 32
 class _RayRule:
     """Trapezoid rule Phi(w) ~= sum_j g_j exp(i w x_j) for X = R^p, p > 0.
 
-    X is a mixture over components k of c_k W^a (weights exp(logw_k), one
-    component unless the model is GSNM).  Node j sits at
+    X is a mixture over the model's components k of c_k W^a, with
+    weights exp(logw_k).  Node j sits at
     x_j = exp(u0 + j h + i phi), phi = a psi.  With
     0 < psi <= min(pi/(2a), pi/4) the W density decays along the ray and
     the kernel exp(i w x) is bounded for every w > 0.  Within phi/2 of the
@@ -556,7 +615,7 @@ class _RayRule:
     logw: np.ndarray
     lnc: np.ndarray
     a: float
-    wmodel: FadingModel
+    unit: FadingModel
     psi: float
     phi: float
     h: float
@@ -569,32 +628,24 @@ class _RayRule:
         lw = (u[None, :] - self.lnc[:, None]) / self.a + 1j * self.psi
         with np.errstate(divide="ignore", over="ignore", under="ignore",
                          invalid="ignore"):
-            lf = _power_pdf_logc(self.wmodel, np.exp(lw))
+            lf = self.unit.power_logpdf(np.exp(lw))
             g = np.exp(self.logw[:, None] + lf + lw).sum(axis=0) \
                 * (self.h / self.a)
         return np.exp(u + 1j * self.phi), np.nan_to_num(g, nan=0.0)
 
 
 def _ray_rule(model: FadingModel, p: float) -> _RayRule:
-    if isinstance(model, Gsnm):
-        # conditionally on the shadow power S, R is GG(m, beta, S):
-        # R^p = (S/b)^(p/2) W^(p/beta) with W ~ Gamma(m, 1)
-        logw, shadows = _shadow_terms(model, 32)
-        wmodel = GeneralizedGamma(model.m, model.beta, 1.0)
-        lnc = 0.5 * p * (np.log(shadows) - math.log(model.b))
-        _, a, orig = _power_map(wmodel, p)
-    else:
-        wmodel = model
-        c, a, orig = _power_map(model, p)
-        logw, lnc = np.zeros(1), np.array([math.log(c)])
-    mean, shape = _w_mean_shape(wmodel)
+    logw, scales, unit = model.mixture()
+    c, a, orig = unit.power_map(p)
+    lnc = math.log(c) + p * np.log(scales)
+    mean, shape = unit.w_mean_shape()
     psi = min(0.5 * math.pi / a, 0.25 * math.pi,
               math.acos(math.exp(-_RAY_LOSS / shape)))
     phi = a * psi
     # anchor where W is at its mean (the component mean for GSNM); the
     # grid finds its own extent
     u0 = float(np.exp(logw) @ lnc) + a * math.log(mean)
-    return _RayRule(logw, lnc, a, wmodel, psi, phi,
+    return _RayRule(logw, lnc, a, unit, psi, phi,
                     math.pi * phi / _RAY_LOGTOL, u0, (orig + 1.0) / a)
 
 
@@ -696,11 +747,9 @@ def _transform(model: FadingModel, p: float, s, tol: float = 1e-9):
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s.real < -1e-12):
         raise DomainError("transform requires Re s >= 0")
-    if isinstance(model, Nakagami) and p in (2.0, -2.0):
-        return _nakagami_closed(model, p, s)
-    if isinstance(model, AlphaEtaMu) and p == model.alpha:
-        s1, s2 = model.gamma_scales
-        return np.exp(-model.mu * (np.log1p(s1 * s) + np.log1p(s2 * s)))
+    closed = model.closed_transform(p, s)
+    if closed is not None:
+        return closed
     axis = (s.real == 0.0) & (s.imag != 0.0)
     if p < 0 or not np.any(axis):
         return _transform_off_axis(model, p, s, tol)
@@ -713,18 +762,21 @@ def _transform(model: FadingModel, p: float, s, tol: float = 1e-9):
 
 def _transform_off_axis(model: FadingModel, p: float, s: np.ndarray,
                         tol: float):
-    """_transform for real and Bromwich arguments, and for p < 0."""
-    if isinstance(model, Nakagami) and p == 1.0:
-        return _nakagami_closed(model, p, s)
-    if isinstance(model, Gsnm):
-        # conditional-GG scaling: M(s; omega) = M_unit(s * omega^(p/2)),
-        # so the whole shadow rule reduces to one unit-model evaluation
-        logs, shadows = _shadow_terms(model, 32)
-        unit = GeneralizedGamma(model.m, model.beta, 1.0)
-        scales = shadows ** (p / 2.0)
-        flat = (s[:, None] * scales[None, :]).ravel()
-        vals = _transform(unit, p, flat, tol).reshape(s.size, scales.size)
-        return vals @ np.exp(logs)
+    """_transform for real and Bromwich arguments, and for p < 0.
+
+    Mixes unit transforms over the model's components: scaling the
+    envelope by sigma scales the argument by sigma^p.
+    """
+    logw, scales, unit = model.mixture()
+    flat = (s[:, None] * scales[None, :] ** p).ravel()
+    vals = _unit_off_axis(unit, p, flat, tol).reshape(s.size, scales.size)
+    return vals @ np.exp(logw)
+
+
+def _unit_off_axis(model: FadingModel, p: float, s: np.ndarray, tol: float):
+    closed = model.closed_transform(p, s)
+    if closed is not None:
+        return closed
     if p < 0:
         if np.any(np.abs(s.imag) > 1e-9 * (1.0 + np.abs(s.real))):
             raise MethodUnavailableError(
@@ -733,7 +785,7 @@ def _transform_off_axis(model: FadingModel, p: float, s: np.ndarray,
         return _plain_sum_escalating(model, p, s, tol)
     # Deep real tail: the fixed rule loses relative accuracy once the
     # kernel confines the mass near the origin; integrate adaptively there.
-    c_sc, a_pow, orig = _power_map(model, p)
+    c_sc, a_pow, orig = model.power_map(p)
     w_typ = 0.5 * (orig + 1.0)
     depth = np.abs(s) * c_sc * w_typ ** a_pow
     deep = (np.abs(s.imag) <= 1e-12 * (1.0 + s.real)) & (depth > 18.0)
@@ -772,9 +824,9 @@ def _plain_sum_escalating(model, p, s, tol):
 def mgf_rp(model: FadingModel, p: float, u, tol: float = 1e-9):
     """M(u) = E[exp(-u R^p)] for u >= 0 (complex u with Re u >= 0 allowed).
 
-    The GSNM moment generating function follows its Mellin-Barnes contour
-    form; all other models use the change-of-variable Gauss rule with
-    escalation, or a closed form where one exists.
+    A model's closed transform is used where it has one (for GSNM on the
+    real axis, its Mellin-Barnes contour form); otherwise the
+    change-of-variable Gauss rule with escalation.
     """
     if p == 0:
         raise DomainError("p must be nonzero")
@@ -784,10 +836,7 @@ def mgf_rp(model: FadingModel, p: float, u, tol: float = 1e-9):
         uu = uu.real.astype(float)
         if np.any(uu < 0):
             raise DomainError("mgf_rp requires u >= 0 on the real axis")
-        if isinstance(model, Gsnm):
-            out = _gsnm_mgf_mb(model, p, uu)
-        else:
-            out = np.real(_transform(model, p, uu.astype(complex), tol))
+        out = np.real(_transform(model, p, uu.astype(complex), tol))
         zero = uu == 0.0
         outr = np.where(zero, 1.0, out)
         # underflow to 0 in deep tails is legitimate; genuine sign errors
@@ -798,6 +847,28 @@ def mgf_rp(model: FadingModel, p: float, u, tol: float = 1e-9):
         return float(outr[0]) if scalar else outr
     out = _transform(model, p, uu, tol)
     return complex(out[0]) if scalar else out
+
+
+def mgf_rp_deriv(model: FadingModel, p: float, u, tol: float = 1e-9):
+    """d/du E[exp(-u R^p)] for real u > 0, in closed or Gauss-rule form."""
+    u = np.asarray(u, dtype=float)
+    closed = model.closed_transform_deriv(p, u)
+    if closed is not None:
+        return closed
+
+    def eval_at(n):
+        logc, r = _envelope_terms(model, n)
+        rp = r ** p
+        ex = logc[None, :] + np.log(rp)[None, :] \
+            - np.atleast_1d(u)[:, None] * rp[None, :]
+        return -np.exp(ex).sum(axis=1)
+
+    v2, v3 = eval_at(32), eval_at(64)
+    if np.any(np.abs(v2 - v3) > np.maximum(100 * tol * np.abs(v3), 5e-7)):
+        raise NumericError(
+            f"branch MGF derivative did not converge for {model!r}, "
+            f"p = {p}", best_estimate=v3)
+    return v3 if u.ndim else float(v3[0])
 
 
 def chf_rp(model: FadingModel, p: float, omega, tol: float = 1e-9):
@@ -882,52 +953,13 @@ def _gsnm_mgf_mb(model: Gsnm, p: float, u: np.ndarray) -> np.ndarray:
 # Tail expansion, moments, sampling
 # ---------------------------------------------------------------------------
 
-def _origin_behaviour_log(model: FadingModel) -> tuple[float, float]:
-    """(ln a0, c) with f_R(r) = a0 r^(c-1) (1 + o(1)) as r -> 0."""
-    if isinstance(model, (Nakagami, GeneralizedGamma)):
-        m, beta, omega = _as_gg(model)
-        lnb = float(sp.gammaln(m + 2.0 / beta) - sp.gammaln(m))
-        ln_a0 = (math.log(beta) + 0.5 * beta * m * (lnb - math.log(omega))
-                 - float(sp.gammaln(m)))
-        return ln_a0, beta * m
-    if isinstance(model, AlphaKappaMu):
-        a, k, mu = model.alpha, model.kappa, model.mu
-        lg = (math.log(a) + mu * math.log(mu) + mu * math.log1p(k)
-              - mu * k - float(sp.gammaln(mu)))
-        return lg, a * mu
-    if isinstance(model, AlphaEtaMu):
-        a, mu = model.alpha, model.mu
-        h, habs, rho = _hoyt_constants(model)
-        # a0 = 2 a sqrt(pi) mu^2mu h^mu / (Gamma(mu) Gamma(mu+1/2))
-        lg = (math.log(2.0 * a) + 0.5 * math.log(math.pi)
-              + 2.0 * mu * math.log(mu) + mu * math.log(h)
-              - float(sp.gammaln(mu)) - float(sp.gammaln(mu + 0.5)))
-        return lg, 2.0 * a * mu
-    raise UnsupportedModelError(
-        "no closed origin behaviour for " + type(model).__name__)
-
-
-def _origin_exponent(model: FadingModel) -> float:
-    """Exponent c with f_R(r) ~ r^(c-1) at the origin (log-safe)."""
-    if isinstance(model, (Nakagami, GeneralizedGamma)):
-        m, beta, _ = _as_gg(model)
-        return beta * m
-    if isinstance(model, AlphaKappaMu):
-        return model.alpha * model.mu
-    if isinstance(model, AlphaEtaMu):
-        return 2.0 * model.alpha * model.mu
-    if isinstance(model, Gsnm):
-        return model.beta * model.m
-    raise UnsupportedModelError(type(model).__name__)
-
-
 def tail_expansion_log(model: FadingModel, p: float = 1.0):
     """(ln C, d) of the tail expansion, safe for extreme parameters."""
-    if isinstance(model, Gsnm):
-        raise UnsupportedModelError("no tail expansion for GSNM")
+    ln_a0, c = model.origin()
+    if ln_a0 is None:
+        raise UnsupportedModelError(f"no tail expansion for {model!r}")
     if p <= 0:
         raise DomainError("tail_expansion requires p > 0")
-    ln_a0, c = _origin_behaviour_log(model)
     d = c / p
     return ln_a0 + float(sp.gammaln(d)) - math.log(p), d
 
@@ -943,34 +975,23 @@ def tail_expansion(model: FadingModel, p: float = 1.0) -> TailExpansion:
 
 
 def moment_rp(model: FadingModel, p: float, n: int, tol: float = 1e-9):
-    """E[R^(n p)] by Gauss quadrature against the envelope density."""
+    """E[R^(n p)]: exact where the model has a closed moment, otherwise
+    by Gauss quadrature against the envelope density."""
     if n < 0 or n != int(n):
         raise DomainError("moment order n must be a nonnegative integer")
     if n == 0:
         return 1.0
     power = p * n
-    c = _origin_exponent(model)
+    _, c = model.origin()
     if power <= -c:
         raise DomainError(
             f"moment E[R^{power}] diverges (origin exponent {c})")
-    # Near-deterministic gamma-family parameters concentrate past the rule's
-    # node range; their moments are exact gamma ratios, used verbatim there.
-    if isinstance(model, (Nakagami, GeneralizedGamma)):
-        m, beta, omega = _as_gg(model)
-        if m > 200.0:
-            b = math.exp(sp.gammaln(m + 2.0 / beta) - sp.gammaln(m))
-            return (omega / b) ** (power / 2.0) * math.exp(
-                sp.gammaln(m + power / beta) - sp.gammaln(m))
-    if isinstance(model, Gsnm) and (model.m > 200.0 or model.m_s > 200.0):
-        b = model.b
-        return ((model.omega_s / (model.m_s * b)) ** (power / 2.0)
-                * math.exp(sp.gammaln(model.m_s + power / 2.0)
-                           - sp.gammaln(model.m_s))
-                * math.exp(sp.gammaln(model.m + power / model.beta)
-                           - sp.gammaln(model.m)))
+    exact = model.moment(power)
+    if exact is not None:
+        return exact
 
     def eval_at(nn):
-        logc, r = _terms_for(model, nn)
+        logc, r = _envelope_terms(model, nn)
         return float(np.exp(logc + power * np.log(r)).sum())
 
     v1, v2 = eval_at(15), eval_at(32)
@@ -988,29 +1009,5 @@ def moment_rp(model: FadingModel, p: float, n: int, tol: float = 1e-9):
 def sample_envelope(model: FadingModel, rng: np.random.Generator,
                     size=None):
     """Exact envelope draws from a caller-owned generator."""
-    one = size is None
-    n = 1 if one else size
-    if isinstance(model, Nakagami):
-        r = np.sqrt(rng.gamma(model.m, model.omega / model.m, n))
-    elif isinstance(model, GeneralizedGamma):
-        w = rng.gamma(model.m, 1.0, n)
-        r = math.sqrt(model.omega / model.b) * w ** (1.0 / model.beta)
-    elif isinstance(model, Gsnm):
-        s = rng.gamma(model.m_s, model.omega_s / model.m_s, n)
-        w = rng.gamma(model.m, 1.0, n)
-        r = np.sqrt(s / model.b) * w ** (1.0 / model.beta)
-    elif isinstance(model, AlphaKappaMu):
-        mu, k = model.mu, model.kappa
-        if k == 0.0:
-            y = rng.chisquare(2.0 * mu, n)
-        else:
-            y = rng.noncentral_chisquare(2.0 * mu, 2.0 * mu * k, n)
-        w = y / (2.0 * mu * (1.0 + k))
-        r = w ** (1.0 / model.alpha)
-    elif isinstance(model, AlphaEtaMu):
-        s1, s2 = model.gamma_scales
-        w = rng.gamma(model.mu, s1, n) + rng.gamma(model.mu, s2, n)
-        r = w ** (1.0 / model.alpha)
-    else:
-        raise UnsupportedModelError(type(model).__name__)
-    return float(r[0]) if one else r
+    r = model.sample(rng, 1 if size is None else size)
+    return float(r[0]) if size is None else r

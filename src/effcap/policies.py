@@ -34,6 +34,7 @@ from .combiner import (
     joint_mgf_x,
     mgf_x_derivative,
     x_mean,
+    x_tail_exponent,
     _gamma_sum_params,
 )
 from .errors import (
@@ -43,7 +44,6 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
 )
-from .fading import Gsnm, mgf_rp, tail_expansion
 from .quadrature import (
     gk15_panels,
     integrate_alternating,
@@ -365,7 +365,7 @@ class _OpraRefs:
 
 
 def _opra_refs(spec: CombinerSpec, a_eff: float, tol: float) -> _OpraRefs:
-    from .combiner import x_fractional_moment, x_inverse_moment
+    from .combiner import x_fractional_moment, x_inverse_moment, x_moment
 
     lam = a_eff / (a_eff + 1.0)
     k = spec.k
@@ -374,22 +374,13 @@ def _opra_refs(spec: CombinerSpec, a_eff: float, tol: float) -> _OpraRefs:
         e_inv = x_inverse_moment(spec, q, tol) / k
         e_lam = x_inverse_moment(spec, lam * q, tol) * k ** -lam
     else:
-        e_inv = x_moment_pos(spec, abs(q)) / k
-        s = lam * abs(q)
-        e_lam = (x_fractional_moment(spec, s, tol) if 0 < s < 1
-                 else x_moment_pos(spec, s)) * k ** -lam
+        aq, s = abs(q), lam * abs(q)
+        e_inv = (x_moment(spec, int(aq)) if aq == int(aq)
+                 else x_fractional_moment(spec, aq)) / k
+        e_lam = (x_moment(spec, int(s)) if s == int(s)
+                 else x_fractional_moment(spec, s, tol)) * k ** -lam
     lng0 = -(a_eff + 1.0) * math.log((1.0 + e_inv) / e_lam)
     return _OpraRefs(e_inv=e_inv, e_lam=e_lam, lng0_est=lng0)
-
-
-def x_moment_pos(spec: CombinerSpec, s: float) -> float:
-    from .combiner import x_moment
-
-    if s == int(s):
-        return x_moment(spec, int(s))
-    from .combiner import x_fractional_moment
-
-    return x_fractional_moment(spec, s)
 
 
 def _cutoff_lhs_scaled(spec: CombinerSpec, a_eff: float, gamma0: float,
@@ -427,8 +418,6 @@ def _cutoff_lhs_scaled(spec: CombinerSpec, a_eff: float, gamma0: float,
 def _outage_mass_bound(spec: CombinerSpec, gamma0: float) -> float:
     """Upper bound on P(gamma < gamma0), used to decide when the
     no-outage closed form is exact to machine level."""
-    from .fading import Nakagami
-
     if spec.q > 0:
         delta = _delta_of(spec, gamma0)
         # P(X < delta) <= (delta-origin mass); use the smallest branch
@@ -441,12 +430,12 @@ def _outage_mass_bound(spec: CombinerSpec, gamma0: float) -> float:
         except (DomainError, NumericError):
             return 1.0
     delta = _delta_of(spec, gamma0)  # transmission is X <= delta
-    if all(isinstance(b, Nakagami) for b in spec.branches):
-        out = 0.0
-        for b in spec.branches:
-            t = delta / spec.L
-            out += float(sp.gammainc(b.m, b.m / (b.omega * t)))
-        return out
+    laws = [b.power_gamma(2.0) for b in spec.branches]
+    if None not in laws:
+        # P(X > delta) <= sum_l P(R_l^2 < L/delta), R_l^2 ~ Gamma
+        t = delta / spec.L
+        return sum(float(sp.gammainc(shape, 1.0 / (scale * t)))
+                   for shape, scale in laws)
     return x_mean(spec) / delta  # Markov fallback
 
 
@@ -558,10 +547,10 @@ def ec_opra_chf(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8,
         kterm = float(np.real(kval)) / math.pi
         fterm = 1.0 - cdf_x_gil_pelaez(spec, delta, tol=tol)
     return _finish("opra", "chf", spec, qos, kterm + fterm, a_eff, div,
-                   gamma0=g0, diag=diagnostics_or_none(cut))
+                   gamma0=g0, diag=_cutoff_diagnostics(cut))
 
 
-def diagnostics_or_none(cut: CutoffSolution) -> dict:
+def _cutoff_diagnostics(cut: CutoffSolution) -> dict:
     return {"cutoff_residual": cut.residual,
             "cutoff_iterations": cut.iterations}
 
@@ -619,18 +608,12 @@ def ec_opra_mgf(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8,
     fterm = cdf_x_euler_laplace(spec, delta, tol=max(tol, 1e-9))
     return _finish("opra", "incomplete-mgf", spec, qos,
                    jterm + fterm, a_eff, div,
-                   gamma0=g0, diag=diagnostics_or_none(cut))
+                   gamma0=g0, diag=_cutoff_diagnostics(cut))
 
 
 # ---------------------------------------------------------------------------
 # CIFR / TIFR
 # ---------------------------------------------------------------------------
-
-def _total_tail_exponent(spec: CombinerSpec):
-    from .combiner import x_tail_exponent
-
-    return x_tail_exponent(spec)
-
 
 def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
     """EC under total channel inversion; divergent E[1/gamma] yields a
@@ -639,7 +622,7 @@ def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
     k = spec.k
     div = float(spec.L) if q < 0 else 1.0
     if q > 0:
-        d_tot = _total_tail_exponent(spec)
+        d_tot = x_tail_exponent(spec)
         if d_tot <= q * (1.0 + 1e-9):
             return EcResult("cifr", "mgf", _snr_db(spec), qos.theta, 0.0,
                             diagnostics={"flag": "divergent-inverse-moment"})

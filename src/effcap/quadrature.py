@@ -3,8 +3,9 @@
 Four pieces of machinery shared by every analytic path in the package:
 
 * a Gauss rule for half-line integrals with Gaussian weight,
-  ``int_0^inf exp(-t^2) f(t) dt ~= sum w_k f(t_k)``, generated by the
-  Golub-Welsch procedure from the moment problem mu_j = Gamma((j+1)/2)/2;
+  ``int_0^inf exp(-t^2) f(t) dt ~= sum w_k f(t_k)``, from tables that
+  tools/gen_halfrange_tables.py generates by the Golub-Welsch procedure
+  from the moment problem mu_j = Gamma((j+1)/2)/2;
 * an adaptive Gauss-Kronrod integrator for finite and semi-infinite ranges;
 * a Bessel-zero partitioned integrator for Hankel-type oscillatory
   integrals, with the partial sums accelerated by the epsilon algorithm;
@@ -30,7 +31,6 @@ __all__ = [
     "IntegralEstimate",
     "EpsilonTable",
     "gauss_halfline_rule",
-    "epsilon_accelerate",
     "integrate_interval",
     "integrate_semi_infinite",
     "integrate_hankel_partitioned",
@@ -57,69 +57,21 @@ class GaussRule:
         if not (np.all(np.diff(self.nodes) > 0) and np.all(self.nodes > 0)):
             raise DomainError("nodes must be strictly increasing and positive")
 
-    @property
-    def count(self) -> int:
-        return self.nodes.size
-
-    def apply(self, f: Callable[[np.ndarray], np.ndarray]):
-        return float(np.dot(self.weights, f(self.nodes)))
-
-
-def _halfline_rule_mp(n: int):
-    """Golub-Welsch from raw moments, in multiprecision.
-
-    The Hankel moment matrix of this weight is severely ill-conditioned, so
-    the Chebyshev moment-to-recurrence algorithm is run with a working
-    precision that grows linearly with n; the result is rounded to float.
-    """
-    import mpmath as mp
-
-    dps = 60 + 5 * n
-    with mp.workdps(dps):
-        moms = [mp.gamma(mp.mpf(j + 1) / 2) / 2 for j in range(2 * n)]
-        # Chebyshev algorithm: recurrence coefficients a_k, b_k.
-        a = [moms[1] / moms[0]]
-        b = [moms[0]]
-        sig_prev = [mp.mpf(0)] * (2 * n)
-        sig = list(moms)
-        for k in range(1, n):
-            sig_new = [mp.mpf(0)] * (2 * n)
-            for l in range(k, 2 * n - k):
-                sig_new[l] = sig[l + 1] - a[k - 1] * sig[l] - b[k - 1] * sig_prev[l]
-            a.append(sig_new[k + 1] / sig_new[k] - sig[k] / sig[k - 1])
-            b.append(sig_new[k] / sig[k - 1])
-            sig_prev, sig = sig, sig_new
-        # Jacobi matrix eigen-decomposition.
-        J = mp.zeros(n)
-        for i in range(n):
-            J[i, i] = a[i]
-        for i in range(1, n):
-            off = mp.sqrt(b[i])
-            J[i, i - 1] = off
-            J[i - 1, i] = off
-        E, Q = mp.eigsy(J)
-        nodes = [E[i] for i in range(n)]
-        weights = [b[0] * Q[0, i] ** 2 for i in range(n)]
-        order = sorted(range(n), key=lambda i: nodes[i])
-        return (
-            np.array([float(nodes[i]) for i in order]),
-            np.array([float(weights[i]) for i in order]),
-        )
-
 
 @lru_cache(maxsize=None)
 def gauss_halfline_rule(n_t: int) -> GaussRule:
-    """Rule integrating t^j exp(-t^2) on [0, inf) exactly for j <= 2*n_t - 1."""
-    if not (2 <= n_t <= 64):
-        raise DomainError("n_t must lie in [2, 64]; larger rules are ill-conditioned")
+    """Rule integrating t^j exp(-t^2) on [0, inf) exactly for j <= 2*n_t - 1.
+
+    Served from the embedded tables that tools/gen_halfrange_tables.py
+    generates (Golub-Welsch in multiprecision).
+    """
     from . import _halfrange_tables
 
     tab = _halfrange_tables.TABLES.get(n_t)
-    if tab is not None:
-        nodes, weights = tab
-        return GaussRule(np.array(nodes), np.array(weights))
-    nodes, weights = _halfline_rule_mp(n_t)
-    return GaussRule(nodes, weights)
+    if tab is None:
+        raise DomainError(f"no embedded half-line rule with {n_t} nodes; "
+                          f"sizes: {sorted(_halfrange_tables.TABLES)}")
+    return GaussRule(np.array(tab[0]), np.array(tab[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +88,6 @@ class EpsilonTable:
     """
 
     sums: Sequence[float]
-    columns: list = field(default_factory=list)
     estimates: list = field(default_factory=list)
     converged_early: bool = False
 
@@ -149,7 +100,6 @@ class EpsilonTable:
         zero = 0.0 * s[0]
         prev = [zero] * (len(s) + 1)  # column r-1
         cur = s[:]                    # column r
-        self.columns = [cur[:]]
         self.estimates = [cur[-1]]
         r = 0
         while len(cur) >= 2:
@@ -164,18 +114,12 @@ class EpsilonTable:
                 nxt.append(prev[k + 1] + 1.0 / diff)
             prev, cur = cur, nxt
             r += 1
-            self.columns.append(cur[:])
             if r % 2 == 0 and cur:
                 self.estimates.append(cur[-1])
 
     @property
     def best(self) -> float:
         return self.estimates[-1]
-
-
-def epsilon_accelerate(partial_sums: Sequence[float]) -> float:
-    """Best even-column epsilon-table estimate of the series limit."""
-    return EpsilonTable(partial_sums).best
 
 
 def integrate_alternating(

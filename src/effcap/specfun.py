@@ -1,17 +1,17 @@
 """Special functions for the analytic capacity paths.
 
-scipy.special supplies the standard real-argument cases (gamma, Bessel J/I,
-confluent hypergeometric). The pieces scipy does not cover are implemented
-here with controlled accuracy:
+scipy.special supplies the standard real-argument cases (gamma, Bessel,
+confluent hypergeometric), called directly where they are needed.  The
+pieces scipy does not cover are implemented here with controlled accuracy:
 
-* incomplete gamma functions of a complex argument (series / continued
-  fraction / the imaginary-axis exponential integral below),
-* the generalized exponential integral E_nu(z) of real order, including the
+* the lower incomplete gamma function of a complex argument (series /
+  continued fraction / the imaginary-axis exponential integral below),
+* the generalized exponential integral E_nu(i w) of real order on the
   imaginary axis, where Gauss-Laguerre quadrature runs along the
   steepest-descent ray t = 1 - i s, on which the integrand decays as e^-s
   (Gil, Segura & Temme, Numerical Methods for Special Functions, 2007),
-* the parabolic cylinder function D_p(z) for p <= 0 and complex z via its
-  integral representation,
+* the Gaussian-Laplace moment G(nu, w) = int t^(nu-1) exp(-t^2/2 + w t) dt,
+  the integral behind the parabolic cylinder function D_-nu, at complex w,
 * positive zeros of J_nu for real order.
 
 Everything is pure and reentrant; vectorized variants used by the policy
@@ -29,35 +29,14 @@ from scipy import special as sp
 from .errors import DomainError, NumericError
 
 __all__ = [
-    "gamma_fn",
     "lower_incomplete_gamma",
-    "upper_incomplete_gamma",
-    "expint_en",
-    "bessel_j",
-    "bessel_i",
-    "bessel_i_scaled",
-    "bessel_k",
+    "expint_iomega",
     "kummer_1f1",
-    "parabolic_cylinder_d",
+    "gaussian_laplace_moment_log",
     "bessel_j_zeros",
 ]
 
 _EULER = 0.5772156649015328606
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0."""
-    if x <= 0:
-        raise DomainError("gamma_fn requires x > 0")
-    return float(sp.gamma(x))
-
-
-def gamma_fn_vec(x):
-    """Vectorized Gamma over positive arrays."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("gamma_fn requires x > 0")
-    return sp.gamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +122,6 @@ def lower_incomplete_gamma(a: float, z, tol: float = 1e-12):
     return complex(out[0]) if scalar else out
 
 
-def upper_incomplete_gamma(a: float, z, tol: float = 1e-12):
-    """Upper incomplete gamma Gamma(a, z) = Gamma(a) - gamma(a, z), a > 0."""
-    return sp.gamma(a) - lower_incomplete_gamma(a, z, tol)
-
-
 # ---------------------------------------------------------------------------
 # Generalized exponential integral E_nu(z) = int_1^inf e^{-z t} t^{-nu} dt
 # ---------------------------------------------------------------------------
@@ -156,8 +130,6 @@ def _expint_series(nu: float, z: np.ndarray) -> np.ndarray:
     """Small-|z| expansion of E_nu, integer and non-integer orders."""
     z = np.asarray(z, dtype=complex)
     n = round(nu)
-    if nu == 0.0:
-        return np.exp(-z) / z
     out = np.zeros_like(z)
     if abs(nu - n) > 1e-6 or n < 1:
         out += sp.gamma(1.0 - nu) * np.exp((nu - 1.0) * np.log(z))
@@ -243,65 +215,6 @@ def expint_iomega(nu: float, omega) -> np.ndarray:
     return out
 
 
-def expint_en(nu: float, z, tol: float = 1e-10):
-    """Generalized exponential integral E_nu(z), real order.
-
-    Domain: Re z > 0, or purely imaginary z with nu > 0.
-    """
-    zc = complex(z)
-    if zc == 0:
-        raise DomainError("E_nu(0) diverges for nu <= 1 and is excluded here")
-    if nu == 0.0:
-        return complex(np.exp(-zc) / zc)
-    if abs(zc.real) < 1e-300 * (1 + abs(zc.imag)):
-        return complex(expint_iomega(nu, zc.imag)[0])
-    if zc.real < 0:
-        raise DomainError("E_nu requires Re z >= 0")
-    if abs(zc) < 2.0:
-        return complex(_expint_series(nu, np.array([zc]))[0])
-    # E_nu(z) = z^(nu-1) Gamma(1-nu, z); the Lentz continued fraction for
-    # Gamma(a, z) converges for Re z > 0 at any real a, including a <= 0.
-    g = _upper_cf(1.0 - nu, zc, tol * 1e-2)
-    return complex(np.exp((nu - 1.0) * np.log(zc)) * g)
-
-
-# ---------------------------------------------------------------------------
-# Bessel functions
-# ---------------------------------------------------------------------------
-
-def bessel_j(nu: float, x):
-    """J_nu(x) for nu >= 0, x >= 0."""
-    if nu < 0:
-        raise DomainError("bessel_j requires nu >= 0")
-    return sp.jv(nu, x)
-
-
-def bessel_i(nu: float, x):
-    """I_nu(x); overflow raises instead of returning inf."""
-    out = sp.iv(nu, x)
-    if np.any(~np.isfinite(out)):
-        raise NumericError("bessel_i overflow; use bessel_i_scaled")
-    return out
-
-
-def bessel_i_scaled(nu: float, x):
-    """exp(-|Re x|) I_nu(x), safe for large argument (complex ok)."""
-    return sp.ive(nu, x)
-
-
-def bessel_k(nu: float, z):
-    """K_nu(z) for real order and complex argument off the negative axis."""
-    z = np.asarray(z, dtype=complex)
-    if np.any((z.real <= 0) & (np.abs(z.imag) < 1e-300)):
-        raise DomainError("bessel_k branch cut on the negative real axis")
-    out = sp.kv(nu, z)
-    if np.any(~np.isfinite(out)):
-        raise NumericError("bessel_k overflow/invalid")
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Confluent hypergeometric 1F1(a, 1, x), x <= 0
 # ---------------------------------------------------------------------------
@@ -342,7 +255,7 @@ def _kummer_asymptotic(a: float, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Parabolic cylinder D_p and the Gaussian-Laplace kernel it builds on
+# The Gaussian-Laplace kernel (parabolic cylinder functions)
 # ---------------------------------------------------------------------------
 
 def gaussian_laplace_moment_log(nu: float, w, tol: float = 1e-10):
@@ -359,10 +272,10 @@ def gaussian_laplace_moment_log(nu: float, w, tol: float = 1e-10):
     from .quadrature import integrate_semi_infinite
 
     if nu <= 0:
-        raise DomainError("gaussian_laplace_moment requires nu > 0")
+        raise DomainError("gaussian_laplace_moment_log requires nu > 0")
     wc = complex(w)
     if wc.real > 0.5 * (1.0 + abs(wc.imag)) and abs(wc.real) > 8.0:
-        raise DomainError("gaussian_laplace_moment: Re w too large")
+        raise DomainError("gaussian_laplace_moment_log: Re w too large")
     # Watson regime: the algebraic origin behaviour dominates; accept the
     # expansion only when it actually reaches full accuracy before the
     # asymptotic terms start growing.
@@ -412,15 +325,6 @@ def gaussian_laplace_moment_log(nu: float, w, tol: float = 1e-10):
     return phase * est.value, peaklog
 
 
-def gaussian_laplace_moment(nu: float, w, tol: float = 1e-10):
-    """G(nu, w), combined; raises on overflow of the combined value."""
-    mant, logscale = gaussian_laplace_moment_log(nu, w, tol)
-    if logscale > 700.0:
-        raise NumericError("gaussian_laplace_moment overflow; use the "
-                           "log-scaled variant")
-    return mant * math.exp(logscale)
-
-
 def _gaussian_laplace_watson(nu: float, w: complex):
     mw = -w
     l0 = sp.loggamma(nu) - nu * np.log(mw)
@@ -437,28 +341,6 @@ def _gaussian_laplace_watson(nu: float, w: complex):
         if abs(term) < 1e-14 * abs(acc):
             return complex(acc), logscale
     return None
-
-
-def parabolic_cylinder_d(p: float, z, tol: float = 1e-10):
-    """Parabolic cylinder D_p(z) for p <= 0 (integral representation).
-
-    D_p(z) = e^{-z^2/4}/Gamma(-p) int_0^inf t^{-p-1} e^{-t^2/2 - z t} dt.
-    p = 0 is the closed-form boundary case used only by tests.
-    """
-    if p > 0:
-        raise DomainError("parabolic_cylinder_d requires p <= 0")
-    zc = complex(z)
-    if p == 0:
-        return complex(np.exp(-zc * zc / 4.0))
-    g = gaussian_laplace_moment(-p, -zc, tol=tol)
-    with np.errstate(over="raise"):
-        try:
-            out = complex(np.exp(-zc * zc / 4.0 - sp.loggamma(-p)) * g)
-        except FloatingPointError as exc:
-            raise NumericError("parabolic_cylinder_d overflow") from exc
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise NumericError("parabolic_cylinder_d overflow")
-    return out
 
 
 # ---------------------------------------------------------------------------

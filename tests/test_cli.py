@@ -102,6 +102,21 @@ class TestSweep:
         assert not ok
         assert "FAIL" in report
 
+    def test_failed_points_get_their_own_verdicts(self):
+        cfg = build_config(BASE)
+        rows = run_sweep(cfg)
+        mc = [dict(r, method="monte-carlo", err_estimate=1e-3) for r in rows]
+        rows[0] = dict(rows[0], method="failed", ec_bits_s_hz=float("nan"),
+                       status="error: no convergence")
+        mc[1] = dict(mc[1], ec_bits_s_hz=float("nan"),
+                     err_estimate=float("nan"), status="error: oracle")
+        report, ok = compare(rows, mc, 3.0)
+        lines = report.splitlines()
+        assert lines[1].endswith(" - analytic-failed")
+        assert lines[2].endswith(" - mc-failed")
+        assert lines[3].endswith(" 0.000 pass")
+        assert not ok and "summary: FAIL" in report
+
     def test_identical_tables_zero_z(self):
         cfg = build_config(BASE)
         rows = run_sweep(cfg)

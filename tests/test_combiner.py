@@ -14,12 +14,12 @@ from effcap.combiner import (
     incomplete_mgf_x,
     joint_mgf_x,
     mgf_x_derivative,
-    mgf_x_derivative_fd,
     snr_end,
     x_moment,
+    x_tail_exponent,
 )
 from effcap.errors import DomainError, ParameterError
-from effcap.fading import GeneralizedGamma, Nakagami, sample_envelope
+from effcap.fading import GeneralizedGamma, Gsnm, Nakagami, sample_envelope
 
 RAYLEIGH2 = CombinerSpec.mrc([Nakagami(1.0, 1.0)] * 2, 1.0)
 NAK2 = CombinerSpec.mrc([Nakagami(1.5, 1.0)] * 2, 1.0)
@@ -98,6 +98,21 @@ class TestJointTransforms:
         w = np.linspace(0.1, 6.0, 8)
         assert np.allclose(chf_x(GG3_EGC, -w), np.conj(chf_x(GG3_EGC, w)),
                            rtol=1e-12)
+
+
+def mgf_x_derivative_fd(spec: CombinerSpec, u: float) -> float:
+    """Richardson-refined fourth-order central difference of M_X."""
+    h = max(1e-5, 1e-4 * u)
+    if u - 2 * h <= 0:
+        h = u / 4.0
+
+    def d4(hh):
+        pts = np.array([u - 2 * hh, u - hh, u + hh, u + 2 * hh])
+        m = np.asarray(joint_mgf_x(spec, pts))
+        return (m[0] - 8 * m[1] + 8 * m[2] - m[3]) / (12 * hh)
+
+    d1, d2 = d4(h), d4(h / 2.0)
+    return float((16.0 * d2 - d1) / 15.0)
 
 
 class TestMgfDerivative:
@@ -200,6 +215,15 @@ class TestIncompleteMgf:
         val = incomplete_mgf_x(NAK2, s, v)
         assert val <= float(joint_mgf_x(NAK2, s)) + 1e-12
         assert val <= 1.0 - cdf_x_gil_pelaez(NAK2, v) + 1e-8
+
+
+class TestTailExponent:
+    def test_gsnm_exact_exponent(self):
+        # origin exponent min(beta m, 2 m_s) = 4 per branch, over p = 2
+        spec = CombinerSpec.mrc([Gsnm(2.0, 2.0, 3.0, 1.0)] * 2, 1.0)
+        assert x_tail_exponent(spec) == 4.0
+        shadowed = CombinerSpec.mrc([Gsnm(2.0, 2.0, 0.6, 1.0)] * 2, 1.0)
+        assert x_tail_exponent(shadowed) == pytest.approx(1.2, rel=1e-15)
 
 
 class TestMoments:

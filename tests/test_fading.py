@@ -213,12 +213,60 @@ class TestMoments:
         with pytest.raises(DomainError):
             moment_rp(Nakagami(1.0), -2.0, 1)  # E[R^-2] diverges at m = 1
 
+    def test_gsnm_divergent_inverse_moment_rejected(self):
+        # the shadow sets the origin exponent min(beta m, 2 m_s) = 1.2
+        with pytest.raises(DomainError):
+            moment_rp(Gsnm(2.0, 2.0, 0.6, 1.0), -2.0, 1)
+
+    def test_nakagami_inverse_power_exact(self):
+        m, omega = 1.3, 0.7
+        assert moment_rp(Nakagami(m, omega), -2.0, 1) == pytest.approx(
+            m / ((m - 1.0) * omega), rel=1e-14)
+
+    @pytest.mark.parametrize("m", [0.6, 1.3, 250.0])
+    def test_gg_and_gsnm_against_mpmath(self, m):
+        beta, omega = 1.5, 1.3
+        gg = GeneralizedGamma(m, beta, omega)
+        gsnm = Gsnm(m, beta, m, omega)
+        for power in (1.0, 2.5, -0.5):
+            ref_gg = _mp_envelope_moment(m, beta, omega, power)
+            assert moment_rp(gg, power, 1) == pytest.approx(ref_gg,
+                                                            rel=1e-12)
+            # R = sqrt(S) R_unit with S ~ Gamma(m_s, omega/m_s) independent
+            # of the unit-power generalized gamma R_unit
+            ref_gsnm = (_mp_envelope_moment(m, 2.0, omega, power)
+                        * _mp_envelope_moment(m, beta, 1.0, power))
+            assert moment_rp(gsnm, power, 1) == pytest.approx(ref_gsnm,
+                                                              rel=1e-12)
+
     def test_sampler_agreement(self):
         rng = np.random.default_rng(11)
         model = AlphaEtaMu(2.4, 64.3, 1.2)
         r = sample_envelope(model, rng, 200_000)
         se = r.std() / math.sqrt(r.size)
         assert abs(r.mean() - moment_rp(model, 1.0, 1)) < 4 * se
+
+
+def _mp_envelope_moment(m, beta, omega, power):
+    """E[R^power] of the generalized gamma envelope by mpmath.quad of its
+    density in ln r (for beta = 2, the square root of a Gamma power)."""
+    with mp.workdps(30):
+        m, beta, omega = mp.mpf(m), mp.mpf(beta), mp.mpf(omega)
+        b = mp.exp(mp.loggamma(m + 2 / beta) - mp.loggamma(m))
+        c = (b / omega) ** (beta / 2)
+
+        def f(x):
+            r = mp.exp(x)
+            return mp.exp(mp.log(beta) + m * mp.log(c)
+                          + (beta * m + power) * x - c * r ** beta
+                          - mp.loggamma(m))
+
+        # the density of ln r peaks where c r^beta = m + power/beta
+        x0 = mp.log((m + power / beta) / c) / beta
+        width = 1 / (beta * mp.sqrt(m))
+        pts = [x0 + k * width for k in (-40, -10, -3, 0, 3, 10, 40)]
+        # past x0 + 40 width the density has fallen below exp(-e^50)
+        return float(mp.quad(f, [-mp.inf] + pts))
 
 
 class TestSampler:
@@ -249,14 +297,14 @@ class TestSampler:
 
 class TestGsnmTransform:
     def test_mellin_barnes_vs_compound_quadrature(self):
-        from effcap.fading import _transform
+        from effcap.fading import _transform_off_axis
 
         g = Gsnm(1.25, 5 / 3, 2.3, 3.5)
         for p in (1.0, 2.0):
             for u in (0.1, 1.0, 10.0, 100.0):
                 mb = mgf_rp(g, p, u)
-                comp = float(np.real(_transform(g, p,
-                                                np.array([u + 0j]), 1e-9)[0]))
+                comp = float(np.real(_transform_off_axis(
+                    g, p, np.array([u + 0j]), 1e-9)[0]))
                 assert mb == pytest.approx(comp, rel=3e-6)
 
     def test_negative_power_refused(self):
@@ -439,10 +487,11 @@ class TestErrorContext:
         assert repr(model) in str(info.value) and "p = 1.0" in str(info.value)
 
     def test_moment_failure_names_model_and_power(self):
-        # Nakagami AF with m off a half-integer: E[R^-2] does not converge
-        model = Nakagami(1.3)
+        # alpha-kappa-mu has no closed moments, and the Gauss rule does not
+        # converge on E[R^-1] close to the origin exponent alpha mu = 1.6
+        model = AlphaKappaMu(2.0, 1.0, 0.8)
         with pytest.raises(NumericError) as info:
-            moment_rp(model, -2.0, 1)
+            moment_rp(model, -1.0, 1)
         msg = str(info.value)
-        assert repr(model) in msg and "R^-2.0" in msg
+        assert repr(model) in msg and "R^-1.0" in msg
         assert math.isfinite(info.value.best_estimate)
