@@ -5,7 +5,31 @@ end-to-end SNR is gamma = K (Es/N0) X^q.  This module carries the joint
 transforms of X (products of branch transforms), its CDF by two inversion
 routes (Gil-Pelaez characteristic-function inversion and Euler-summed
 Bromwich discretization of M(s)/s), the upper incomplete MGF, raw moments
-up to order four, and the SNR map itself.
+up to order four, inverse and truncated inverse moments, and the SNR map
+itself.
+
+Two routes serve the Gil-Pelaez CDF, the inverse moments E[X^-s] and the
+truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
+``integral_route`` picks one from L and the sign of p alone.
+
+* ``"law-ray"`` (p > 0, L <= 2).  X gets its own ray measure: complex
+  nodes z_k on one ray in the upper half plane and weights G_k with
+  Phi_X(w) = sum_k G_k exp(i w z_k) for w > 0 (Trefethen & Weideman, SIAM
+  Rev. 56, 2014).  For L = 1 it is the branch's own CHF ray grid; for
+  L = 2 its density is the convolution continued along the ray,
+  f_X(z) = z int_0^1 f_1(sz) f_2((1-s)z) ds, by a sinh-mapped trapezoid
+  rule in ln(s/(1-s)) centred on the integrand's peak (a double
+  exponential rule, Takahasi & Mori, Publ. RIMS 9, 1974).  The measure
+  depends on (branches, p) only and is cached, so a sweep over SNR and
+  theta reuses it.  Swapping the finite sum with the frequency integral
+  turns every Gil-Pelaez and Parseval integral into a closed-form node
+  sum: F(delta) = (1/pi) Im sum G_k Log(1 - delta/z_k) by Frullani's
+  identity, E[X^-s] = Re sum G_k z_k^-s, and the truncated moment is
+  (1/pi) Im sum G_k J_nu(z_k/delta) with J_nu the power Stieltjes
+  transform.  ``tol`` does not enter.
+* ``"panels"`` (AF, p < 0, and L >= 3).  The Gil-Pelaez and Parseval
+  integrals over w are summed panel by panel between phase zeros and
+  epsilon accelerated to ``tol``; E[X^-s] is a Mellin integral of M_X.
 """
 
 from __future__ import annotations
@@ -19,13 +43,27 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, ParameterError
-from .fading import FadingModel, chf_rp, mgf_rp, mgf_rp_deriv, moment_rp
+from .fading import (
+    FadingModel,
+    chf_rp,
+    logpdf_rp,
+    mgf_rp,
+    mgf_rp_deriv,
+    moment_rp,
+    ray_grid,
+    ray_rule,
+)
 from .quadrature import (
+    RAY_LOGTOL,
+    RayGrid,
+    build_ray_grid,
+    deepen_ray_grid,
     gk15_panels,
     integrate_alternating,
     integrate_interval,
     integrate_semi_infinite,
 )
+from .specfun import expint_iomega, lower_incomplete_gamma, stieltjes_power
 
 __all__ = [
     "CombinerSpec",
@@ -37,6 +75,9 @@ __all__ = [
     "cdf_x_gil_pelaez",
     "cdf_x_euler_laplace",
     "incomplete_mgf_x",
+    "integral_route",
+    "x_inverse_moment",
+    "x_truncated_moment",
     "x_moment",
 ]
 
@@ -155,6 +196,169 @@ def mgf_x_derivative(spec: CombinerSpec, u, tol: float = 1e-9):
 
 
 # ---------------------------------------------------------------------------
+# The ray measure of X (p > 0, L <= 2)
+# ---------------------------------------------------------------------------
+
+def integral_route(spec: CombinerSpec) -> str:
+    """How the CDF and the (truncated) inverse moments of X are evaluated:
+    ``"law-ray"`` node sums for p > 0 and L <= 2, else ``"panels"``."""
+    return "law-ray" if spec.p > 0 and spec.L <= 2 else "panels"
+
+
+# inner-rule evaluations (nodes x mixture components) per work array
+_SUM_BLOCK = 1 << 14
+# deepest level a law grid is extended to for a moment (decades of |z|)
+_MAX_LEVEL = 40
+
+
+def _log_var(rule) -> float:
+    """Variance of ln X_l for a branch rule: a^2 psi'(shape) of its power
+    variable plus the spread of its mixture scales."""
+    w = np.exp(rule.logw) / np.exp(rule.logw).sum()
+    spread = float(w @ (rule.lnc - w @ rule.lnc) ** 2)
+    return (rule.a ** 2 * float(sp.polygamma(1, rule.unit.w_mean_shape()[1]))
+            + spread)
+
+
+@dataclass(frozen=True, eq=False)
+class _SumRule:
+    """Ray rule of X = X_1 + X_2, X_l = R_l^p, p > 0.
+
+    Node k sits at z_k = exp(u0 + k h + i phi), on a ray no wider than
+    either branch's with the two sharing the cancellation budget, and
+    weighs G_k = h int g_1(s z_k) g_2((1-s) z_k) dtau with g_l(x) = x
+    f_l(x) and tau = ln(s/(1-s)): the convolution continued along the
+    ray.  The inner integrand decays like e^(d_1 tau) and e^(-d_2 tau)
+    (d_l the branch slopes) and, for concentrated branches, peaks with
+    width sig_c = (v_1^-1 + v_2^-1)^(-1/2) (v_l = Var ln X_l) where a
+    log-normal match of the two branches puts it, at tau_c(|z_k|).  The
+    map tau = tau_c + A sinh(xi), A = 2 max(sig_c, phi), turns the tails
+    into double-exponential decay, and the trapezoid step h / A in xi
+    keeps the spacing near h over the peak, the step the analytic strip
+    of the rays allows.  Identical branches have tau_c = 0 and a
+    symmetric integrand: one side, doubled.
+    """
+
+    p: float
+    phi: float
+    h: float
+    u0: float
+    slope: float
+    branches: tuple
+    ln_mean: tuple  # ln of a typical X_l
+    var: tuple  # Var ln X_l
+    amp: float  # A
+    xi: np.ndarray
+    ln_dxi: np.ndarray  # ln(A cosh(xi) step), doubled off-centre if iid
+
+    def _centre(self, r: np.ndarray) -> np.ndarray:
+        """tau_c(r): bisection on the log-normal match's d/dtau."""
+        if self.branches[0] == self.branches[1]:
+            return np.zeros(r.shape)
+        (l1, l2), (v1, v2) = self.ln_mean, self.var
+        lr = np.log(r)
+        lo = np.full(r.shape, l1 - l2 - 60.0)
+        hi = np.full(r.shape, l1 - l2 + 60.0)
+        for _ in range(64):
+            t = 0.5 * (lo + hi)
+            s = 0.5 * (1.0 + np.tanh(0.5 * t))
+            slope = ((lr - np.logaddexp(0.0, t) - l2) * s / v2
+                     - (lr - np.logaddexp(0.0, -t) - l1) * (1.0 - s) / v1)
+            up = slope > 0.0
+            lo = np.where(up, t, lo)
+            hi = np.where(up, hi, t)
+        return 0.5 * (lo + hi)
+
+    def weights(self, j: np.ndarray):
+        lnz = self.u0 + self.h * j + 1j * self.phi
+        b1, b2 = self.branches
+        parts = max(b.mixture()[0].size for b in self.branches)
+        chunk = max(1, _SUM_BLOCK // (parts * self.xi.size))
+        g = np.empty(j.size, dtype=complex)
+        for i in range(0, j.size, chunk):
+            lz = lnz[i:i + chunk]
+            tau = self._centre(np.exp(lz.real)) \
+                + self.amp * np.sinh(self.xi)[:, None]
+            ln_s = -np.logaddexp(0.0, -tau)
+            ln_o = -np.logaddexp(0.0, tau)
+            e = (logpdf_rp(b1, self.p, ln_s + lz)
+                 + logpdf_rp(b2, self.p, ln_o + lz)
+                 + (ln_s + ln_o + 2.0 * lz + self.ln_dxi[:, None]))
+            with np.errstate(over="ignore", under="ignore",
+                             invalid="ignore"):
+                g[i:i + chunk] = np.exp(e).sum(axis=0)
+        return np.exp(lnz), self.h * np.nan_to_num(g, nan=0.0)
+
+
+def _sum_rule(branches: tuple, p: float) -> _SumRule:
+    r1, r2 = (ray_rule(b, p, 2) for b in branches)
+    phi = min(r1.phi, r2.phi)
+    v1, v2 = _log_var(r1), _log_var(r2)
+    sig_c = math.sqrt(v1 * v2 / (v1 + v2))
+    # uniform spacing h across the peak and the analytic strip of the rays
+    h = math.pi * phi / RAY_LOGTOL
+    amp = 2.0 * max(sig_c, phi)
+    step = h / amp
+
+    def reach(slope):
+        # xi where the tail is exp(-RAY_LOGTOL - 6) below the peak, past
+        # 30 sig_c that the peak of a concentrated pair moves across the
+        # grid
+        return math.asinh(((RAY_LOGTOL + 6.0) / slope + 30.0 * sig_c) / amp)
+
+    iid = branches[0] == branches[1]
+    xi = step * np.arange(-math.ceil(reach(r1.slope) / step),
+                          1 if iid else math.ceil(reach(r2.slope) / step) + 1)
+    ln_dxi = np.log(amp * step * np.cosh(xi))
+    if iid:
+        ln_dxi[:-1] += math.log(2.0)
+    # the branch rules' anchors, ln of a typical X_l, place the sum's grid
+    return _SumRule(p, phi, h, float(np.logaddexp(r1.u0, r2.u0)),
+                    r1.slope + r2.slope, tuple(branches), (r1.u0, r2.u0),
+                    (v1, v2), amp, xi, ln_dxi)
+
+
+@lru_cache(maxsize=256)
+def _law_grid(branches: tuple, p: float, level: int) -> RayGrid:
+    """The ray measure of X = sum_l R_l^p (L <= 2, p > 0) at ``level``:
+    down to exp(-RAY_LOGTOL - level ln(10) slope) of its peak on the
+    left, exp(-RAY_LOGTOL) on the right."""
+    if len(branches) == 1:
+        return ray_grid(branches[0], p, level)
+    if level > 0:
+        return deepen_ray_grid(_law_grid(branches, p, level - 1), level)
+    mass = math.prod(float(np.exp(b.mixture()[0]).sum()) for b in branches)
+    return build_ray_grid(_sum_rule(branches, p), mass,
+                          f"combiner ray measure for {branches!r}, p = {p}")
+
+
+@lru_cache(maxsize=256)
+def _log_moduli(grid: RayGrid):
+    """(ln|z_k|, ln|G_k|) of a law grid."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(grid.x)), np.log(np.abs(grid.g))
+
+
+def _law_grid_for(spec: CombinerSpec, nu: float, ln_delta=None) -> RayGrid:
+    """The shallowest level of the law grid that serves a node sum whose
+    kernel weighs |z|^-nu (times delta^nu above ln_delta, when given):
+    the nodes it drops lie exp(-RAY_LOGTOL) below the sum's largest term
+    and fall further to the left."""
+    for level in range(_MAX_LEVEL + 1):
+        grid = _law_grid(spec.branches, spec.p, level)
+        u, lnm = _log_moduli(grid)
+        if ln_delta is None:
+            lnm = lnm - nu * u
+            falls = True
+        else:
+            lnm = lnm - nu * np.maximum(u - ln_delta, 0.0)
+            falls = nu < grid.rule.slope or u[0] <= ln_delta
+        if falls and lnm[0] <= lnm.max() - RAY_LOGTOL:
+            break
+    return grid
+
+
+# ---------------------------------------------------------------------------
 # Moments of X
 # ---------------------------------------------------------------------------
 
@@ -170,16 +374,22 @@ def x_tail_exponent(spec: CombinerSpec) -> float:
 
 
 def x_inverse_moment(spec: CombinerSpec, s: float, tol: float = 1e-9) -> float:
-    """E[X^-s] via the Mellin identity (1/Gamma(s)) int u^(s-1) M_X(u) du.
+    """E[X^-s] for 0 < s below the tail exponent.
 
-    Split at u = 1 (origin power substituted away for s < 1), adaptive in
-    log u out to a cut, then the analytic C u^(s-d) remainder.
+    On the law-ray route Re sum_k G_k z_k^-s over a grid deep enough for
+    the z^-s weight.  On the panel route the Mellin identity
+    (1/Gamma(s)) int u^(s-1) M_X(u) du: split at u = 1 (origin power
+    substituted away for s < 1), adaptive in log u out to a cut, then the
+    analytic C u^(s-d) remainder.
     """
     if s <= 0:
         raise DomainError("x_inverse_moment requires s > 0")
     d_tot = x_tail_exponent(spec)
     if s >= d_tot:
         raise DomainError("inverse moment diverges: s >= tail exponent")
+    if integral_route(spec) == "law-ray":
+        grid = _law_grid_for(spec, s)
+        return float(np.real(grid.g @ np.exp(-s * np.log(grid.x))))
 
     def f(u):
         u = np.asarray(u, dtype=float)
@@ -286,12 +496,20 @@ def x_mean(spec: CombinerSpec) -> float:
 def cdf_x_gil_pelaez(spec: CombinerSpec, x: float, tol: float = 1e-8) -> float:
     """F_X(x) = 1/2 - (1/pi) int_0^inf Im[Phi_X(w) exp(-i x w)]/w dw.
 
-    The integrand's removable singularity at w = 0 contributes
-    (E[X] - x) w + O(w^3); the oscillatory part is partitioned at the
-    kernel's phase zeros and epsilon accelerated.
+    On the law-ray route the integral is the node sum
+    F(x) = (1/pi) Im sum_k G_k Log(1 - x/z_k): Frullani's identity with
+    sum G_k = 1, taken from the lower tail so that a small F keeps its
+    relative accuracy.  On the panel route the integrand's removable
+    singularity at w = 0 contributes (E[X] - x) w + O(w^3), and the
+    oscillatory part is partitioned at the kernel's phase zeros and
+    epsilon accelerated to ``tol``.
     """
     if x <= 0:
         raise DomainError("cdf requires x > 0")
+    if integral_route(spec) == "law-ray":
+        grid = _law_grid(spec.branches, spec.p, 0)
+        val = float(np.imag(grid.g @ _log1p(-x / grid.x))) / math.pi
+        return min(max(val, 0.0), 1.0)
     mean = x_mean(spec)
     # far beyond the support the inversion integral is pure cancellation
     if x > 1e6 * mean:
@@ -329,6 +547,120 @@ def cdf_x_gil_pelaez(spec: CombinerSpec, x: float, tol: float = 1e-8) -> float:
     total = head_analytic + first.value + tail
     val = 0.5 - total / math.pi
     return min(max(val, 0.0), 1.0)
+
+
+def _log1p(w: np.ndarray) -> np.ndarray:
+    """Log(1 + w) for complex w, accurate for small |w|."""
+    ax = np.abs(w)
+    re = np.where(ax < 0.5,
+                  0.5 * np.log1p(2.0 * w.real + ax * ax),
+                  np.log(np.abs(1.0 + w)))
+    return re + 1j * np.arctan2(w.imag, 1.0 + w.real)
+
+
+# ---------------------------------------------------------------------------
+# Truncated inverse moments of X
+# ---------------------------------------------------------------------------
+
+def _kernel_e(nu: float):
+    def kern(w):
+        return expint_iomega(nu, w)
+    return kern
+
+
+def _kernel_w(nu: float):
+    def kern(w):
+        w = np.asarray(w, dtype=float)
+        z = 1j * w
+        return np.exp(-(1.0 + nu) * np.log(z)) \
+            * lower_incomplete_gamma(1.0 + nu, z)
+    return kern
+
+
+def _parseval(spec: CombinerSpec, delta: float, kern, tol: float,
+              sing_power: float | None = None,
+              scale: float = 1.0) -> complex:
+    """int_0^inf Phi_X(w/delta) kern(w) dw with partitioning + epsilon.
+
+    ``sing_power`` declares an integrable w^s behaviour of the kernel at
+    the origin (s in (-1, 0)); the head panel substitutes it away.
+    ``scale`` pre-divides the integrand so the adaptive error control is
+    relative to the expected magnitude of the result.
+    """
+    mean_rate = x_mean(spec) / delta
+    period = math.pi / (1.0 + mean_rate)
+
+    def f(w):
+        w = np.asarray(w, dtype=float)
+        return chf_x(spec, w / delta) * kern(w) / scale
+
+    if sing_power is not None and sing_power < 0:
+        ap1 = sing_power + 1.0
+
+        def head_f(sig):
+            sig = np.asarray(sig, dtype=float)
+            w = period * sig ** (1.0 / ap1)
+            return f(w) * (period / ap1) * sig ** (1.0 / ap1 - 1.0)
+
+        head = integrate_interval(head_f, 1e-300, 1.0, tol=0.1 * tol)
+    else:
+        head = integrate_interval(f, 1e-300, period, tol=0.1 * tol)
+
+    dead = [False]
+
+    def panel_sums(i0, i1):
+        if dead[0]:
+            return [0.0] * (i1 - i0)
+        edges = period * np.arange(i0 + 1, i1 + 2)
+        vals, errs, _ = gk15_panels(f, edges)
+        out = list(vals)
+        budget = 0.05 * tol * (1.0 + np.abs(vals))
+        for j in np.nonzero(errs > budget)[0]:
+            out[j] = integrate_interval(f, edges[j], edges[j + 1],
+                                        tol=0.02 * tol).value
+        if np.max(np.abs(chf_x(spec, edges[-1:] / delta))) < 1e-14:
+            dead[0] = True
+        return out
+
+    # accelerate real and imaginary parts jointly via the complex sums
+    tail, used, err = integrate_alternating(
+        lambda i0, i1: [complex(v) for v in panel_sums(i0, i1)],
+        tol, batch=8, max_panels=40_000)
+    return (head.value + tail) * scale
+
+
+def x_truncated_moment(spec: CombinerSpec, delta: float, nu: float,
+                       tol: float = 1e-8, scale: float | None = None,
+                       nu_sub: float | None = None) -> float:
+    """T_nu(delta) = E[(X/delta)^(-nu sgn q); transmission region], nu > 0.
+
+    The region is X >= delta for q > 0 and X <= delta for q < 0, so that
+    T_nu(delta) = E[(gamma/gamma0)^(-nu/|q|); gamma >= gamma0].  With
+    ``nu_sub`` the result is T_nu - T_nu_sub.
+
+    On the law-ray route T_nu(delta) = (1/pi) Im sum_k G_k J_nu(z_k/delta)
+    with J_nu the power Stieltjes transform.  On the panel route it is
+    (1/pi) Re int_0^inf Phi_X(w/delta) K(w) dw, with
+    K(w) = E_nu(i w) for q > 0 and (i w)^-(1+nu) gamma(1 + nu, i w) for
+    q < 0, to ``tol`` relative to ``scale`` (the expected magnitude of
+    the result; absolute when None).
+    """
+    nus = (nu,) if nu_sub is None else (nu, nu_sub)
+    if integral_route(spec) == "law-ray":
+        grid = _law_grid_for(spec, max(nus), math.log(delta))
+        vals = np.imag(stieltjes_power(nus, grid.x / delta) @ grid.g)
+        return float(vals[0] - vals[1:].sum()) / math.pi
+    make = _kernel_e if spec.q > 0 else _kernel_w
+    kerns = [make(float(n)) for n in nus]
+    if nu_sub is None:
+        kern = kerns[0]
+    else:
+        def kern(w):
+            return kerns[0](w) - kerns[1](w)
+    sing = min(nus) - 1.0 if spec.q > 0 and min(nus) < 1.0 else None
+    val = _parseval(spec, delta, kern, tol, sing_power=sing,
+                    scale=1.0 if scale is None else math.pi * scale)
+    return float(np.real(val)) / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ and every evaluator in this module reads a model only through that
 protocol.  A model describes its envelope R through a power variable W
 with R^p = c W^a:
 
-* ``power_logpdf(w)``: ln f_W(w), one formula valid at complex w;
+* ``power_logpdf(lw)``: ln f_W(w) at w = exp(lw), one formula valid at
+  complex lw (ln w enters the densities directly);
 * ``power_map(p)``: (c, a, k) with R^p = c W^a and f_W(w) ~ w^k at 0;
 * ``decay``: the rate lambda of the exponential decay of f_W;
 * ``w_mean_shape()``: E[W] and the Gamma shape E[W]^2 / Var W;
@@ -39,14 +40,17 @@ and the kernel both decay (a concentrated density, whose modulus would
 grow off the real axis, gets a narrower ray).  The integrand is analytic
 in a strip about the ray, so the sum converges exponentially in the step
 (Trefethen & Weideman, SIAM Rev. 56, 2014); its density part is sampled
-once per (model, p) and cached, and every batch of frequencies costs one
-matrix product.  Real and complex (Bromwich) arguments and moments without
-a closed form use a Gauss rule with weight exp(-t^2) under W = t^2/lambda,
-which absorbs the density's exponential decay, with an adaptive
-rotated-ray quadrature where that rule cannot reach.  The GSNM moment
-generating function is a one-dimensional Mellin-Barnes contour integral
-with four gamma factors, evaluated on a cached uniform grid along the
-vertical contour.
+once per (model, p) and cached (``ray_grid``), and every batch of
+frequencies costs one matrix product.  ``logpdf_rp`` continues the
+density of R^p off the real axis for the combiner's ray measure of a sum
+of branches, whose ray ``ray_rule`` narrows so that the branches share
+the cancellation budget.  Real and complex (Bromwich) arguments and
+moments without a closed form use a Gauss rule with weight exp(-t^2)
+under W = t^2/lambda, which absorbs the density's exponential decay,
+with an adaptive rotated-ray quadrature where that rule cannot reach.
+The GSNM moment generating function is a one-dimensional Mellin-Barnes
+contour integral with four gamma factors, evaluated on a cached uniform
+grid along the vertical contour.
 
 All model values are immutable and hashable; evaluators are pure.
 """
@@ -67,7 +71,14 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
 )
-from .quadrature import gauss_halfline_rule, integrate_semi_infinite
+from .quadrature import (
+    RAY_LOGTOL,
+    RayGrid,
+    build_ray_grid,
+    deepen_ray_grid,
+    gauss_halfline_rule,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "Nakagami",
@@ -81,6 +92,9 @@ __all__ = [
     "mgf_rp",
     "mgf_rp_deriv",
     "chf_rp",
+    "logpdf_rp",
+    "ray_rule",
+    "ray_grid",
     "tail_expansion",
     "moment_rp",
     "sample_envelope",
@@ -132,8 +146,8 @@ class _GammaPower(FadingModel):
         return math.exp(sp.gammaln(self.m + 2.0 / self.beta)
                         - sp.gammaln(self.m))
 
-    def power_logpdf(self, w):
-        return (self.m - 1.0) * np.log(w) - w - sp.gammaln(self.m)
+    def power_logpdf(self, lw):
+        return (self.m - 1.0) * lw - np.exp(lw) - sp.gammaln(self.m)
 
     def power_map(self, p: float):
         return (self.omega / self.b) ** (p / 2.0), p / self.beta, self.m - 1.0
@@ -323,15 +337,16 @@ class AlphaKappaMu(FadingModel):
     def decay(self) -> float:
         return self.mu * (1.0 + self.kappa)
 
-    def power_logpdf(self, w):
+    def power_logpdf(self, lw):
         k, mu = self.kappa, self.mu
+        w = np.exp(lw)
         if k == 0.0:
-            return (mu * math.log(mu) + (mu - 1) * np.log(w) - mu * w
+            return (mu * math.log(mu) + (mu - 1) * lw - mu * w
                     - sp.gammaln(mu))
-        arg = 2.0 * mu * np.sqrt(k * (1.0 + k)) * np.sqrt(w)
+        arg = 2.0 * mu * np.sqrt(k * (1.0 + k)) * np.exp(0.5 * lw)
         return (math.log(mu) + 0.5 * (mu + 1) * math.log(1.0 + k)
                 - 0.5 * (mu - 1) * math.log(k) - mu * k
-                + 0.5 * (mu - 1) * np.log(w) - mu * (1.0 + k) * w
+                + 0.5 * (mu - 1) * lw - mu * (1.0 + k) * w
                 + np.log(sp.ive(mu - 1.0, arg)) + np.abs(np.real(arg)))
 
     def power_map(self, p: float):
@@ -400,15 +415,16 @@ class AlphaEtaMu(FadingModel):
     def decay(self) -> float:
         return self.mu * (1.0 + self.eta) / self.eta  # 2 mu (h - H)
 
-    def power_logpdf(self, w):
+    def power_logpdf(self, lw):
         mu = self.mu
+        w = np.exp(lw)
         h, habs = self._hoyt()
         pref = (math.log(2.0) + 0.5 * math.log(math.pi)
                 + (mu + 0.5) * math.log(mu) + mu * math.log(h)
                 - sp.gammaln(mu) - (mu - 0.5) * math.log(habs))
         arg = 2.0 * mu * habs * w
         # exp(-2 mu h w) I(arg) = exp(-decay w) ive(arg) exp(|Re arg| - arg)
-        return (pref + (mu - 0.5) * np.log(w) + np.log(sp.ive(mu - 0.5, arg))
+        return (pref + (mu - 0.5) * lw + np.log(sp.ive(mu - 0.5, arg))
                 + (np.abs(np.real(arg)) - arg) - self.decay * w)
 
     def power_map(self, p: float):
@@ -464,7 +480,7 @@ def _gauss_terms(logpdf, decay: float, n: int):
     rule = gauss_halfline_rule(n)
     t = rule.nodes
     w = t * t / decay
-    logc = (np.log(rule.weights) + t * t + np.real(logpdf(w))
+    logc = (np.log(rule.weights) + t * t + np.real(logpdf(np.log(w)))
             + np.log(2.0 * t / decay))
     return logc, w
 
@@ -489,8 +505,8 @@ def pdf_envelope(model: FadingModel, r):
     x = r[..., None] / scales
     w = (x / c) ** (1.0 / a)
     # f_R(r) = sum_k exp(logw_k) f_W(w) (dw/dx) / scale_k, dw/dx = w/(a x)
-    logf = (np.real(unit.power_logpdf(w)) + np.log(w / (a * x)) + logw
-            - np.log(scales))
+    logf = (np.real(unit.power_logpdf(np.log(w))) + np.log(w / (a * x))
+            + logw - np.log(scales))
     return np.exp(logf).sum(axis=-1)
 
 
@@ -525,7 +541,7 @@ def _rotated_transform(model, p: float, s: complex, tol: float) -> complex:
     def logmag(v):
         wc = v * ray
         with np.errstate(divide="ignore"):
-            lg = model.power_logpdf(wc)
+            lg = model.power_logpdf(np.log(wc))
         return np.real(lg - s * c * wc ** a)
 
     # Locate where the mass per log-interval peaks, then rescale the
@@ -541,7 +557,7 @@ def _rotated_transform(model, p: float, s: complex, tol: float) -> complex:
         v = np.asarray(v, dtype=float)
         wc = (w_peak * v) * ray
         with np.errstate(divide="ignore"):
-            lg = model.power_logpdf(wc)
+            lg = model.power_logpdf(np.log(wc))
         return np.exp(lg - s * c * wc ** a - peaklog
                       + math.log(w_peak)) * ray
 
@@ -581,19 +597,19 @@ def _inv_gamma_laplace(m: float, c: float, s: float, j: int) -> float:
 # Characteristic functions: one cached trapezoid ray per (model, p)
 # ---------------------------------------------------------------------------
 
-# ln(1/eps) for the truncation and step of the ray rule, eps ~ 2e-16
-_RAY_LOGTOL = 36.0
 # ln of the cancellation factor sum|g_j| / |sum g_j| the ray angle aims at
 _RAY_LOSS = 2.5
-# largest error of the grid's total mass sum g_j = Phi(0); the density's
-# own rounding reaches 4e-10 at kappa ~ 1e3, mu ~ 300
-_RAY_MASS_TOL = 1e-9
-# nodes evaluated per extension of a ray grid
-_RAY_CHUNK = 32
+
+
+def _component_logs(logw, unit: FadingModel, lw):
+    """ln(exp(logw_k) w f_W(w)) at w = exp(lw), one row per component."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore",
+                     invalid="ignore"):
+        return logw[:, None] + unit.power_logpdf(lw) + lw
 
 
 @dataclass(frozen=True, eq=False)
-class _RayRule:
+class RayRule:
     """Trapezoid rule Phi(w) ~= sum_j g_j exp(i w x_j) for X = R^p, p > 0.
 
     X is a mixture over the model's components k of c_k W^a, with
@@ -602,8 +618,8 @@ class _RayRule:
     0 < psi <= min(pi/(2a), pi/4) the W density decays along the ray and
     the kernel exp(i w x) is bounded for every w > 0.  Within phi/2 of the
     ray both still hold and the integrand in u = ln|x| is analytic, so the
-    step h = pi phi / _RAY_LOGTOL bounds the discretization error by
-    exp(-_RAY_LOGTOL) relative to the sum's own scale.
+    step h = pi phi / RAY_LOGTOL bounds the discretization error by
+    exp(-RAY_LOGTOL) relative to the sum's own scale.
 
     Off the real axis |f_W| rises above f_W before it decays, and the sum
     then cancels: for W ~ Gamma(m) exactly, sum|g_j| = cos(psi)^-m.  psi
@@ -626,115 +642,78 @@ class _RayRule:
         """Nodes x_j and weights g_j = h f_X(x_j) x_j."""
         u = self.u0 + self.h * j
         lw = (u[None, :] - self.lnc[:, None]) / self.a + 1j * self.psi
-        with np.errstate(divide="ignore", over="ignore", under="ignore",
-                         invalid="ignore"):
-            lf = self.unit.power_logpdf(np.exp(lw))
-            g = np.exp(self.logw[:, None] + lf + lw).sum(axis=0) \
-                * (self.h / self.a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.exp(_component_logs(self.logw, self.unit, lw)).sum(
+                axis=0) * (self.h / self.a)
         return np.exp(u + 1j * self.phi), np.nan_to_num(g, nan=0.0)
 
 
-def _ray_rule(model: FadingModel, p: float) -> _RayRule:
+def ray_rule(model: FadingModel, p: float, share: int = 1) -> RayRule:
+    """The ray rule of X = R^p, p > 0: its angle, step and left slope.
+
+    ``share`` branches of a sum split the cancellation budget e^_RAY_LOSS
+    of its ray, so the angle keeps the sum's own factor within it.
+    """
     logw, scales, unit = model.mixture()
     c, a, orig = unit.power_map(p)
     lnc = math.log(c) + p * np.log(scales)
     mean, shape = unit.w_mean_shape()
     psi = min(0.5 * math.pi / a, 0.25 * math.pi,
-              math.acos(math.exp(-_RAY_LOSS / shape)))
+              math.acos(math.exp(-_RAY_LOSS / (share * shape))))
     phi = a * psi
     # anchor where W is at its mean (the component mean for GSNM); the
     # grid finds its own extent
     u0 = float(np.exp(logw) @ lnc) + a * math.log(mean)
-    return _RayRule(logw, lnc, a, unit, psi, phi,
-                    math.pi * phi / _RAY_LOGTOL, u0, (orig + 1.0) / a)
-
-
-def _log_abs(g):
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(g))
-
-
-@dataclass(frozen=True, eq=False)
-class _RayGrid:
-    """Nodes j_first, j_first + 1, ... of a _RayRule, with their x_j, g_j."""
-
-    rule: _RayRule
-    x: np.ndarray
-    g: np.ndarray
-    j_first: int
-    peak_log: float  # max_j ln|g_j|
-    peak_u: float  # ln|x_j| at that node
-
-
-def _extend_left(rule: _RayRule, j_first: int, x, g, floor: float):
-    """Prepend nodes until the first lies below ln|g| = floor."""
-    while _log_abs(g[0]) > floor:
-        # the left tail falls no faster than `slope` per unit u
-        n = max(_RAY_CHUNK, math.ceil((_log_abs(g[0]) - floor)
-                                      / (rule.slope * rule.h)) + 1)
-        xn, gn = rule.weights(np.arange(j_first - n, j_first))
-        x, g = np.concatenate([xn, x]), np.concatenate([gn, g])
-        j_first -= n
-    # drop all but one of the nodes past the floor
-    k = max(int(np.argmax(_log_abs(g) > floor)) - 1, 0)
-    return j_first + k, x[k:], g[k:]
-
-
-def _ray_grid_base(rule: _RayRule) -> _RayGrid:
-    """The density on the ray down to exp(-_RAY_LOGTOL) of its peak."""
-    j = np.arange(-_RAY_CHUNK, _RAY_CHUNK)
-    x, g = rule.weights(j)
-    while _log_abs(g[-1]) > _log_abs(g).max() - _RAY_LOGTOL:
-        jn = np.arange(j[-1] + 1, j[-1] + 1 + _RAY_CHUNK)
-        xn, gn = rule.weights(jn)
-        j = np.concatenate([j, jn])
-        x, g = np.concatenate([x, xn]), np.concatenate([g, gn])
-    lg = _log_abs(g)
-    ipk = int(np.argmax(lg))
-    floor = lg[ipk] - _RAY_LOGTOL
-    last = len(g) - int(np.argmax(lg[::-1] > floor))
-    x, g = x[:last + 1], g[:last + 1]
-    j_first, x, g = _extend_left(rule, int(j[0]), x, g, floor)
-    return _RayGrid(rule, x, g, j_first, float(lg[ipk]),
-                    rule.u0 + rule.h * int(j[ipk]))
+    return RayRule(logw, lnc, a, unit, psi, phi,
+                   math.pi * phi / RAY_LOGTOL, u0, (orig + 1.0) / a)
 
 
 @lru_cache(maxsize=1024)
-def _ray_grid(model: FadingModel, p: float, level: int) -> _RayGrid:
-    """Ray grid accurate for w up to 10^level / x_peak.
+def ray_grid(model: FadingModel, p: float, level: int) -> RayGrid:
+    """Ray grid of X = R^p, p > 0, accurate for w up to 10^level / x_peak.
 
-    Level 0 covers the density to exp(-_RAY_LOGTOL) of its peak on both
-    sides.  Phi(w) ~ w^-slope once w x_peak >> 1, so each further level
-    reaches one decade further towards the origin and slope decades
+    Level 0 covers the density to exp(-RAY_LOGTOL) of its peak on both
+    sides, and its total mass is Phi(0) = 1 (the shadow rule's own total
+    for GSNM).  Phi(w) ~ w^-slope once w x_peak >> 1, so each further
+    level reaches one decade further towards the origin and slope decades
     deeper, keeping the truncation error relative to |Phi(w)|.
     """
     if level > 0:
-        base = _ray_grid(model, p, level - 1)
-        floor = base.peak_log - _RAY_LOGTOL \
-            - level * math.log(10.0) * base.rule.slope
-        j_first, x, g = _extend_left(base.rule, base.j_first, base.x,
-                                     base.g, floor)
-        return _RayGrid(base.rule, x, g, j_first, base.peak_log,
-                        base.peak_u)
-    rule = _ray_rule(model, p)
-    grid = _ray_grid_base(rule)
-    # Phi(0) = 1, or the shadow rule's own total for GSNM
-    mass, want = complex(grid.g.sum()), float(np.exp(rule.logw).sum())
-    if not abs(mass - want) <= _RAY_MASS_TOL:
-        raise NumericError(
-            f"characteristic-function ray grid for {model!r}, p = {p}: "
-            f"total mass {mass:.6g} (must be {want:.6g}) from "
-            f"{grid.g.size} nodes", best_estimate=mass)
-    return grid
+        return deepen_ray_grid(ray_grid(model, p, level - 1), level)
+    rule = ray_rule(model, p)
+    return build_ray_grid(
+        rule, float(np.exp(rule.logw).sum()),
+        f"characteristic-function ray grid for {model!r}, p = {p}")
+
+
+def logpdf_rp(model: FadingModel, p: float, lnx):
+    """ln f_X(x) of X = R^p, p > 0, at complex x = exp(lnx).
+
+    The continuation of the density off the real axis through the model's
+    power law; it decays along any ray no steeper than ``ray_rule``'s.
+    """
+    lnx = np.asarray(lnx, dtype=complex)
+    logw, scales, unit = model.mixture()
+    c, a, _ = unit.power_map(p)
+    lnc = math.log(c) + p * np.log(scales)
+    lw = (lnx.reshape(1, -1) - lnc[:, None]) / a
+    e = _component_logs(logw, unit, lw)
+    if e.shape[0] > 1:  # log-sum-exp over the mixture
+        top = e.real.max(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.log(np.exp(e - top).sum(axis=0)) + top
+        e = np.where(np.isfinite(top), e, -np.inf)
+    e = np.where(np.isnan(e), -np.inf, e)
+    return e.reshape(lnx.shape) - math.log(a) - lnx
 
 
 def _ray_chf(model: FadingModel, p: float, omega: np.ndarray) -> np.ndarray:
     """E[exp(i w R^p)] for nonzero real w and p > 0, from the cached ray."""
     a = np.abs(omega)
-    base = _ray_grid(model, p, 0)
+    base = ray_grid(model, p, 0)
     level = max(0, math.ceil((math.log(a.max()) + base.peak_u)
                              / math.log(10.0)))
-    grid = _ray_grid(model, p, level) if level else base
+    grid = ray_grid(model, p, level) if level else base
     ix = 1j * grid.x
     out = np.empty(a.shape, dtype=complex)
     for i in range(0, a.size, 256):  # bounds the kernel matrix

@@ -1,10 +1,20 @@
 """Effective capacity under the four adaptive transmission policies.
 
 ORA uses the single-integral pairing of the combiner MGF with the kernel
-C_q(u) = L^-1{(1+x^q)^-A}; OPRA pairs the characteristic function with
-exponential-integral / incomplete-gamma kernels after Parseval (or, for
-Gamma-sum combiners, the incomplete-MGF route); CIFR needs one Mellin-type
-MGF integral; TIFR needs one CHF integral plus the outage factor.
+C_q(u) = L^-1{(1+x^q)^-A}; OPRA needs the cutoff of the power constraint,
+the truncated moment E[(gamma/gamma0)^-lam; gamma >= gamma0] and the
+outage probability (or, for Gamma-sum combiners, the incomplete-MGF
+route); CIFR needs one Mellin-type MGF integral; TIFR needs the truncated
+moment E[1/gamma; gamma >= gamma0] plus the outage factor.
+
+OPRA and TIFR ask ``combiner`` for the CDF (``cdf_x_gil_pelaez``), the
+inverse moments (``x_inverse_moment``) and the truncated moments
+(``x_truncated_moment``) and integrate no characteristic function
+themselves.  ``combiner.integral_route`` decides how those are evaluated,
+from L and the sign of p alone: closed-form node sums over a cached ray
+measure of the combiner output (``"law-ray"``, p > 0 and L <= 2) or
+epsilon-accelerated Gil-Pelaez and Parseval panels (``"panels"``, AF and
+L >= 3).  The OPRA and TIFR diagnostics report it as ``route``.
 
 Conventions
 -----------
@@ -29,12 +39,13 @@ from .combiner import (
     CombinerSpec,
     cdf_x_euler_laplace,
     cdf_x_gil_pelaez,
-    chf_x,
     incomplete_mgf_x,
+    integral_route,
     joint_mgf_x,
     mgf_x_derivative,
     x_mean,
     x_tail_exponent,
+    x_truncated_moment,
     _gamma_sum_params,
 )
 from .errors import (
@@ -44,13 +55,8 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
 )
-from .quadrature import (
-    gk15_panels,
-    integrate_alternating,
-    integrate_interval,
-    integrate_semi_infinite,
-)
-from .specfun import expint_iomega, kummer_1f1, lower_incomplete_gamma
+from .quadrature import integrate_semi_infinite
+from .specfun import kummer_1f1
 
 __all__ = [
     "QosSpec",
@@ -266,77 +272,6 @@ def ec_ora(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
 
 
 # ---------------------------------------------------------------------------
-# Parseval-type frequency integrals shared by OPRA / TIFR / the cutoff
-# ---------------------------------------------------------------------------
-
-def _kernel_e(nu: float):
-    def kern(w):
-        return expint_iomega(nu, w)
-    return kern
-
-
-def _kernel_w(nu: float):
-    def kern(w):
-        w = np.asarray(w, dtype=float)
-        z = 1j * w
-        return np.exp(-(1.0 + nu) * np.log(z)) \
-            * lower_incomplete_gamma(1.0 + nu, z)
-    return kern
-
-
-def _parseval(spec: CombinerSpec, delta: float, kern, tol: float,
-              sing_power: float | None = None,
-              scale: float = 1.0) -> complex:
-    """int_0^inf Phi_X(w/delta) kern(w) dw with partitioning + epsilon.
-
-    ``sing_power`` declares an integrable w^s behaviour of the kernel at
-    the origin (s in (-1, 0)); the head panel substitutes it away.
-    ``scale`` pre-divides the integrand so the adaptive error control is
-    relative to the expected magnitude of the result.
-    """
-    mean_rate = x_mean(spec) / delta
-    period = math.pi / (1.0 + mean_rate)
-
-    def f(w):
-        w = np.asarray(w, dtype=float)
-        return chf_x(spec, w / delta) * kern(w) / scale
-
-    if sing_power is not None and sing_power < 0:
-        ap1 = sing_power + 1.0
-
-        def head_f(sig):
-            sig = np.asarray(sig, dtype=float)
-            w = period * sig ** (1.0 / ap1)
-            return f(w) * (period / ap1) * sig ** (1.0 / ap1 - 1.0)
-
-        head = integrate_interval(head_f, 1e-300, 1.0, tol=0.1 * tol)
-    else:
-        head = integrate_interval(f, 1e-300, period, tol=0.1 * tol)
-
-    dead = [False]
-
-    def panel_sums(i0, i1):
-        if dead[0]:
-            return [0.0] * (i1 - i0)
-        edges = period * np.arange(i0 + 1, i1 + 2)
-        vals, errs, _ = gk15_panels(f, edges)
-        out = list(vals)
-        budget = 0.05 * tol * (1.0 + np.abs(vals))
-        for j in np.nonzero(errs > budget)[0]:
-            out[j] = integrate_interval(f, edges[j], edges[j + 1],
-                                        tol=0.02 * tol).value
-        if np.max(np.abs(chf_x(spec, edges[-1:] / delta))) < 1e-14:
-            dead[0] = True
-        return out
-
-    # accelerate real and imaginary parts jointly via the complex sums
-    tail, used, err = integrate_alternating(
-        lambda i0, i1: [complex(v) for v in panel_sums(i0, i1)],
-        tol, batch=8, max_panels=40_000)
-    return (head.value + tail) * scale
-
-
-# ---------------------------------------------------------------------------
 # OPRA: cutoff and capacity
 # ---------------------------------------------------------------------------
 
@@ -385,34 +320,12 @@ def _opra_refs(spec: CombinerSpec, a_eff: float, tol: float) -> _OpraRefs:
 
 def _cutoff_lhs_scaled(spec: CombinerSpec, a_eff: float, gamma0: float,
                        tol: float) -> float:
-    """V(gamma0)/gamma0, where the power constraint reads V = gamma0."""
+    """V(gamma0)/gamma0, where the power constraint reads V = gamma0:
+    E[(gamma/gamma0)^-lam - gamma0/gamma; gamma >= gamma0] / gamma0."""
     lam = a_eff / (a_eff + 1.0)
-    q = spec.q
-    delta = _delta_of(spec, gamma0)
-    if q > 0:
-        nu1, nu2 = q * lam, q
-
-        def kern(w):
-            return expint_iomega(nu1, w) - expint_iomega(nu2, w)
-
-        sing = min(nu1, nu2) - 1.0 if min(nu1, nu2) < 1.0 else None
-        val = _parseval(spec, delta, kern, tol, sing_power=sing,
-                        scale=math.pi * gamma0)
-        return float(np.real(val)) / (math.pi * gamma0)
-    aq = abs(q)
-    nu1, nu2 = aq * lam, aq
-
-    def kern(w):
-        w = np.asarray(w, dtype=float)
-        z = 1j * w
-        g1 = np.exp(-(1.0 + nu1) * np.log(z)) \
-            * lower_incomplete_gamma(1.0 + nu1, z)
-        g2 = np.exp(-(1.0 + nu2) * np.log(z)) \
-            * lower_incomplete_gamma(1.0 + nu2, z)
-        return g1 - g2
-
-    val = _parseval(spec, delta, kern, tol, scale=math.pi * gamma0)
-    return float(np.real(val)) / (math.pi * gamma0)
+    aq = abs(spec.q)
+    return x_truncated_moment(spec, _delta_of(spec, gamma0), aq * lam, tol,
+                              scale=gamma0, nu_sub=aq) / gamma0
 
 
 def _outage_mass_bound(spec: CombinerSpec, gamma0: float) -> float:
@@ -528,31 +441,22 @@ def ec_opra_chf(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8,
         value = -lnarg / (a_eff * _LN2) / div
         return EcResult("opra", "chf", _snr_db(spec), qos.theta,
                         max(value, 0.0), cutoff_gamma0=cut.gamma0,
-                        diagnostics={"regime": "no-outage-asymptotic"})
+                        diagnostics={"regime": "no-outage-asymptotic",
+                                     "route": integral_route(spec)})
     g0 = math.exp(lng0)
     delta = _delta_of(spec, g0)
-    q = spec.q
-    kest = refs.k_est(g0, lam)
-    if q > 0:
-        nu = lam * q
-        sing = nu - 1.0 if nu < 1.0 else None
-        kval = _parseval(spec, delta, _kernel_e(nu), tol, sing_power=sing,
-                         scale=math.pi * kest)
-        kterm = float(np.real(kval)) / math.pi
-        fterm = cdf_x_gil_pelaez(spec, delta, tol=tol)
-    else:
-        nu = lam * abs(q)
-        kval = _parseval(spec, delta, _kernel_w(nu), tol,
-                         scale=math.pi * kest)
-        kterm = float(np.real(kval)) / math.pi
-        fterm = 1.0 - cdf_x_gil_pelaez(spec, delta, tol=tol)
+    kterm = x_truncated_moment(spec, delta, lam * abs(spec.q), tol,
+                               scale=refs.k_est(g0, lam))
+    fx = cdf_x_gil_pelaez(spec, delta, tol=tol)
+    fterm = fx if spec.q > 0 else 1.0 - fx
     return _finish("opra", "chf", spec, qos, kterm + fterm, a_eff, div,
-                   gamma0=g0, diag=_cutoff_diagnostics(cut))
+                   gamma0=g0, diag=_cutoff_diagnostics(spec, cut))
 
 
-def _cutoff_diagnostics(cut: CutoffSolution) -> dict:
+def _cutoff_diagnostics(spec: CombinerSpec, cut: CutoffSolution) -> dict:
     return {"cutoff_residual": cut.residual,
-            "cutoff_iterations": cut.iterations}
+            "cutoff_iterations": cut.iterations,
+            "route": integral_route(spec)}
 
 
 def ec_opra_mgf(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8,
@@ -584,7 +488,8 @@ def ec_opra_mgf(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8,
         value = -lnarg / (a_eff * _LN2) / div
         return EcResult("opra", "incomplete-mgf", _snr_db(spec), qos.theta,
                         max(value, 0.0), cutoff_gamma0=cut.gamma0,
-                        diagnostics={"regime": "no-outage-asymptotic"})
+                        diagnostics={"regime": "no-outage-asymptotic",
+                                     "route": integral_route(spec)})
     g0 = math.exp(lng0)
     delta = _delta_of(spec, g0)
     q = spec.q
@@ -608,7 +513,7 @@ def ec_opra_mgf(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8,
     fterm = cdf_x_euler_laplace(spec, delta, tol=max(tol, 1e-9))
     return _finish("opra", "incomplete-mgf", spec, qos,
                    jterm + fterm, a_eff, div,
-                   gamma0=g0, diag=_cutoff_diagnostics(cut))
+                   gamma0=g0, diag=_cutoff_diagnostics(spec, cut))
 
 
 # ---------------------------------------------------------------------------
@@ -650,16 +555,9 @@ def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
 
 def _tifr_inverse_moment(spec: CombinerSpec, gamma0: float,
                          tol: float) -> float:
-    """E[u(gamma-gamma0)/gamma] via the CHF kernels."""
-    q = spec.q
-    delta = _delta_of(spec, gamma0)
-    if q > 0:
-        sing = q - 1.0 if q < 1.0 else None
-        val = _parseval(spec, delta, _kernel_e(float(q)), tol,
-                        sing_power=sing)
-    else:
-        val = _parseval(spec, delta, _kernel_w(abs(float(q))), tol)
-    return float(np.real(val)) / (math.pi * gamma0)
+    """E[u(gamma-gamma0)/gamma]."""
+    return x_truncated_moment(spec, _delta_of(spec, gamma0),
+                              abs(float(spec.q)), tol) / gamma0
 
 
 def ec_tifr(spec: CombinerSpec, qos: QosSpec,
@@ -705,11 +603,12 @@ def ec_tifr(spec: CombinerSpec, qos: QosSpec,
         right = min((x for x in seen if x > lng0), default=hi)
         g0, value = math.exp(lng0), -float(opt.fun)
         method = "chf-optimized"
-        diag = {"iterations": len(seen), "bracket_width": float(right - left)}
+        diag = {"iterations": len(seen), "bracket_width": float(right - left),
+                "route": integral_route(spec)}
     else:
         g0 = float(gamma0)
         value = rate(g0)
         method = "chf"
-        diag = {}
+        diag = {"route": integral_route(spec)}
     return EcResult("tifr", method, _snr_db(spec), qos.theta, value,
                     cutoff_gamma0=g0, diagnostics=diag)

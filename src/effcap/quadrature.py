@@ -1,6 +1,6 @@
 """Integration and series-acceleration engines.
 
-Four pieces of machinery shared by every analytic path in the package:
+Five pieces of machinery shared by every analytic path in the package:
 
 * a Gauss rule for half-line integrals with Gaussian weight,
   ``int_0^inf exp(-t^2) f(t) dt ~= sum w_k f(t_k)``, from tables that
@@ -9,7 +9,11 @@ Four pieces of machinery shared by every analytic path in the package:
 * an adaptive Gauss-Kronrod integrator for finite and semi-infinite ranges;
 * a Bessel-zero partitioned integrator for Hankel-type oscillatory
   integrals, with the partial sums accelerated by the epsilon algorithm;
-* Wynn's epsilon (Shanks) table itself.
+* Wynn's epsilon (Shanks) table itself;
+* trapezoid rules in ln|x| along a ray in the upper half plane, built out
+  from their peak until their weights fall exp(-RAY_LOGTOL) below it,
+  which carry the characteristic-function grids of the fading models and
+  the ray measure of the combiner output.
 
 All integrand callables must accept numpy arrays and be reentrant; rules
 and estimates are immutable values.
@@ -35,6 +39,9 @@ __all__ = [
     "integrate_semi_infinite",
     "integrate_hankel_partitioned",
     "integrate_alternating",
+    "RayGrid",
+    "build_ray_grid",
+    "deepen_ray_grid",
 ]
 
 
@@ -412,3 +419,93 @@ def integrate_hankel_partitioned(g, a_exp: float, tol: float = 1e-8,
     value = head.value + tail
     return IntegralEstimate(value, head.error_estimate + err, evals[0],
                             zeros_used=used)
+
+
+# ---------------------------------------------------------------------------
+# Trapezoid rules on a ray
+# ---------------------------------------------------------------------------
+
+# ln(1/eps) for the truncation and step of a ray rule, eps ~ 2e-16
+RAY_LOGTOL = 36.0
+# largest error of a grid's total mass; the fading densities' own rounding
+# reaches 4e-10 at kappa ~ 1e3, mu ~ 300
+_RAY_MASS_TOL = 1e-9
+# nodes evaluated per extension of a ray grid
+_RAY_CHUNK = 32
+
+
+def _log_abs(g):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(g))
+
+
+@dataclass(frozen=True, eq=False)
+class RayGrid:
+    """Nodes j_first, j_first + 1, ... of a ray rule, with their x_j, g_j.
+
+    A ray rule is a trapezoid rule in u = ln|x| along a ray
+    x = exp(u + i phi): its ``weights(j)`` returns the nodes
+    x_j = exp(u0 + j h + i phi) and their weights g_j, ``u0`` anchors the
+    grid near the peak of |g|, ``h`` is the step and ``slope`` is the rate
+    d ln|g_j| / du at which the weights fall as u -> -inf.
+    """
+
+    rule: object
+    x: np.ndarray
+    g: np.ndarray
+    j_first: int
+    peak_log: float  # max_j ln|g_j|
+    peak_u: float  # ln|x_j| at that node
+
+
+def _extend_left(rule, j_first: int, x, g, floor: float):
+    """Prepend nodes until the first lies below ln|g| = floor."""
+    while _log_abs(g[0]) > floor:
+        # the left tail falls no faster than `slope` per unit u
+        n = max(_RAY_CHUNK, math.ceil((_log_abs(g[0]) - floor)
+                                      / (rule.slope * rule.h)) + 1)
+        xn, gn = rule.weights(np.arange(j_first - n, j_first))
+        x, g = np.concatenate([xn, x]), np.concatenate([gn, g])
+        j_first -= n
+    # drop all but one of the nodes past the floor
+    k = max(int(np.argmax(_log_abs(g) > floor)) - 1, 0)
+    return j_first + k, x[k:], g[k:]
+
+
+def build_ray_grid(rule, mass: float, name: str) -> RayGrid:
+    """The weights of ``rule`` down to exp(-RAY_LOGTOL) of their peak.
+
+    Raises NumericError naming ``name`` when the total sum g_j misses
+    ``mass`` by more than _RAY_MASS_TOL, so that a grid whose nodes all
+    underflow never serves a transform of zero.
+    """
+    j = np.arange(-_RAY_CHUNK, _RAY_CHUNK)
+    x, g = rule.weights(j)
+    while _log_abs(g[-1]) > _log_abs(g).max() - RAY_LOGTOL:
+        jn = np.arange(j[-1] + 1, j[-1] + 1 + _RAY_CHUNK)
+        xn, gn = rule.weights(jn)
+        j = np.concatenate([j, jn])
+        x, g = np.concatenate([x, xn]), np.concatenate([g, gn])
+    lg = _log_abs(g)
+    ipk = int(np.argmax(lg))
+    floor = lg[ipk] - RAY_LOGTOL
+    last = len(g) - int(np.argmax(lg[::-1] > floor))
+    x, g = x[:last + 1], g[:last + 1]
+    j_first, x, g = _extend_left(rule, int(j[0]), x, g, floor)
+    total = complex(g.sum())
+    if not abs(total - mass) <= _RAY_MASS_TOL:
+        raise NumericError(
+            f"{name}: total mass {total:.6g} (must be {mass:.6g}) from "
+            f"{g.size} nodes", best_estimate=total)
+    return RayGrid(rule, x, g, j_first, float(lg[ipk]),
+                   rule.u0 + rule.h * int(j[ipk]))
+
+
+def deepen_ray_grid(base: RayGrid, level: int) -> RayGrid:
+    """``base`` extended left to exp(-RAY_LOGTOL - level ln(10) slope) of
+    its peak: one decade of |x| further towards the origin per level."""
+    floor = base.peak_log - RAY_LOGTOL \
+        - level * math.log(10.0) * base.rule.slope
+    j_first, x, g = _extend_left(base.rule, base.j_first, base.x, base.g,
+                                 floor)
+    return RayGrid(base.rule, x, g, j_first, base.peak_log, base.peak_u)

@@ -12,7 +12,9 @@ pieces scipy does not cover are implemented here with controlled accuracy:
   (Gil, Segura & Temme, Numerical Methods for Special Functions, 2007),
 * the Gaussian-Laplace moment G(nu, w) = int t^(nu-1) exp(-t^2/2 + w t) dt,
   the integral behind the parabolic cylinder function D_-nu, at complex w,
-* positive zeros of J_nu for real order.
+* positive zeros of J_nu for real order,
+* the power Stieltjes transform J_nu(y) = int_1^inf t^-nu / (t - y) dt
+  off the cut [1, inf), the kernel of the truncated inverse moments.
 
 Everything is pure and reentrant; vectorized variants used by the policy
 integrals operate on numpy arrays of arguments.
@@ -34,6 +36,7 @@ __all__ = [
     "kummer_1f1",
     "gaussian_laplace_moment_log",
     "bessel_j_zeros",
+    "stieltjes_power",
 ]
 
 _EULER = 0.5772156649015328606
@@ -397,3 +400,128 @@ def bessel_j_zeros(nu: float, k_max: int) -> np.ndarray:
         else:
             x, fx = x2, f2
     return np.array(cache[:k_max])
+
+
+# ---------------------------------------------------------------------------
+# Power Stieltjes transform J_nu(y) = int_1^inf t^-nu / (t - y) dt
+# ---------------------------------------------------------------------------
+
+# Largest |x| a power series in x serves; (bound on |x|, terms) bands,
+# each with bound^terms * 640 < 2^-53 (640 bounds the growth of the
+# coefficients below for nu <= 2).
+_SERIES_R = 0.7
+_SERIES_BANDS = ((0.25, 32), (_SERIES_R, 128))
+_SERIES_N = np.arange(128.0)
+
+
+@lru_cache(maxsize=1)
+def _legendre_40():
+    return np.polynomial.legendre.leggauss(40)
+
+
+def _power_series(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_n coefs[n] x^n for |x| <= _SERIES_R, truncated per element."""
+    (bound, n_low), (_, n_high) = _SERIES_BANDS
+    low = np.abs(x) <= bound
+    out = np.empty(x.shape + coefs.shape[1:], dtype=complex)
+    for sel, n in ((low, n_low), (~low, n_high)):
+        xs = x[sel]
+        if xs.size:
+            pw = np.repeat(xs[:, None], n, axis=1)
+            pw[:, 0] = 1.0
+            out[sel] = np.cumprod(pw, axis=1) @ coefs[:n]
+    return out
+
+
+def _stieltjes_far(nu: float, lg: np.ndarray, ly: np.ndarray):
+    """J_nu for |y| >= 1/_SERIES_R as (head, series coefficients), with
+    lg = Log(-y) and ly = Log(y): the continuation
+    pi (-y)^-nu / sin(pi nu) + sum_n y^(-n-1) / (n + 1 - nu).
+
+    At and near an integer order N both parts have a pole; their sum is
+    y^-N (pi e^(-eps L) / sin(pi eps) - 1/eps), eps = nu - N, L = Log(-y),
+    formed without cancellation.
+    """
+    n0 = round(nu)
+    with np.errstate(divide="ignore"):
+        coef = 1.0 / (_SERIES_N + 1.0 - nu)
+    if n0 < 1:
+        return math.pi * np.exp(-nu * lg) / math.sin(math.pi * nu), coef
+    coef[n0 - 1] = 0.0
+    eps = nu - n0
+    x = math.pi * eps
+    if eps == 0.0:
+        head = -lg
+    else:
+        # (pi eps / sin(pi eps) - 1) / eps, by its series near 0
+        if abs(x) < 0.2:
+            x2 = x * x
+            cm1 = math.pi * x * (1.0 / 6.0 + x2 * (7.0 / 360.0 + x2 * (
+                31.0 / 15120.0 + x2 * (127.0 / 604800.0
+                                       + x2 * 73.0 / 3421440.0))))
+        else:
+            cm1 = (x / math.sin(x) - 1.0) / eps
+        head = (x / math.sin(x)) * np.expm1(-eps * lg) / eps + cm1
+    return head * np.exp(-n0 * ly), coef
+
+
+def stieltjes_power(nu, y) -> np.ndarray:
+    """J_nu(y) = int_1^inf t^-nu / (t - y) dt = int_0^1 s^(nu-1)/(1 - ys) ds.
+
+    For nu > 0 (one order, or a sequence of orders that share the work on
+    y: the result then has a leading axis over them) and complex y off
+    the cut [1, inf) (Im y > 0 gives the limit from above on the cut).
+    One of four forms per element:
+
+    * |y| <= 0.7: the series sum_n y^n / (nu + n);
+    * |y| >= 1/0.7: the continuation of ``_stieltjes_far``;
+    * |1 - y| <= 0.7: the logarithmic expansion about y = 1,
+      sum_n (nu)_n / n! [psi(n + 1) - psi(nu + n) - Log(1 - y)] (1 - y)^n;
+    * otherwise (only |arg y| >~ 27 degrees): the series on [0, 1/(2|y|)]
+      and 40-node Gauss-Legendre on the rest of [0, 1].
+
+    The coefficients grow like n^(nu-1); the series are sized for
+    nu <= 2.
+    """
+    nus = np.atleast_1d(np.asarray(nu, dtype=float))
+    if np.any(nus <= 0):
+        raise DomainError("stieltjes_power requires nu > 0")
+    y = np.asarray(y, dtype=complex)
+    out = np.empty(nus.shape + y.shape, dtype=complex)
+    ay = np.abs(y)
+    w = 1.0 - y
+    small = ay <= _SERIES_R
+    large = ay >= 1.0 / _SERIES_R
+    near = ~small & ~large & (np.abs(w) <= _SERIES_R)
+    rest = ~(small | large | near)
+    n = _SERIES_N[:, None]
+    if small.any():
+        out[:, small] = _power_series(y[small], 1.0 / (nus + n)).T
+    if large.any():
+        yl = y[large]
+        lg, ly = np.log(-yl), np.log(yl)
+        heads, coefs = zip(*(_stieltjes_far(v, lg, ly) for v in nus))
+        out[:, large] = np.array(heads) + (
+            _power_series(1.0 / yl, np.stack(coefs, axis=1)) / yl[:, None]).T
+    if near.any():
+        wn = w[near]
+        m = nus.size
+        c = np.cumprod(np.vstack([np.ones(m), (nus + n[:-1]) / (n[:-1] + 1.0)]),
+                       axis=0)
+        d = (sp.digamma(1.0) - sp.digamma(nus)) + np.vstack(
+            [np.zeros(m), np.cumsum(1.0 / (n[:-1] + 1.0) - 1.0 / (nus + n[:-1]),
+                                    axis=0)])
+        both = _power_series(wn, np.hstack([c * d, c]))
+        out[:, near] = (both[:, :m] - np.log(wn)[:, None] * both[:, m:]).T
+    if rest.any():
+        yr = y[rest]
+        a = 0.5 / np.abs(yr)
+        x, wt = _legendre_40()
+        s = a[:, None] + (1.0 - a)[:, None] * (0.5 * (1.0 + x))
+        pole = 1.0 / (1.0 - yr[:, None] * s)
+        head = np.exp(np.outer(nus, np.log(a))) \
+            * _power_series(yr * a, 1.0 / (nus + n)).T
+        body = np.array([(np.exp((v - 1.0) * np.log(s)) * pole) @ wt
+                         for v in nus])
+        out[:, rest] = head + 0.5 * (1.0 - a) * body
+    return out if np.ndim(nu) else out[0]

@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy.stats import gamma as gamma_dist
 
 from effcap import combiner as cb
@@ -12,14 +14,23 @@ from effcap.combiner import (
     cdf_x_gil_pelaez,
     chf_x,
     incomplete_mgf_x,
+    integral_route,
     joint_mgf_x,
     mgf_x_derivative,
     snr_end,
+    x_inverse_moment,
     x_moment,
     x_tail_exponent,
+    x_truncated_moment,
 )
-from effcap.errors import DomainError, ParameterError
-from effcap.fading import GeneralizedGamma, Gsnm, Nakagami, sample_envelope
+from effcap.errors import DomainError, NumericError, ParameterError
+from effcap.fading import (
+    AlphaEtaMu,
+    GeneralizedGamma,
+    Gsnm,
+    Nakagami,
+    sample_envelope,
+)
 
 RAYLEIGH2 = CombinerSpec.mrc([Nakagami(1.0, 1.0)] * 2, 1.0)
 NAK2 = CombinerSpec.mrc([Nakagami(1.5, 1.0)] * 2, 1.0)
@@ -236,3 +247,104 @@ class TestMoments:
         for k in range(1, 5):
             se = (x ** k).std() / math.sqrt(n)
             assert abs(x_moment(NAK2_EGC, k) - (x ** k).mean()) < 4 * se
+
+
+class TestLawRay:
+    """Closed-form node sums over the ray measure of X (p > 0, L <= 2)."""
+
+    def test_route_selection(self):
+        assert integral_route(NAK2) == "law-ray"
+        assert integral_route(NAK2_EGC) == "law-ray"
+        assert integral_route(CombinerSpec.mrc([Nakagami(1.5)], 1.0)) \
+            == "law-ray"
+        assert integral_route(GG3_EGC) == "panels"
+        assert integral_route(CombinerSpec.af([Nakagami(1.5)] * 2, 1.0)) \
+            == "panels"
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.3, 1.0, 3.0])
+    def test_gamma_sum_cdf(self, ratio):
+        # X ~ Gamma(3, 1/1.5)
+        a, th = 3.0, 1.0 / 1.5
+        delta = ratio * a * th
+        want = float(sp.gammainc(a, delta / th))
+        assert cdf_x_gil_pelaez(NAK2, delta) == pytest.approx(want,
+                                                              rel=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.3, 1.0 - 1e-9, 1.0, 1.7, 2.0])
+    @pytest.mark.parametrize("ratio", [0.01, 0.3, 1.0, 3.0])
+    def test_gamma_sum_truncated_moment(self, nu, ratio):
+        # E[(X/d)^-nu; X >= d] = (d/th)^nu Gamma(a-nu, d/th) / Gamma(a)
+        a, th = 3.0, 1.0 / 1.5
+        delta = ratio * a * th
+        want = math.exp(nu * math.log(delta / th) + sp.gammaln(a - nu)
+                        - sp.gammaln(a)) * float(sp.gammaincc(a - nu,
+                                                              delta / th))
+        assert x_truncated_moment(NAK2, delta, nu) == pytest.approx(
+            want, rel=1e-10)
+
+    @pytest.mark.parametrize("s_pow", [0.5, 1.0, 2.5])
+    def test_gamma_sum_inverse_moment(self, s_pow):
+        a, th = 3.0, 1.0 / 1.5
+        want = th ** -s_pow * math.exp(sp.gammaln(a - s_pow) - sp.gammaln(a))
+        assert x_inverse_moment(NAK2, s_pow) == pytest.approx(want,
+                                                              rel=1e-12)
+
+    def test_dual_nakagami_egc_cdf_against_mpmath(self):
+        # F_X(d) = int_0^d f_R(r) F_R(d - r) dr for X = R_1 + R_2
+        mp.mp.dps = 25
+        m = mp.mpf(1.5)
+
+        def f_r(r):
+            return 2 * m ** m * r ** (2 * m - 1) * mp.exp(-m * r * r) \
+                / mp.gamma(m)
+
+        for delta in (0.3, 1.0):
+            want = mp.quad(lambda r: f_r(r) * mp.gammainc(
+                m, 0, m * (delta - r) ** 2, regularized=True),
+                [0, delta / 2, delta])
+            assert cdf_x_gil_pelaez(NAK2_EGC, delta) == pytest.approx(
+                float(want), rel=1e-10)
+
+    def test_truncated_moment_routes_agree(self):
+        # the node sum against the Parseval panels at a tight tolerance
+        from effcap import combiner
+
+        for delta, nu in ((0.4, 0.8), (1.7, 2.0)):
+            node = x_truncated_moment(NAK2_EGC, delta, nu)
+            route = combiner.integral_route
+            combiner.integral_route = lambda spec: "panels"
+            try:
+                panels = x_truncated_moment(NAK2_EGC, delta, nu, tol=1e-11)
+            finally:
+                combiner.integral_route = route
+            assert node == pytest.approx(panels, rel=1e-9)
+
+    def test_measure_does_not_depend_on_history(self):
+        spec = CombinerSpec.egc([GeneralizedGamma(1.3, 1.7)] * 2, 1.0)
+
+        def values():
+            return (x_inverse_moment(spec, 1.5),
+                    x_truncated_moment(spec, 1e-4, 2.0),
+                    cdf_x_gil_pelaez(spec, 0.8))
+
+        cb._law_grid.cache_clear()
+        first = values()
+        cb._law_grid.cache_clear()
+        cb._law_grid(spec.branches, spec.p, 6)  # deeper levels first
+        assert values()[::-1] == first[::-1]
+
+    def test_underflowing_law_is_refused_by_name(self):
+        spec = CombinerSpec.egc([AlphaEtaMu(2.0, 1.001, 300.0)] * 2, 1.0)
+        with pytest.raises(NumericError, match="combiner ray measure for "
+                           r"\(AlphaEtaMu\(alpha=2.0, eta=1.001"):
+            cdf_x_gil_pelaez(spec, 1.0)
+
+    def test_deterministic_limit(self):
+        # two near-deterministic branches: X is about 2 (MRC) and the
+        # truncated moment at delta = 1 is about 2^-nu; the densities'
+        # own rounding (terms ~1e6 in ln f at m = 1e5) is ~1e-10
+        spec = CombinerSpec.mrc([Nakagami(1e5)] * 2, 1.0)
+        assert cdf_x_gil_pelaez(spec, 1.9) < 1e-9
+        assert cdf_x_gil_pelaez(spec, 2.1) > 1.0 - 1e-9
+        assert x_truncated_moment(spec, 1.0, 1.5) == pytest.approx(
+            2.0 ** -1.5, rel=1e-4)

@@ -6,7 +6,14 @@ import pytest
 from effcap import combiner
 from effcap.combiner import CombinerSpec
 from effcap.errors import DomainError, MethodUnavailableError, NumericError
-from effcap.fading import GeneralizedGamma, Gsnm, Nakagami, sample_envelope
+from effcap.fading import (
+    AlphaEtaMu,
+    GeneralizedGamma,
+    Gsnm,
+    Nakagami,
+    sample_envelope,
+)
+from effcap.montecarlo import McConfig, mc_ec_opra
 from effcap.policies import (
     QosSpec,
     ec_cifr,
@@ -223,8 +230,10 @@ class TestRegressionValues:
     """Frozen values of cells whose every CHF sample is a quadrature."""
 
     def test_dual_nakagami_egc_opra(self):
+        # the Parseval panels converge to 1.248319021929 (tol 1e-9) and
+        # 1.248319021927 (tol 1e-10); the node sums give 1.248319021933
         got = ec_opra_chf(NAK2_EGC, QosSpec(1e-2)).value
-        assert got == pytest.approx(1.2483190235, rel=1e-9)
+        assert got == pytest.approx(1.24831902193, rel=1e-9)
 
     def test_dual_nakagami_egc_tifr(self):
         got = ec_tifr(NAK2_EGC, QosSpec(1e-2)).value
@@ -237,6 +246,75 @@ class TestRegressionValues:
                                 10 ** 0.5)
         got = ec_tifr(spec, QosSpec(1e-2)).value
         assert math.isfinite(got) and got > 0.0
+
+
+class TestLawRayReferences:
+    """OPRA on the law-ray route against references that do not use it."""
+
+    def test_dual_alpha_eta_mu_mrc_opra(self):
+        # alpha = 2: X = Gamma(2 mu, s_1) + Gamma(2 mu, s_2), whose density
+        # is a 1F1 form; _aem2_mrc_opra_reference regenerates the value
+        # (about 6 s)
+        spec = CombinerSpec.mrc(
+            [AlphaEtaMu(2.0, 2.9951360985013653, 1.1989889461885481)] * 2,
+            10.0 ** 0.4980039681945194)
+        got = ec_opra_chf(spec, QosSpec(0.014950765626013872)).value
+        assert got == pytest.approx(2.5683061157519074, rel=1e-10)
+
+    def test_dual_gg_mrc_opra_finishes_and_matches_mc(self):
+        # its real-axis branch MGF (the Mellin route to E[1/gamma]) does
+        # not converge; the node sums need no MGF
+        spec = CombinerSpec.mrc([GeneralizedGamma(1.5, 1.2)] * 2,
+                                10.0 ** 0.5)
+        qos = QosSpec(1e-2)
+        res = ec_opra_chf(spec, qos)
+        mc = mc_ec_opra(spec, qos, McConfig(samples=400_000, seed=11))
+        assert res.diagnostics["route"] == "law-ray"
+        assert res.value == pytest.approx(mc.value, rel=5e-3)
+
+    def test_routes_reported(self):
+        qos = QosSpec(1e-2)
+        assert ec_opra_chf(NAK2_EGC, qos).diagnostics["route"] == "law-ray"
+        assert ec_opra_mgf(NAK2_MRC, qos).diagnostics["route"] == "law-ray"
+        tifr = ec_tifr(NAK2_MRC, qos).diagnostics
+        assert tifr["route"] == "law-ray" and tifr["iterations"] > 0
+        af = ec_tifr(NAK2_AF, qos, gamma0=0.3).diagnostics
+        assert af["route"] == "panels"
+        assert ec_opra_chf(NAK2_AF, qos).diagnostics["route"] == "panels"
+
+
+def _aem2_mrc_opra_reference(eta, mu, snr_db, theta):
+    """OPRA of dual alpha-eta-mu (alpha = 2) MRC from the exact density of
+    X, with the cutoff and the capacity solved in mpmath (25 digits)."""
+    import mpmath as mp
+
+    mp.mp.dps = 25
+    eta, mu = mp.mpf(eta), mp.mpf(mu)
+    s1, s2 = eta / (mu * (1 + eta)), 1 / (mu * (1 + eta))
+    a = 2 * mu
+    k = mp.power(10, mp.mpf(snr_db) / 10)
+    big_a = mp.mpf(theta) * mp.mpf("2e-3") * mp.mpf("1e5") / mp.log(2)
+    lam = big_a / (big_a + 1)
+    lognorm = -mp.loggamma(2 * a) - a * mp.log(s1) - a * mp.log(s2)
+
+    def pdf(x):
+        return mp.exp(lognorm + (2 * a - 1) * mp.log(x) - x / s2) \
+            * mp.hyp1f1(a, 2 * a, (1 / s2 - 1 / s1) * x)
+
+    mean = a * (s1 + s2)
+
+    def trunc(nu, d):  # E[(X/d)^-nu; X >= d]
+        return mp.quad(lambda x: (x / d) ** (-nu) * pdf(x),
+                       [d, d + mean, d + 4 * mean, mp.inf])
+
+    def resid(lng0):
+        g0 = mp.exp(lng0)
+        return (trunc(lam, g0 / k) - trunc(1, g0 / k)) / g0 - 1
+
+    g0 = mp.exp(mp.findroot(resid, mp.log(mp.mpf("0.3")), tol=1e-22))
+    d = g0 / k
+    lnarg = trunc(lam, d) + mp.quad(pdf, [0, d])
+    return float(-mp.log(lnarg) / (big_a * mp.log(2)))
 
 
 class TestOutageMassBound:

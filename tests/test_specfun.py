@@ -188,3 +188,32 @@ class TestBesselZeros:
             sf.bessel_j_zeros(-1.5, 3)
         with pytest.raises(DomainError):
             sf.bessel_j_zeros(1.0, 0)
+
+
+class TestStieltjesPower:
+    """J_nu(y) = int_1^inf t^-nu / (t - y) dt = 2F1(1, nu; nu + 1; y) / nu."""
+
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-7,
+                                    1.7, 1.95, 2.0])
+    def test_against_mpmath(self, nu):
+        # rays of every width a law measure uses, moduli on both sides of
+        # each switch between the four forms
+        worst = 0.0
+        for phi in (0.007, 0.39, 0.785, 1.3):
+            for r in (1e-3, 0.5, 0.69, 0.71, 1.0, 1.2, 1.42, 1.44, 1.6, 2.0,
+                      50.0, 1e5):
+                y = r * complex(math.cos(phi), math.sin(phi))
+                got = complex(sf.stieltjes_power(nu, np.array([y]))[0])
+                want = complex(mp.hyp2f1(1, nu, nu + 1, y) / nu)
+                worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-13
+
+    def test_limit_on_the_cut(self):
+        # just above the cut Re(-i J_nu(y)) = pi y^-nu for real y > 1
+        y = np.array([1.5, 7.0]) + 1e-14j
+        got = np.real(-1j * sf.stieltjes_power(1.3, y))
+        assert got == pytest.approx(math.pi * y.real ** -1.3, rel=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            sf.stieltjes_power(0.0, np.array([0.5j]))
