@@ -26,7 +26,10 @@ truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
   sum: F(delta) = (1/pi) Im sum G_k Log(1 - delta/z_k) by Frullani's
   identity, E[X^-s] = Re sum G_k z_k^-s, and the truncated moment is
   (1/pi) Im sum G_k J_nu(z_k/delta) with J_nu the power Stieltjes
-  transform.  ``tol`` does not enter.
+  transform.  The ORA expectation is the node sum
+  E[(1 + k X^q)^-A] = Re sum G_k (1 + k z_k^q)^-A, on a narrower ray
+  (the measure is also cached per angle) when A is large.  ``tol`` does
+  not enter.
 * ``"panels"`` (AF, p < 0, and L >= 3).  The Gil-Pelaez and Parseval
   integrals over w are summed panel by panel between phase zeros and
   epsilon accelerated to ``tol``; E[X^-s] is a Mellin integral of M_X.
@@ -55,6 +58,7 @@ from .fading import (
 )
 from .quadrature import (
     RAY_LOGTOL,
+    IntegralEstimate,
     RayGrid,
     build_ray_grid,
     deepen_ray_grid,
@@ -77,6 +81,7 @@ __all__ = [
     "incomplete_mgf_x",
     "integral_route",
     "x_inverse_moment",
+    "x_ora_mean",
     "x_truncated_moment",
     "x_moment",
 ]
@@ -290,8 +295,8 @@ class _SumRule:
         return np.exp(lnz), self.h * np.nan_to_num(g, nan=0.0)
 
 
-def _sum_rule(branches: tuple, p: float) -> _SumRule:
-    r1, r2 = (ray_rule(b, p, 2) for b in branches)
+def _sum_rule(branches: tuple, p: float, halvings: int) -> _SumRule:
+    r1, r2 = (ray_rule(b, p, 2, halvings) for b in branches)
     phi = min(r1.phi, r2.phi)
     v1, v2 = _log_var(r1), _log_var(r2)
     sig_c = math.sqrt(v1 * v2 / (v1 + v2))
@@ -319,16 +324,19 @@ def _sum_rule(branches: tuple, p: float) -> _SumRule:
 
 
 @lru_cache(maxsize=256)
-def _law_grid(branches: tuple, p: float, level: int) -> RayGrid:
+def _law_grid(branches: tuple, p: float, level: int,
+              halvings: int) -> RayGrid:
     """The ray measure of X = sum_l R_l^p (L <= 2, p > 0) at ``level``:
     down to exp(-RAY_LOGTOL - level ln(10) slope) of its peak on the
-    left, exp(-RAY_LOGTOL) on the right."""
+    left, exp(-RAY_LOGTOL) on the right; on a ray whose angle is halved
+    ``halvings`` times (see ``fading.ray_rule``)."""
     if len(branches) == 1:
-        return ray_grid(branches[0], p, level)
+        return ray_grid(branches[0], p, level, halvings)
     if level > 0:
-        return deepen_ray_grid(_law_grid(branches, p, level - 1), level)
+        return deepen_ray_grid(_law_grid(branches, p, level - 1, halvings),
+                               level)
     mass = math.prod(float(np.exp(b.mixture()[0]).sum()) for b in branches)
-    return build_ray_grid(_sum_rule(branches, p), mass,
+    return build_ray_grid(_sum_rule(branches, p, halvings), mass,
                           f"combiner ray measure for {branches!r}, p = {p}")
 
 
@@ -345,7 +353,7 @@ def _law_grid_for(spec: CombinerSpec, nu: float, ln_delta=None) -> RayGrid:
     the nodes it drops lie exp(-RAY_LOGTOL) below the sum's largest term
     and fall further to the left."""
     for level in range(_MAX_LEVEL + 1):
-        grid = _law_grid(spec.branches, spec.p, level)
+        grid = _law_grid(spec.branches, spec.p, level, 0)
         u, lnm = _log_moduli(grid)
         if ln_delta is None:
             lnm = lnm - nu * u
@@ -356,6 +364,54 @@ def _law_grid_for(spec: CombinerSpec, nu: float, ln_delta=None) -> RayGrid:
         if falls and lnm[0] <= lnm.max() - RAY_LOGTOL:
             break
     return grid
+
+
+def _ora_halvings(spec: CombinerSpec, a_exp: float) -> int:
+    """How often the law ray is halved for the ORA kernel.
+
+    Off the real axis |1 + k z^q|^-A exceeds its size at |z| by up to
+    sec(q phi/2)^A on a ray at angle phi, and the node sum keeps its
+    exp(-RAY_LOGTOL) accuracy while that factor stays within half the
+    budget.  The kernel's branch points at arg z = pi/q must also stay
+    outside the strip of width phi/2 about the ray that sets the step.
+    So each band of A gets one cached angle.
+    """
+    share = len(spec.branches)
+    phi = min(ray_rule(b, spec.p, share).phi for b in spec.branches)
+    limit = min(math.pi / 1.5, 2.0 * math.acos(
+        math.exp(-0.5 * RAY_LOGTOL / a_exp))) / spec.q
+    return max(0, math.ceil(math.log2(phi / limit)))
+
+
+def x_ora_mean(spec: CombinerSpec, a_exp: float) -> IntegralEstimate:
+    """E[(1 + gamma)^-A], gamma = k X^q, on the law-ray route (q > 0).
+
+    The node sum Re sum_k G_k (1 + k z_k^q)^-A over the shallowest level
+    of the law grid whose first term lies exp(-RAY_LOGTOL) below the
+    largest, where the terms fall further to the left: there the kernel,
+    near 1, no longer offsets the weights' slope.  Past z^q = 1/k the
+    kernel falls like (k z^q)^-A, so at a high SNR or a large A the sum
+    lives deep in the left tail.  Large A also narrows the ray
+    (``_ora_halvings``).  The error estimate is exp(-RAY_LOGTOL) times the
+    sum of the terms' moduli, the scale of both the truncation and the
+    rounding error.
+    """
+    if integral_route(spec) != "law-ray" or spec.q <= 0:
+        raise DomainError("x_ora_mean needs the law-ray route and q > 0")
+    k, q = spec.k, spec.q
+    halvings = _ora_halvings(spec, a_exp)
+    for level in range(_MAX_LEVEL + 1):
+        grid = _law_grid(spec.branches, spec.p, level, halvings)
+        w = k * grid.x ** q
+        terms = grid.g * np.exp(-a_exp * _log1p(w))
+        with np.errstate(divide="ignore"):
+            lnt = np.log(np.abs(terms))
+        if lnt[0] <= lnt.max() - RAY_LOGTOL \
+                and a_exp * q * abs(w[0]) < grid.rule.slope:
+            break
+    return IntegralEstimate(
+        float(np.real(terms.sum())),
+        math.exp(-RAY_LOGTOL) * float(np.abs(terms).sum()), grid.g.size)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +563,7 @@ def cdf_x_gil_pelaez(spec: CombinerSpec, x: float, tol: float = 1e-8) -> float:
     if x <= 0:
         raise DomainError("cdf requires x > 0")
     if integral_route(spec) == "law-ray":
-        grid = _law_grid(spec.branches, spec.p, 0)
+        grid = _law_grid(spec.branches, spec.p, 0, 0)
         val = float(np.imag(grid.g @ _log1p(-x / grid.x))) / math.pi
         return min(max(val, 0.0), 1.0)
     mean = x_mean(spec)

@@ -648,18 +648,22 @@ class RayRule:
         return np.exp(u + 1j * self.phi), np.nan_to_num(g, nan=0.0)
 
 
-def ray_rule(model: FadingModel, p: float, share: int = 1) -> RayRule:
+def ray_rule(model: FadingModel, p: float, share: int = 1,
+             halvings: int = 0) -> RayRule:
     """The ray rule of X = R^p, p > 0: its angle, step and left slope.
 
     ``share`` branches of a sum split the cancellation budget e^_RAY_LOSS
-    of its ray, so the angle keeps the sum's own factor within it.
+    of its ray, so the angle keeps the sum's own factor within it.  The
+    angle is then halved ``halvings`` times, for a kernel that grows off
+    the real axis (the step shrinks with it).
     """
     logw, scales, unit = model.mixture()
     c, a, orig = unit.power_map(p)
     lnc = math.log(c) + p * np.log(scales)
     mean, shape = unit.w_mean_shape()
     psi = min(0.5 * math.pi / a, 0.25 * math.pi,
-              math.acos(math.exp(-_RAY_LOSS / (share * shape))))
+              math.acos(math.exp(-_RAY_LOSS / (share * shape)))) \
+        * 0.5 ** halvings
     phi = a * psi
     # anchor where W is at its mean (the component mean for GSNM); the
     # grid finds its own extent
@@ -669,7 +673,8 @@ def ray_rule(model: FadingModel, p: float, share: int = 1) -> RayRule:
 
 
 @lru_cache(maxsize=1024)
-def ray_grid(model: FadingModel, p: float, level: int) -> RayGrid:
+def ray_grid(model: FadingModel, p: float, level: int,
+             halvings: int) -> RayGrid:
     """Ray grid of X = R^p, p > 0, accurate for w up to 10^level / x_peak.
 
     Level 0 covers the density to exp(-RAY_LOGTOL) of its peak on both
@@ -677,10 +682,13 @@ def ray_grid(model: FadingModel, p: float, level: int) -> RayGrid:
     for GSNM).  Phi(w) ~ w^-slope once w x_peak >> 1, so each further
     level reaches one decade further towards the origin and slope decades
     deeper, keeping the truncation error relative to |Phi(w)|.
+    ``halvings`` narrows the ray as in ``ray_rule``; the CHF takes the
+    widest, 0.
     """
     if level > 0:
-        return deepen_ray_grid(ray_grid(model, p, level - 1), level)
-    rule = ray_rule(model, p)
+        return deepen_ray_grid(ray_grid(model, p, level - 1, halvings),
+                               level)
+    rule = ray_rule(model, p, halvings=halvings)
     return build_ray_grid(
         rule, float(np.exp(rule.logw).sum()),
         f"characteristic-function ray grid for {model!r}, p = {p}")
@@ -710,10 +718,10 @@ def logpdf_rp(model: FadingModel, p: float, lnx):
 def _ray_chf(model: FadingModel, p: float, omega: np.ndarray) -> np.ndarray:
     """E[exp(i w R^p)] for nonzero real w and p > 0, from the cached ray."""
     a = np.abs(omega)
-    base = ray_grid(model, p, 0)
+    base = ray_grid(model, p, 0, 0)
     level = max(0, math.ceil((math.log(a.max()) + base.peak_u)
                              / math.log(10.0)))
-    grid = ray_grid(model, p, level) if level else base
+    grid = ray_grid(model, p, level, 0) if level else base
     ix = 1j * grid.x
     out = np.empty(a.shape, dtype=complex)
     for i in range(0, a.size, 256):  # bounds the kernel matrix

@@ -22,6 +22,7 @@ from .combiner import CombinerSpec
 from .errors import DomainError, ParameterError
 from .fading import sample_envelope
 from .policies import QosSpec, _effective_a
+from .quadrature import brentq
 
 __all__ = [
     "McConfig",
@@ -105,8 +106,6 @@ def _empirical_cutoff(gamma: np.ndarray, a_eff: float) -> float:
         ind = gamma >= g0
         term = g0 ** (-1.0 / (a_eff + 1.0)) * gamma ** -lam - 1.0 / gamma
         return float(np.mean(term * ind)) - 1.0
-
-    from scipy.optimize import brentq
 
     hi = 0.0
     fhi = crit_log(hi)

@@ -1,10 +1,26 @@
 """Effective capacity under the four adaptive transmission policies.
 
-ORA uses the single-integral pairing of the combiner MGF with the kernel
-C_q(u) = L^-1{(1+x^q)^-A}; OPRA needs the cutoff of the power constraint,
-the truncated moment E[(gamma/gamma0)^-lam; gamma >= gamma0] and the
-outage probability (or, for Gamma-sum combiners, the incomplete-MGF
-route); CIFR needs one Mellin-type MGF integral; TIFR needs the truncated
+ORA needs E[(1 + gamma)^-A], found on one of four routes, which its
+diagnostics report as ``route``:
+
+* ``"law-ray"`` (p > 0, q > 0, L <= 2): the node sum
+  Re sum_k G_k (1 + k z_k^q)^-A over the cached ray measure of the
+  combiner output (``combiner.x_ora_mean``).  It serves every EGC law and
+  every MRC law with a branch that has no closed real-axis transform.
+* ``"laguerre"`` (q = 1): the paper's pairing of the combiner MGF with
+  the kernel C_1(u) = u^(A-1) e^-u / Gamma(A), for MRC laws whose every
+  branch has a closed real-axis transform (Nakagami p = 2, alpha-eta-mu
+  p = alpha, GSNM's Mellin-Barnes form), and for L >= 3.
+* ``"hankel"`` (q = 2, L >= 3): the pairing with the Bessel kernel C_2,
+  summed between its zeros; it raises when its own error estimate
+  exceeds 1e-4 of the integral.
+* ``"kummer"`` (AF, q = -1): the pairing of 1F1(A; 1; -u) with -dM/du.
+
+In every pairing C_q(u) = L^-1{(1+x^q)^-A}.  OPRA needs the cutoff of
+the power constraint, the truncated moment
+E[(gamma/gamma0)^-lam; gamma >= gamma0] and the outage probability (or,
+for Gamma-sum combiners, the incomplete-MGF route); CIFR needs one
+Mellin-type MGF integral (``route`` ``"mgf"``); TIFR needs the truncated
 moment E[1/gamma; gamma >= gamma0] plus the outage factor.
 
 OPRA and TIFR ask ``combiner`` for the CDF (``cdf_x_gil_pelaez``), the
@@ -45,6 +61,7 @@ from .combiner import (
     mgf_x_derivative,
     x_mean,
     x_tail_exponent,
+    x_ora_mean,
     x_truncated_moment,
     _gamma_sum_params,
 )
@@ -55,7 +72,7 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
 )
-from .quadrature import integrate_semi_infinite
+from .quadrature import brentq, integrate_semi_infinite, minimize_bounded
 from .specfun import kummer_1f1
 
 __all__ = [
@@ -162,6 +179,17 @@ def kernel_cq(q: float, a_exp: float, u):
                       "orders need the Fox-H form, which is out of scope")
 
 
+# the smallest QoS exponent ORA evaluates; below it the ergodic limit
+_A_MIN = 1e-6
+# ORA pairing of the kernel C_q with the combiner MGF, per q
+_ORA_PAIRINGS = {1.0: "laguerre", 2.0: "hankel", -1.0: "kummer"}
+# largest error estimate, relative to the integral, a Hankel ORA pairing
+# may return
+_HANKEL_REL_ERR = 1e-4
+# a real argument at which a branch's closed transform is looked for
+_PROBE_S = np.ones(1, dtype=complex)
+
+
 def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
     """E[(1 + gamma)^-A] via the kernel-MGF pairing; returns (I, diag).
 
@@ -222,10 +250,16 @@ def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
                                            tol=tol,
                                            g_deriv0=(None if gd0 is None
                                                      else gd0 / scale0))
-        return est.value * scale0, {"err_estimate": est.error_estimate
-                                    * scale0,
-                                    "evaluations": est.evaluations,
-                                    "zeros_used": est.zeros_used}
+        value, err = est.real * scale0, est.error_estimate * scale0
+        # tol governs the probe scale, not the integral, which can lie
+        # far below it at a large A
+        if not err <= _HANKEL_REL_ERR * abs(value):
+            raise NumericError(
+                f"Hankel ORA pairing for {spec.branches!r} at A = "
+                f"{a_eff:.6g}: error estimate {err:.3g} against the "
+                f"integral {value:.6g}", best_estimate=value)
+        return value, {"err_estimate": err, "evaluations": est.evaluations,
+                       "zeros_used": est.zeros_used}
     if spec.q == -1:
         def f(u):
             u = np.asarray(u)
@@ -260,13 +294,42 @@ def _finish(policy, method, spec, qos, lnarg, a_eff, div, gamma0=None,
                     diagnostics=diag or {})
 
 
+def _ora_route(spec: CombinerSpec) -> str:
+    """``"law-ray"`` for p > 0, q > 0 and L <= 2, except MRC-type (q = 1)
+    laws whose every branch has a closed real-axis transform, which keep
+    the Laguerre pairing; else the pairing for q: ``"laguerre"``,
+    ``"hankel"`` or ``"kummer"``."""
+    closed = spec.q == 1 and all(
+        b.closed_transform(spec.p, _PROBE_S) is not None
+        for b in set(spec.branches))
+    if integral_route(spec) == "law-ray" and spec.q > 0 and not closed:
+        return "law-ray"
+    if spec.q not in _ORA_PAIRINGS:
+        raise DomainError("ORA supports q in {1, 2, -1} off the law ray")
+    return _ORA_PAIRINGS[spec.q]
+
+
 def ec_ora(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
-    """EC under constant power and optimal rate adaptation."""
+    """EC under constant power and optimal rate adaptation.
+
+    ``route`` in the diagnostics names how E[(1 + gamma)^-A] was found
+    (see the module docstring); ``a_clamped`` is set when A was raised to
+    the smallest exponent evaluated, 1e-6 (the ergodic limit).
+    """
     a_eff, div = _effective_a(spec, qos)
-    if a_eff < 1e-6:
-        # ergodic limit: evaluate at the smallest stable exponent
-        a_eff = 1e-6
-    val, diag = _ora_integral(spec, a_eff, tol)
+    clamped = a_eff < _A_MIN
+    if clamped:
+        a_eff = _A_MIN
+    route = _ora_route(spec)
+    if route == "law-ray":
+        est = x_ora_mean(spec, a_eff)
+        val, diag = est.value, {"err_estimate": est.error_estimate,
+                                "evaluations": est.evaluations}
+    else:
+        val, diag = _ora_integral(spec, a_eff, tol)
+    diag["route"] = route
+    if clamped:
+        diag["a_clamped"] = True
     return _finish("ora", "mgf", spec, qos, float(np.real(val)), a_eff, div,
                    diag=diag)
 
@@ -367,8 +430,6 @@ def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
     def resid(g0):
         evals[0] += 1
         return _cutoff_lhs_scaled(spec, a_eff, g0, tol) - 1.0
-
-    from scipy.optimize import brentq
 
     g0_est = math.exp(max(refs.lng0_est, -744.0))
     if refs.lng0_est < math.log(1e-280) \
@@ -530,7 +591,8 @@ def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
         d_tot = x_tail_exponent(spec)
         if d_tot <= q * (1.0 + 1e-9):
             return EcResult("cifr", "mgf", _snr_db(spec), qos.theta, 0.0,
-                            diagnostics={"flag": "divergent-inverse-moment"})
+                            diagnostics={"flag": "divergent-inverse-moment",
+                                         "route": "mgf"})
 
         def f(u):
             u = np.asarray(u, dtype=float)
@@ -542,10 +604,10 @@ def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
             f, tol=tol, origin_power=(q - 1.0 if q < 1 else 0.0), scale=1.0,
             max_evals=800_000)
         inv_mean = float(np.real(est.value)) / (k * math.gamma(q))
-        diag = {"err_estimate": est.error_estimate}
+        diag = {"err_estimate": est.error_estimate, "route": "mgf"}
     elif q == -1.0:
         inv_mean = x_mean(spec) / k
-        diag = {}
+        diag = {"route": "mgf"}
     else:
         raise DomainError("CIFR supports q in {1, 2, -1}")
     value = math.log2(1.0 + 1.0 / inv_mean) / div
@@ -586,8 +648,6 @@ def ec_tifr(spec: CombinerSpec, qos: QosSpec,
         return (1.0 - p_out) * math.log2(1.0 + 1.0 / inv) / div
 
     if gamma0 is None or optimize:
-        from scipy.optimize import minimize_scalar
-
         gbar = spec.k * x_mean(spec) ** spec.q
         lo, hi = math.log(1e-3 * gbar), math.log(8.0 * gbar)
         seen = []
@@ -596,12 +656,10 @@ def ec_tifr(spec: CombinerSpec, qos: QosSpec,
             seen.append(lng0)
             return -rate(math.exp(lng0))
 
-        opt = minimize_scalar(neg_rate, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-3})
-        lng0 = float(opt.x)
+        lng0, neg = minimize_bounded(neg_rate, lo, hi, xatol=1e-3)
         left = max((x for x in seen if x < lng0), default=lo)
         right = min((x for x in seen if x > lng0), default=hi)
-        g0, value = math.exp(lng0), -float(opt.fun)
+        g0, value = math.exp(lng0), -neg
         method = "chf-optimized"
         diag = {"iterations": len(seen), "bracket_width": float(right - left),
                 "route": integral_route(spec)}

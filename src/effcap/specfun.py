@@ -366,7 +366,7 @@ def bessel_j_zeros(nu: float, k_max: int) -> np.ndarray:
     well below that), then polished with Brent's method; results are cached
     per order and extended on demand.
     """
-    from scipy.optimize import brentq
+    from .quadrature import brentq
 
     if nu <= -1:
         raise DomainError("bessel_j_zeros requires nu > -1")

@@ -330,7 +330,7 @@ class TestLawRay:
         cb._law_grid.cache_clear()
         first = values()
         cb._law_grid.cache_clear()
-        cb._law_grid(spec.branches, spec.p, 6)  # deeper levels first
+        cb._law_grid(spec.branches, spec.p, 6, 0)  # deeper levels first
         assert values()[::-1] == first[::-1]
 
     def test_underflowing_law_is_refused_by_name(self):

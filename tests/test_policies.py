@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from effcap import combiner
+from effcap import combiner, policies
 from effcap.combiner import CombinerSpec
 from effcap.errors import DomainError, MethodUnavailableError, NumericError
 from effcap.fading import (
@@ -22,6 +22,7 @@ from effcap.policies import (
     ec_ora,
     ec_tifr,
     kernel_cq,
+    _ora_integral,
     _outage_mass_bound,
     optimal_cutoff,
 )
@@ -115,6 +116,125 @@ class TestOra:
         erg = np.log2(1.0 + g).mean()
         got = ec_ora(spec, QosSpec.from_a(1e-3)).value
         assert got == pytest.approx(erg, rel=5e-3)
+
+
+class TestOraRoutes:
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    @pytest.mark.parametrize("theta", [1e-3, 0.05, 0.1, 1.0])
+    def test_single_branch_egc_is_mrc(self, snr_db, theta):
+        # one SNR law, two routes: the node sum (EGC) and the Laguerre
+        # pairing with the closed Nakagami MGF (MRC)
+        snr, qos = 10 ** (snr_db / 10), QosSpec(theta)
+        egc = ec_ora(CombinerSpec.egc([Nakagami(1.5)], snr), qos)
+        mrc = ec_ora(CombinerSpec.mrc([Nakagami(1.5)], snr), qos)
+        assert egc.diagnostics["route"] == "law-ray"
+        assert mrc.diagnostics["route"] == "laguerre"
+        assert egc.value == pytest.approx(mrc.value, rel=1e-10)
+
+    @pytest.mark.parametrize("branches", [
+        (Nakagami(1.5),) * 2, (Nakagami(0.6), Nakagami(3.0)),
+        (AlphaEtaMu(2.0, 3.0, 1.2),) * 2, (AlphaEtaMu(2.0, 10.0, 0.7),)])
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0])
+    @pytest.mark.parametrize("a_exp", [0.6, 2.9, 29.0, 289.0])
+    def test_node_sum_matches_laguerre(self, branches, snr_db, a_exp):
+        spec = CombinerSpec.mrc(branches, 10 ** (snr_db / 10))
+        want, _ = _ora_integral(spec, a_exp, 1e-12)
+        got = combiner.x_ora_mean(spec, a_exp)
+        assert got.value == pytest.approx(want, rel=1e-10)
+        assert got.error_estimate <= 1e-12 * want
+
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0])
+    @pytest.mark.parametrize("a_exp", [0.05, 0.3, 29.0, 289.0])
+    def test_node_sum_against_mpmath(self, snr_db, a_exp):
+        # X ~ Gamma(3, 1/1.5), so E[(1 + k X)^-A] = (k/1.5)^-3
+        # U(3, 4 - A, 1.5/k) with U Tricomi's confluent function
+        import mpmath as mp
+
+        k = 10 ** (snr_db / 10)
+        spec = CombinerSpec.mrc([Nakagami(1.5)] * 2, k)
+        with mp.workdps(30):
+            kt = mp.mpf(k) / mp.mpf(1.5)
+            want = float(kt ** -3 * mp.hyperu(3, 4 - mp.mpf(a_exp), 1 / kt))
+        got = combiner.x_ora_mean(spec, a_exp).value
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n_branches", [1, 2])
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0])
+    @pytest.mark.parametrize("a_exp", [100.0, 289.0])
+    def test_large_exponent_narrows_the_ray(self, n_branches, snr_db, a_exp):
+        # the default ray of this law sits at 1.31 rad, where the kernel
+        # would grow by up to e^76 at A = 289 (errors 4e-7 and 1e-4)
+        spec = CombinerSpec.mrc([GeneralizedGamma(2.6, 1.2)] * n_branches,
+                                10 ** (snr_db / 10))
+        assert combiner._ora_halvings(spec, a_exp) == 1
+        assert combiner._ora_halvings(spec, 29.0) == 0
+        want, _ = _ora_integral(spec, a_exp, 1e-12)
+        assert combiner.x_ora_mean(spec, a_exp).value == pytest.approx(
+            want, rel=1e-10)
+
+    def test_routes_reported(self):
+        qos = QosSpec(0.01)
+        gg = CombinerSpec.mrc([GeneralizedGamma(2.6, 1.2)] * 2, 1.0)
+        egc3 = CombinerSpec.egc([Nakagami(1.5)] * 3, 1.0)
+        for spec, route in ((NAK2_EGC, "law-ray"), (gg, "law-ray"),
+                            (NAK2_MRC, "laguerre"), (egc3, "hankel"),
+                            (NAK2_AF, "kummer")):
+            assert ec_ora(spec, qos).diagnostics["route"] == route
+            assert ec_cifr(spec, qos).diagnostics["route"] == "mgf"
+
+    def test_clamped_exponent_reported(self):
+        tiny = ec_ora(NAK2_EGC, QosSpec.from_a(1e-8))
+        assert tiny.diagnostics["a_clamped"] is True
+        assert tiny.value == pytest.approx(
+            ec_ora(NAK2_EGC, QosSpec.from_a(1e-6)).value, rel=1e-12)
+        assert "a_clamped" not in ec_ora(NAK2_EGC,
+                                         QosSpec.from_a(1e-6)).diagnostics
+
+    def test_hankel_refuses_an_unvouched_value(self):
+        # its error estimate is 3e-3 of the integral here
+        spec = CombinerSpec.egc([Nakagami(1.5)] * 3, 1.0)
+        with pytest.raises(NumericError, match="Hankel") as err:
+            ec_ora(spec, QosSpec.from_a(14.4))
+        assert "Nakagami(m=1.5" in str(err.value)
+        assert "A = 14.4" in str(err.value)
+        assert err.value.best_estimate == pytest.approx(8.6e-5, rel=1e-2)
+
+
+class TestBrentPorts:
+    """The package's Brent ports take the steps SciPy's take on the
+    OPRA residual and the TIFR rate (tests may import its optimize)."""
+
+    SPEC = CombinerSpec.mrc([GeneralizedGamma(1.5, 1.2)] * 2,
+                            10 ** 0.5)
+
+    def test_opra_cutoff(self, monkeypatch):
+        from scipy.optimize import brentq
+
+        qos = QosSpec(1e-2)
+        mine = optimal_cutoff(self.SPEC, qos)
+        monkeypatch.setattr(policies, "brentq", brentq)
+        theirs = optimal_cutoff(self.SPEC, qos)
+        assert mine.iterations > 3
+        assert mine.iterations == theirs.iterations
+        assert mine.gamma0 == pytest.approx(theirs.gamma0, rel=1e-15)
+
+    def test_tifr_search(self, monkeypatch):
+        from scipy.optimize import minimize_scalar
+
+        def scipy_bounded(f, lo, hi, xatol):
+            res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": xatol})
+            return float(res.x), float(res.fun)
+
+        qos = QosSpec(1e-2)
+        mine = ec_tifr(self.SPEC, qos)
+        monkeypatch.setattr(policies, "minimize_bounded", scipy_bounded)
+        theirs = ec_tifr(self.SPEC, qos)
+        assert mine.diagnostics["iterations"] > 5
+        assert mine.diagnostics == theirs.diagnostics
+        assert mine.cutoff_gamma0 == pytest.approx(theirs.cutoff_gamma0,
+                                                   rel=1e-15)
+        assert mine.value == pytest.approx(theirs.value, rel=1e-15)
 
 
 class TestOpra:

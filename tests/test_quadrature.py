@@ -6,10 +6,12 @@ import pytest
 from effcap.errors import DomainError, NumericError
 from effcap.quadrature import (
     EpsilonTable,
+    brentq,
     gauss_halfline_rule,
     integrate_hankel_partitioned,
     integrate_interval,
     integrate_semi_infinite,
+    minimize_bounded,
 )
 
 
@@ -151,3 +153,75 @@ class TestHankelPartitioned:
     def test_reports_zero_count(self):
         est = integrate_hankel_partitioned(lambda u: np.exp(-u), 1.0, tol=1e-9)
         assert est.zeros_used and est.zeros_used >= 8
+
+
+def _counted(f):
+    """f with a list of the arguments it was called at."""
+    calls = []
+
+    def g(x):
+        calls.append(float(x))
+        return f(x)
+
+    return g, calls
+
+
+class TestBrent:
+    """The ports against SciPy's own (tests may import its optimize)."""
+
+    @pytest.mark.parametrize("f, a, b, kw", [
+        (lambda x: x * x - 2.0, 0.0, 2.0, {}),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, {"rtol": 1e-10}),
+        (lambda x: math.exp(x) - 1e-3, -20.0, 3.0, {"xtol": 1e-300}),
+        (lambda x: (x - 0.3) ** 3 + 1e-3 * (x - 0.3), -1.0, 2.0,
+         {"xtol": 1e-13}),
+        (lambda x: math.atan(50.0 * (x - 1.0)), -30.0, 5.0, {}),
+        (lambda x: x, 0.0, 1.0, {}),  # a root at the bracket's end
+    ])
+    def test_brentq_matches_scipy(self, f, a, b, kw):
+        from scipy.optimize import brentq as sp_brentq
+
+        mine, calls = _counted(f)
+        theirs, sp_calls = _counted(f)
+        root = brentq(mine, a, b, **kw)
+        want = sp_brentq(theirs, a, b, **kw)
+        assert root == pytest.approx(want, rel=1e-15, abs=1e-300)
+        assert calls == sp_calls
+
+    @pytest.mark.parametrize("f, lo, hi, xatol", [
+        (lambda x: (x - 0.7) ** 2, -3.0, 5.0, 1e-5),
+        (lambda x: -math.sin(x) * math.exp(-0.1 * x), 0.0, 6.0, 1e-3),
+        (lambda x: abs(x - 1.0), -2.0, 4.0, 1e-8),
+        (lambda x: x ** 4 - 3.0 * x, -1.0, 3.0, 1e-3),
+        (lambda x: x, 0.0, 1.0, 1e-5),  # minimum at the bound
+    ])
+    def test_minimize_bounded_matches_scipy(self, f, lo, hi, xatol):
+        from scipy.optimize import minimize_scalar
+
+        mine, calls = _counted(f)
+        theirs, sp_calls = _counted(f)
+        x, fx = minimize_bounded(mine, lo, hi, xatol=xatol)
+        res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+        assert x == pytest.approx(float(res.x), rel=1e-15, abs=1e-300)
+        assert fx == float(res.fun)
+        assert calls == sp_calls
+
+    def test_brentq_refusals(self):
+        with pytest.raises(DomainError):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(DomainError):
+            brentq(lambda x: x, -1.0, 1.0, rtol=1e-17)
+        with pytest.raises(NumericError):
+            brentq(lambda x: math.nan, -1.0, 1.0)
+        with pytest.raises(NumericError) as err:
+            brentq(lambda x: x - 0.3, -1.0, 1.0, maxiter=1)
+        assert err.value.best_estimate is not None
+
+    def test_minimize_bounded_refusals(self):
+        with pytest.raises(DomainError):
+            minimize_bounded(lambda x: x, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            minimize_bounded(lambda x: x, 0.0, math.inf)
+        with pytest.raises(NumericError):
+            minimize_bounded(lambda x: math.nan, 0.0, 1.0)
