@@ -347,21 +347,19 @@ def _log_moduli(grid: RayGrid):
         return np.log(np.abs(grid.x)), np.log(np.abs(grid.g))
 
 
-def _law_grid_for(spec: CombinerSpec, nu: float, ln_delta=None) -> RayGrid:
-    """The shallowest level of the law grid that serves a node sum whose
-    kernel weighs |z|^-nu (times delta^nu above ln_delta, when given):
-    the nodes it drops lie exp(-RAY_LOGTOL) below the sum's largest term
-    and fall further to the left."""
+def _law_grid_for(spec: CombinerSpec, ln_kernel, falls=None,
+                  halvings: int = 0) -> RayGrid:
+    """The shallowest level of the law grid, on a ray halved ``halvings``
+    times, that serves a node sum sum_k G_k K(z_k): the nodes it drops lie
+    exp(-RAY_LOGTOL) below the sum's largest term and, where
+    ``falls(grid)`` holds, fall further to the left.  ``ln_kernel(u, x)``
+    is ln|K| at the nodes x, with u = ln|x|."""
     for level in range(_MAX_LEVEL + 1):
-        grid = _law_grid(spec.branches, spec.p, level, 0)
-        u, lnm = _log_moduli(grid)
-        if ln_delta is None:
-            lnm = lnm - nu * u
-            falls = True
-        else:
-            lnm = lnm - nu * np.maximum(u - ln_delta, 0.0)
-            falls = nu < grid.rule.slope or u[0] <= ln_delta
-        if falls and lnm[0] <= lnm.max() - RAY_LOGTOL:
+        grid = _law_grid(spec.branches, spec.p, level, halvings)
+        u, lng = _log_moduli(grid)
+        lnm = lng + ln_kernel(u, grid.x)
+        if lnm[0] <= lnm.max() - RAY_LOGTOL \
+                and (falls is None or falls(grid)):
             break
     return grid
 
@@ -399,16 +397,11 @@ def x_ora_mean(spec: CombinerSpec, a_exp: float) -> IntegralEstimate:
     if integral_route(spec) != "law-ray" or spec.q <= 0:
         raise DomainError("x_ora_mean needs the law-ray route and q > 0")
     k, q = spec.k, spec.q
-    halvings = _ora_halvings(spec, a_exp)
-    for level in range(_MAX_LEVEL + 1):
-        grid = _law_grid(spec.branches, spec.p, level, halvings)
-        w = k * grid.x ** q
-        terms = grid.g * np.exp(-a_exp * _log1p(w))
-        with np.errstate(divide="ignore"):
-            lnt = np.log(np.abs(terms))
-        if lnt[0] <= lnt.max() - RAY_LOGTOL \
-                and a_exp * q * abs(w[0]) < grid.rule.slope:
-            break
+    grid = _law_grid_for(
+        spec, lambda u, x: -a_exp * np.real(_log1p(k * x ** q)),
+        lambda grid: a_exp * q * abs(k * grid.x[0] ** q) < grid.rule.slope,
+        _ora_halvings(spec, a_exp))
+    terms = grid.g * np.exp(-a_exp * _log1p(k * grid.x ** q))
     return IntegralEstimate(
         float(np.real(terms.sum())),
         math.exp(-RAY_LOGTOL) * float(np.abs(terms).sum()), grid.g.size)
@@ -444,7 +437,7 @@ def x_inverse_moment(spec: CombinerSpec, s: float, tol: float = 1e-9) -> float:
     if s >= d_tot:
         raise DomainError("inverse moment diverges: s >= tail exponent")
     if integral_route(spec) == "law-ray":
-        grid = _law_grid_for(spec, s)
+        grid = _law_grid_for(spec, lambda u, x: -s * u)
         return float(np.real(grid.g @ np.exp(-s * np.log(grid.x))))
 
     def f(u):
@@ -703,7 +696,12 @@ def x_truncated_moment(spec: CombinerSpec, delta: float, nu: float,
     """
     nus = (nu,) if nu_sub is None else (nu, nu_sub)
     if integral_route(spec) == "law-ray":
-        grid = _law_grid_for(spec, max(nus), math.log(delta))
+        top, ln_delta = max(nus), math.log(delta)
+        # past delta the kernel weighs |z/delta|^-nu, before it about 1
+        grid = _law_grid_for(
+            spec, lambda u, x: -top * np.maximum(u - ln_delta, 0.0),
+            lambda grid: (top < grid.rule.slope
+                          or _log_moduli(grid)[0][0] <= ln_delta))
         vals = np.imag(stieltjes_power(nus, grid.x / delta) @ grid.g)
         return float(vals[0] - vals[1:].sum()) / math.pi
     make = _kernel_e if spec.q > 0 else _kernel_w

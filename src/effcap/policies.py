@@ -218,9 +218,10 @@ def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
         else:
             # tiny exponents carry most mass at the u^(A-1) edge; peel a
             # Taylor head off analytically (the substitution would
-            # underflow)
-            u0 = 1e-4
+            # underflow).  e^-u M_X(k u) = E[exp(-u (1 + k X))], so the
+            # head's truncation error scales like (u0 (1 + k E[X]))^3.
             m1, m2 = x_moment(spec, 1), x_moment(spec, 2)
+            u0 = 1e-4 / (1.0 + k * m1)
             g0, g1 = 1.0, -(1.0 + k * m1)
             g2 = 1.0 + 2.0 * k * m1 + k * k * m2
             head = (g0 * u0 ** a_eff / a_eff

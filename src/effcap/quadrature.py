@@ -522,6 +522,8 @@ def deepen_ray_grid(base: RayGrid, level: int) -> RayGrid:
 
 # the smallest relative tolerance brentq accepts, 4 machine epsilons
 _BRENT_RTOL = 4.0 * 2.0 ** -52
+# the function calls after which minimize_bounded returns its best point
+_BOUNDED_MAXFUN = 500
 
 
 def _finite_value(f, x: float) -> float:
@@ -594,15 +596,14 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
                        best_estimate=xcur)
 
 
-def minimize_bounded(f, lo: float, hi: float, xatol: float = 1e-5,
-                     maxiter: int = 500):
+def minimize_bounded(f, lo: float, hi: float, xatol: float):
     """(x, f(x)) at a minimum of f on [lo, hi].
 
     Brent's golden-section search with parabolic steps (Brent, 1973,
     ch. 5), step for step as SciPy's minimize_scalar with method
     "bounded": the same iterates, the same function calls and the same
     stop once the bracket about x is within xatol plus sqrt(eps) |x|.
-    After ``maxiter`` calls it returns the best point so far.
+    After 500 calls it returns the best point so far.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("bounds must be finite")
@@ -669,7 +670,7 @@ def minimize_bounded(f, lo: float, hi: float, xatol: float = 1e-5,
         xm = 0.5 * (a + b)
         tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxiter:
+        if num >= _BOUNDED_MAXFUN:
             break
     if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
         raise NumericError("bounded minimization met a nan",

@@ -29,6 +29,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, NumericError
+from .quadrature import brentq
 
 __all__ = [
     "lower_incomplete_gamma",
@@ -366,8 +367,6 @@ def bessel_j_zeros(nu: float, k_max: int) -> np.ndarray:
     well below that), then polished with Brent's method; results are cached
     per order and extended on demand.
     """
-    from .quadrature import brentq
-
     if nu <= -1:
         raise DomainError("bessel_j_zeros requires nu > -1")
     if k_max < 1:

@@ -158,6 +158,23 @@ class TestOraRoutes:
         got = combiner.x_ora_mean(spec, a_exp).value
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+    @pytest.mark.parametrize("a_exp", [0.05, 0.3, 0.45])
+    def test_laguerre_small_exponent_against_mpmath(self, snr_db, a_exp):
+        # below A = 1/2 the Laguerre pairing peels a Taylor head off the
+        # u^(A-1) edge; a head of fixed width was off by 1.6e-4 at 30 dB
+        import mpmath as mp
+
+        k = 10 ** (snr_db / 10)
+        res = ec_ora(CombinerSpec.mrc([Nakagami(1.5)] * 2, k),
+                     QosSpec.from_a(a_exp))
+        with mp.workdps(30):
+            kt = mp.mpf(k) / mp.mpf(1.5)
+            mean = kt ** -3 * mp.hyperu(3, 4 - mp.mpf(a_exp), 1 / kt)
+            want = float(-mp.log(mean) / (mp.mpf(a_exp) * mp.log(2)))
+        assert res.diagnostics["route"] == "laguerre"
+        assert res.value == pytest.approx(want, rel=1e-10)
+
     @pytest.mark.parametrize("n_branches", [1, 2])
     @pytest.mark.parametrize("snr_db", [0.0, 30.0])
     @pytest.mark.parametrize("a_exp", [100.0, 289.0])

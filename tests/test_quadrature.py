@@ -220,8 +220,8 @@ class TestBrent:
 
     def test_minimize_bounded_refusals(self):
         with pytest.raises(DomainError):
-            minimize_bounded(lambda x: x, 1.0, 0.0)
+            minimize_bounded(lambda x: x, 1.0, 0.0, 1e-5)
         with pytest.raises(DomainError):
-            minimize_bounded(lambda x: x, 0.0, math.inf)
+            minimize_bounded(lambda x: x, 0.0, math.inf, 1e-5)
         with pytest.raises(NumericError):
-            minimize_bounded(lambda x: math.nan, 0.0, 1.0)
+            minimize_bounded(lambda x: math.nan, 0.0, 1.0, 1e-5)
