@@ -29,14 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special as sp
 
-from .combiner import CombinerSpec, joint_mgf_x, x_moment
+from .combiner import CombinerSpec, x_inverse_moment, x_moment
 from .errors import DomainError, UnsupportedModelError
-from .fading import tail_expansion
+from .fading import tail_expansion_log
 from .policies import EcResult, QosSpec, _snr_db
-from .quadrature import integrate_semi_infinite
 
 __all__ = [
     "HighSnrMetrics",
@@ -81,8 +79,6 @@ def combined_tail(spec: CombinerSpec):
 
 
 def combined_tail_log(spec: CombinerSpec):
-    from .fading import tail_expansion_log
-
     lnc_tot, d_tot = 0.0, 0.0
     for b in spec.branches:
         lnc, d = tail_expansion_log(b, spec.p)
@@ -93,8 +89,6 @@ def combined_tail_log(spec: CombinerSpec):
 
 def _inverse_moment(spec: CombinerSpec, s: float, d_tot: float,
                     tol: float = 1e-9) -> float:
-    from .combiner import x_inverse_moment
-
     if s >= d_tot:
         raise DomainError("inverse moment diverges: s >= d")
     return x_inverse_moment(spec, s, tol)

@@ -8,6 +8,24 @@ machine-readable CSV/JSON tables plus a z-score comparison report.
 Output rows are emitted in deterministic grid order with a fixed 12
 significant digit format, so identical configs produce byte-identical
 files.
+
+The YAML schema (defaults in brackets):
+
+* ``combiner``: ``preset`` (mrc, egc or af) or explicit ``p``, ``q`` and
+  ``K`` [1]; ``K`` also overrides EGC's 1/L.
+* ``branches``: a list of model blocks, or one block as ``branch`` with
+  ``L`` (in ``combiner`` or at the top level).  A block names ``model``
+  (nakagami, generalized_gamma or gg, gsnm, alpha_kappa_mu,
+  alpha_eta_mu) and that model's parameters.
+* ``policies``: a nonempty subset of ora, opra, cifr, tifr.
+* ``snr_db`` and ``theta`` (1/bit), both strictly increasing; or
+  ``a_grid``, normalized QoS exponents A with theta = A ln 2 / (T B).
+* ``T`` [2e-3 s], ``B`` [1e5 Hz]; ``tifr_gamma0`` fixes the TIFR cutoff
+  [optimized]; ``methods: {opra: auto | incomplete-mgf | chf}`` [auto].
+* ``mc``: ``samples`` [1e6], ``seed`` [20240501], ``batch`` [20];
+  ``tolerances``: ``integral`` [1e-8], ``sigma`` [3]; ``out`` [results].
+
+The flags --out, --policies, --seed and --tolerance override their keys.
 """
 
 from __future__ import annotations
@@ -22,7 +40,7 @@ from typing import Optional
 
 import yaml
 
-from .combiner import CombinerSpec
+from .combiner import CombinerSpec, _gamma_sum_params
 from .errors import EffcapError, ParameterError
 from .fading import (
     AlphaEtaMu,
@@ -79,7 +97,7 @@ def parse_model(block: dict) -> FadingModel:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Validated sweep description (see README for the YAML schema)."""
+    """Validated sweep description; the module docstring has the schema."""
 
     preset: Optional[str]
     p: Optional[float]
@@ -197,8 +215,6 @@ def _eval_point(cfg: SweepConfig, policy: str, snr_db: float,
     if policy == "opra":
         method = cfg.opra_method
         if method == "auto":
-            from .combiner import _gamma_sum_params
-
             method = ("incomplete-mgf" if _gamma_sum_params(spec) is not None
                       else "chf")
         if method in ("incomplete-mgf", "mgf"):

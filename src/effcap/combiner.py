@@ -2,11 +2,11 @@
 
 The combiner observable is X = sum_l R_l^p over independent branches; the
 end-to-end SNR is gamma = K (Es/N0) X^q.  This module carries the joint
-transforms of X (products of branch transforms), its CDF by two inversion
-routes (Gil-Pelaez characteristic-function inversion and Euler-summed
-Bromwich discretization of M(s)/s), the upper incomplete MGF, raw moments
-up to order four, inverse and truncated inverse moments, and the SNR map
-itself.
+transforms of X (products of branch transforms: the MGF on the real axis,
+the CHF on the imaginary axis), its CDF by Gil-Pelaez characteristic-
+function inversion, the upper incomplete MGF of a Gamma-sum X, raw
+moments up to order four, inverse and truncated inverse moments, and the
+SNR map itself.
 
 Two routes serve the Gil-Pelaez CDF, the inverse moments E[X^-s] and the
 truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, MethodUnavailableError, ParameterError
 from .fading import (
     FadingModel,
     chf_rp,
@@ -65,19 +65,16 @@ from .quadrature import (
     gk15_panels,
     integrate_alternating,
     integrate_interval,
-    integrate_semi_infinite,
 )
 from .specfun import expint_iomega, lower_incomplete_gamma, stieltjes_power
 
 __all__ = [
     "CombinerSpec",
-    "EulerInversionParams",
     "snr_end",
     "joint_mgf_x",
     "mgf_x_derivative",
     "chf_x",
     "cdf_x_gil_pelaez",
-    "cdf_x_euler_laplace",
     "incomplete_mgf_x",
     "integral_route",
     "x_inverse_moment",
@@ -173,11 +170,11 @@ def joint_mgf_x(spec: CombinerSpec, u, tol: float = 1e-9):
     return out
 
 
-def chf_x(spec: CombinerSpec, omega, tol: float = 1e-9):
+def chf_x(spec: CombinerSpec, omega):
     """Phi_X(w) = prod_l E[exp(i w R_l^p)]."""
     out = None
     for b, mult in _grouped(spec.branches):
-        v = chf_rp(b, spec.p, omega, tol=tol)
+        v = chf_rp(b, spec.p, omega)
         if mult > 1:
             v = v ** mult
         out = v if out is None else out * v
@@ -718,54 +715,6 @@ def x_truncated_moment(spec: CombinerSpec, delta: float, nu: float,
 
 
 # ---------------------------------------------------------------------------
-# CDF of X: Euler-summed Laplace inversion of M_X(s)/s
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EulerInversionParams:
-    """Bromwich discretization with Euler summation.
-
-    Q controls the discretization error (~exp(-Q)); N + J terms are
-    evaluated and the last J partial sums are binomially averaged.
-    """
-
-    Q: float = 23.03
-    N: int = 15
-    J: int = 15
-
-    def __post_init__(self):
-        if self.Q <= 0 or self.N < 1 or self.J < 1:
-            raise ParameterError("invalid Euler inversion parameters")
-
-    def check_tolerance(self, tol: float):
-        if math.exp(-self.Q) > tol:
-            raise ParameterError(
-                f"exp(-Q) = {math.exp(-self.Q):.2e} exceeds tolerance {tol}")
-
-
-def cdf_x_euler_laplace(spec: CombinerSpec, x: float,
-                        params: EulerInversionParams | None = None,
-                        tol: float = 1e-6) -> float:
-    """Euler-summed Bromwich discretization of L^-1{M_X(s)/s} at x."""
-    if x <= 0:
-        raise DomainError("cdf requires x > 0")
-    params = params or EulerInversionParams()
-    params.check_tolerance(tol)
-    q, n_base, j_max = params.Q, params.N, params.J
-    n_tot = n_base + j_max
-    k = np.arange(0, n_tot + 1)
-    s = (q + 2j * math.pi * k) / (2.0 * x)
-    mvals = np.asarray(joint_mgf_x(spec, s))
-    beta = np.where(k == 0, 1.0, 2.0)
-    terms = ((-1.0) ** k) * beta * np.real(mvals / (q + 2j * math.pi * k))
-    partial = math.exp(q / 2.0) * np.cumsum(terms)
-    j = np.arange(j_max + 1)
-    weights = sp.comb(j_max, j) * (2.0 ** -j_max)
-    val = float(np.dot(weights, partial[n_base + j]))
-    return min(max(val, 0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
 # Upper incomplete MGF of X
 # ---------------------------------------------------------------------------
 
@@ -781,40 +730,22 @@ def _gamma_sum_params(spec: CombinerSpec):
     return sum(shape for shape, _ in laws), scales.pop()
 
 
-def incomplete_mgf_x(spec: CombinerSpec, s: float, v: float,
-                     tol: float = 1e-8) -> float:
-    """Upper incomplete MGF  M_X^u(s, v) = int_v^inf exp(-s x) f_X(x) dx.
+def incomplete_mgf_x(spec: CombinerSpec, s, v: float):
+    """Upper incomplete MGF  M_X^u(s, v) = int_v^inf exp(-s x) f_X(x) dx,
+    vectorized in s >= 0.
 
-    Closed form for Gamma-sum cases; otherwise tail quadrature against a
-    density reconstructed by differentiating the Gil-Pelaez CDF (slow
-    fallback; the CHF-based capacity path avoids it).
+    X must be an exact Gamma sum (``_gamma_sum_params``), whose closed
+    form (1 + s theta)^-a Q(a, v (s + 1/theta)) this is; other laws raise
+    MethodUnavailableError.
     """
-    if s < 0 or v < 0:
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0) or v < 0:
         raise DomainError("incomplete_mgf_x requires s, v >= 0")
-    if v == 0.0:
-        return float(np.real(joint_mgf_x(spec, s)))
     gs = _gamma_sum_params(spec)
-    if gs is not None:
-        a, th = gs
-        return float((1.0 + s * th) ** -a
-                     * sp.gammaincc(a, v * (s + 1.0 / th)))
-    if s == 0.0:
-        return 1.0 - cdf_x_gil_pelaez(spec, v, tol=tol)
-
-    def density(xv):
-        h = 2e-3 * max(xv, 0.05)
-        d1 = (cdf_x_gil_pelaez(spec, xv + h, tol=1e-9)
-              - cdf_x_gil_pelaez(spec, xv - h, tol=1e-9)) / (2 * h)
-        d2 = (cdf_x_gil_pelaez(spec, xv + h / 2, tol=1e-9)
-              - cdf_x_gil_pelaez(spec, xv - h / 2, tol=1e-9)) / h
-        return (4.0 * d2 - d1) / 3.0
-
-    def f(t):
-        t = np.atleast_1d(t)
-        return np.array([math.exp(-s * (v + tt)) * density(v + tt)
-                         for tt in t])
-
-    scale = min(1.0 / s, x_mean(spec)) + 0.5 * x_mean(spec)
-    est = integrate_semi_infinite(f, tol=max(tol, 1e-7), scale=scale,
-                                  max_evals=4000)
-    return float(est.value)
+    if gs is None:
+        raise MethodUnavailableError(
+            f"no closed incomplete MGF for {spec.branches!r}: X is not an "
+            "exact Gamma sum")
+    a, th = gs
+    val = (1.0 + s * th) ** -a * sp.gammaincc(a, v * (s + 1.0 / th))
+    return val if s.ndim else float(val)

@@ -25,9 +25,9 @@ with R^p = c W^a:
   32-node Gauss rule.
 
 Closed forms are optional methods that return None where a model has
-none: ``closed_transform`` (Nakagami p in {2, -2}, and p = 1 off the
-imaginary axis; alpha-eta-mu at p = alpha; the GSNM Mellin-Barnes
-contour on the real axis), ``closed_transform_deriv`` (Nakagami
+none: ``closed_transform`` (Nakagami p in {2, -2}, and p = 1 on the real
+axis; alpha-eta-mu at p = alpha; the GSNM Mellin-Barnes contour on the
+real axis), ``closed_transform_deriv`` (Nakagami
 p in {2, -2}) and ``power_gamma`` (Nakagami p = 2, an exact Gamma law).
 Nakagami is the generalized gamma with beta = 2 and inherits its methods.
 
@@ -44,11 +44,14 @@ once per (model, p) and cached (``ray_grid``), and every batch of
 frequencies costs one matrix product.  ``logpdf_rp`` continues the
 density of R^p off the real axis for the combiner's ray measure of a sum
 of branches, whose ray ``ray_rule`` narrows so that the branches share
-the cancellation budget.  Real and complex (Bromwich) arguments and
-moments without a closed form use a Gauss rule with weight exp(-t^2)
-under W = t^2/lambda, which absorbs the density's exponential decay,
-with an adaptive rotated-ray quadrature where that rule cannot reach.
-The GSNM moment generating function is a one-dimensional Mellin-Barnes
+the cancellation budget.
+
+The moment generating function takes real arguments only and the
+characteristic function the imaginary axis.  MGFs and moments without a
+closed form use a Gauss rule with weight exp(-t^2) under W = t^2/lambda,
+which absorbs the density's exponential decay, and adaptive quadrature on
+the real axis deep in the tail, where that rule cannot reach.  The GSNM
+moment generating function is a one-dimensional Mellin-Barnes
 contour integral with four gamma factors, evaluated on a cached uniform
 grid along the vertical contour.
 
@@ -77,8 +80,10 @@ from .quadrature import (
     build_ray_grid,
     deepen_ray_grid,
     gauss_halfline_rule,
+    integrate_interval,
     integrate_semi_infinite,
 )
+from .specfun import gaussian_laplace_moment_log
 
 __all__ = [
     "Nakagami",
@@ -119,7 +124,9 @@ class FadingModel:
         return _ONE_LOGW, _ONE_SCALE, self
 
     def closed_transform(self, p: float, s: np.ndarray):
-        """E[exp(-s R^p)] for complex s (Re s >= 0) in closed form, or None."""
+        """E[exp(-s R^p)] in closed form, or None, for a complex array s
+        on the real axis (s >= 0, the MGF) or on the imaginary axis
+        (s = -i w, the CHF)."""
         return None
 
     def closed_transform_deriv(self, p: float, u: np.ndarray):
@@ -189,18 +196,19 @@ class Nakagami(_GammaPower):
         return (self.m, self.omega / self.m) if p == 2.0 else None
 
     def closed_transform(self, p: float, s: np.ndarray):
-        """p = 2 and p = -2 everywhere; p = 1 by the Watson expansion off
-        the imaginary axis only (the ray grid serves the axis)."""
+        """p = 2 and p = -2 on both axes; p = 1 on the real axis only,
+        by the Gaussian-Laplace kernel (the ray grid serves the imaginary
+        axis)."""
         m, omega = self.m, self.omega
         if p == 2.0:
             return np.exp(-m * np.log1p(s * omega / m))
-        if p == 1.0 and not np.any((s.real == 0.0) & (s.imag != 0.0)):
-            from .specfun import gaussian_laplace_moment_log
-
+        if p == 1.0:
+            if np.any(s.imag != 0.0):
+                return None
             scale = math.sqrt(omega / (2.0 * m))
             pref = (1.0 - m) * math.log(2.0) - sp.gammaln(m)
             out = np.empty(s.shape, dtype=complex)
-            for i, sv in enumerate(s):
+            for i, sv in enumerate(s.real):
                 mant, logscale = gaussian_laplace_moment_log(2.0 * m,
                                                              -sv * scale)
                 out[i] = mant * math.exp(min(pref + logscale, 705.0))
@@ -514,11 +522,6 @@ def pdf_envelope(model: FadingModel, r):
 # Transforms M(u) = E[exp(-u R^p)]
 # ---------------------------------------------------------------------------
 
-def _phase_span(model: FadingModel, p: float, n: int) -> np.ndarray:
-    _, r = _envelope_terms(model, n)
-    return np.max(r ** p)
-
-
 def _plain_transform(model: FadingModel, p: float, s, n: int):
     logc, r = _envelope_terms(model, n)
     s = np.atleast_1d(np.asarray(s, dtype=complex))
@@ -526,20 +529,15 @@ def _plain_transform(model: FadingModel, p: float, s, n: int):
     return np.exp(ex).sum(axis=1)
 
 
-def _rotated_transform(model, p: float, s: complex, tol: float) -> complex:
-    """E[exp(-s R^p)] by rotating the power-variable ray, p > 0, Re s >= 0."""
+def _quad_transform(model, p: float, s: complex, tol: float) -> complex:
+    """E[exp(-s R^p)] for real s >= 0 and p > 0 by adaptive quadrature in
+    the power variable w on the real axis.  The integrand stays complex:
+    real sums round differently (~1e-16) and would move every value on
+    this route."""
     c, a, orig = model.power_map(p)
-    if a <= 0:
-        raise MethodUnavailableError(
-            "rotated transform needs a positive power map")
-    args = np.angle(complex(s)) if s != 0 else 0.0
-    psi_max = 0.5 * math.pi - 0.25
-    psi = min(max(-args / a, 0.0), psi_max) if args <= 0 else \
-        max(min(-args / a, 0.0), -psi_max)
-    ray = complex(math.cos(psi), math.sin(psi))
 
     def logmag(v):
-        wc = v * ray
+        wc = v.astype(complex)
         with np.errstate(divide="ignore"):
             lg = model.power_logpdf(np.log(wc))
         return np.real(lg - s * c * wc ** a)
@@ -554,12 +552,10 @@ def _rotated_transform(model, p: float, s: complex, tol: float) -> complex:
     peaklog = float(lm[k])
 
     def f(v):
-        v = np.asarray(v, dtype=float)
-        wc = (w_peak * v) * ray
+        wc = (w_peak * np.asarray(v, dtype=float)).astype(complex)
         with np.errstate(divide="ignore"):
             lg = model.power_logpdf(np.log(wc))
-        return np.exp(lg - s * c * wc ** a - peaklog
-                      + math.log(w_peak)) * ray
+        return np.exp(lg - s * c * wc ** a - peaklog + math.log(w_peak))
 
     est = integrate_semi_infinite(f, tol=tol, origin_power=orig, scale=3.0)
     return complex(est.value * math.exp(peaklog))
@@ -567,8 +563,6 @@ def _rotated_transform(model, p: float, s: complex, tol: float) -> complex:
 
 def _inv_gamma_laplace(m: float, c: float, s: float, j: int) -> float:
     """int f_G(g) (c/g)^j exp(-s c/g) dg for G ~ Gamma(m, 1), log-stable."""
-    from .quadrature import integrate_interval, integrate_semi_infinite
-
     def logint(g):
         return ((m - 1.0 - j) * np.log(g) - g - s * c / g
                 + j * math.log(c) - sp.gammaln(m))
@@ -715,9 +709,8 @@ def logpdf_rp(model: FadingModel, p: float, lnx):
     return e.reshape(lnx.shape) - math.log(a) - lnx
 
 
-def _ray_chf(model: FadingModel, p: float, omega: np.ndarray) -> np.ndarray:
-    """E[exp(i w R^p)] for nonzero real w and p > 0, from the cached ray."""
-    a = np.abs(omega)
+def _ray_chf(model: FadingModel, p: float, a: np.ndarray) -> np.ndarray:
+    """E[exp(i w R^p)] for w = a > 0 and p > 0, from the cached ray."""
     base = ray_grid(model, p, 0, 0)
     level = max(0, math.ceil((math.log(a.max()) + base.peak_u)
                              / math.log(10.0)))
@@ -726,67 +719,34 @@ def _ray_chf(model: FadingModel, p: float, omega: np.ndarray) -> np.ndarray:
     out = np.empty(a.shape, dtype=complex)
     for i in range(0, a.size, 256):  # bounds the kernel matrix
         out[i:i + 256] = np.exp(np.multiply.outer(a[i:i + 256], ix)) @ grid.g
-    return np.where(omega < 0, np.conj(out), out)
-
-
-def _transform(model: FadingModel, p: float, s, tol: float = 1e-9):
-    """E[exp(-s R^p)] for complex s with Re s >= 0, vectorized in s."""
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    if np.any(s.real < -1e-12):
-        raise DomainError("transform requires Re s >= 0")
-    closed = model.closed_transform(p, s)
-    if closed is not None:
-        return closed
-    axis = (s.real == 0.0) & (s.imag != 0.0)
-    if p < 0 or not np.any(axis):
-        return _transform_off_axis(model, p, s, tol)
-    out = np.empty(s.shape, dtype=complex)
-    out[axis] = _ray_chf(model, p, -s[axis].imag)
-    if not np.all(axis):
-        out[~axis] = _transform_off_axis(model, p, s[~axis], tol)
     return out
 
 
-def _transform_off_axis(model: FadingModel, p: float, s: np.ndarray,
-                        tol: float):
-    """_transform for real and Bromwich arguments, and for p < 0.
-
-    Mixes unit transforms over the model's components: scaling the
-    envelope by sigma scales the argument by sigma^p.
-    """
+def _mixture_mgf(model: FadingModel, p: float, s: np.ndarray, tol: float):
+    """E[exp(-s R^p)] for real s >= 0 (a complex array) without a closed
+    form: unit transforms mixed over the model's components, since scaling
+    the envelope by sigma scales the argument by sigma^p."""
     logw, scales, unit = model.mixture()
     flat = (s[:, None] * scales[None, :] ** p).ravel()
-    vals = _unit_off_axis(unit, p, flat, tol).reshape(s.size, scales.size)
+    vals = _unit_mgf(unit, p, flat, tol).reshape(s.size, scales.size)
     return vals @ np.exp(logw)
 
 
-def _unit_off_axis(model: FadingModel, p: float, s: np.ndarray, tol: float):
-    closed = model.closed_transform(p, s)
-    if closed is not None:
-        return closed
-    if p < 0:
-        if np.any(np.abs(s.imag) > 1e-9 * (1.0 + np.abs(s.real))):
-            raise MethodUnavailableError(
-                "complex-argument transforms with p < 0 exist in closed "
-                "form only for Nakagami branches")
-        return _plain_sum_escalating(model, p, s, tol)
-    # Deep real tail: the fixed rule loses relative accuracy once the
-    # kernel confines the mass near the origin; integrate adaptively there.
-    c_sc, a_pow, orig = model.power_map(p)
-    w_typ = 0.5 * (orig + 1.0)
-    depth = np.abs(s) * c_sc * w_typ ** a_pow
-    deep = (np.abs(s.imag) <= 1e-12 * (1.0 + s.real)) & (depth > 18.0)
-    span15 = np.abs(s.imag) * _phase_span(model, p, 15)
-    span32 = np.abs(s.imag) * _phase_span(model, p, 32)
+def _unit_mgf(model: FadingModel, p: float, s: np.ndarray, tol: float):
+    """The Gauss rule, escalated; for p > 0 deep in the tail, where the
+    kernel confines the mass near the origin and the fixed rule loses
+    relative accuracy, adaptive quadrature instead."""
+    if p > 0:
+        c_sc, a_pow, orig = model.power_map(p)
+        w_typ = 0.5 * (orig + 1.0)
+        deep = np.abs(s) * c_sc * w_typ ** a_pow > 18.0
+    else:
+        deep = np.zeros(s.shape, dtype=bool)
     out = np.empty(s.shape, dtype=complex)
-    easy = (span15 <= 4.0) & ~deep
-    mid = ~easy & (span32 <= 10.0) & ~deep
-    hard = ~(easy | mid)
-    if np.any(easy | mid):
-        idx = easy | mid
-        out[idx] = _plain_sum_escalating(model, p, s[idx], tol)
-    for i in np.nonzero(hard)[0]:
-        out[i] = _rotated_transform(model, p, complex(s[i]), tol)
+    if not np.all(deep):
+        out[~deep] = _plain_sum_escalating(model, p, s[~deep], tol)
+    for i in np.nonzero(deep)[0]:
+        out[i] = _quad_transform(model, p, complex(s[i]), tol)
     return out
 
 
@@ -809,31 +769,32 @@ def _plain_sum_escalating(model, p, s, tol):
 
 
 def mgf_rp(model: FadingModel, p: float, u, tol: float = 1e-9):
-    """M(u) = E[exp(-u R^p)] for u >= 0 (complex u with Re u >= 0 allowed).
+    """M(u) = E[exp(-u R^p)] for real u >= 0, vectorized in u.
 
-    A model's closed transform is used where it has one (for GSNM on the
-    real axis, its Mellin-Barnes contour form); otherwise the
-    change-of-variable Gauss rule with escalation.
+    The model's closed transform where it has one (for GSNM its
+    Mellin-Barnes contour form); else the change-of-variable Gauss rule
+    with escalation, and adaptive quadrature deep in the tail for p > 0.
+    Complex u raises DomainError: ``chf_rp`` serves the imaginary axis.
     """
     if p == 0:
         raise DomainError("p must be nonzero")
     scalar = np.isscalar(u) or (hasattr(u, "ndim") and u.ndim == 0)
-    uu = np.atleast_1d(np.asarray(u, dtype=complex))
-    if np.all(np.abs(uu.imag) == 0.0):
-        uu = uu.real.astype(float)
-        if np.any(uu < 0):
-            raise DomainError("mgf_rp requires u >= 0 on the real axis")
-        out = np.real(_transform(model, p, uu.astype(complex), tol))
-        zero = uu == 0.0
-        outr = np.where(zero, 1.0, out)
-        # underflow to 0 in deep tails is legitimate; genuine sign errors
-        # are not
-        if np.any((outr < -1e-9) | (outr > 1.0 + 1e-9)):
-            raise NumericError("MGF left [0, 1]; quadrature failure")
-        outr = np.clip(outr, 0.0, 1.0)
-        return float(outr[0]) if scalar else outr
-    out = _transform(model, p, uu, tol)
-    return complex(out[0]) if scalar else out
+    uu = np.atleast_1d(np.asarray(u))
+    if np.iscomplexobj(uu) or np.any(uu < 0):
+        raise DomainError("mgf_rp takes real u >= 0; chf_rp serves the "
+                          "imaginary axis")
+    s = uu.astype(complex)
+    out = model.closed_transform(p, s)
+    if out is None:
+        out = _mixture_mgf(model, p, s, tol)
+    zero = uu == 0.0
+    outr = np.where(zero, 1.0, np.real(out))
+    # underflow to 0 in deep tails is legitimate; genuine sign errors
+    # are not
+    if np.any((outr < -1e-9) | (outr > 1.0 + 1e-9)):
+        raise NumericError("MGF left [0, 1]; quadrature failure")
+    outr = np.clip(outr, 0.0, 1.0)
+    return float(outr[0]) if scalar else outr
 
 
 def mgf_rp_deriv(model: FadingModel, p: float, u, tol: float = 1e-9):
@@ -858,8 +819,13 @@ def mgf_rp_deriv(model: FadingModel, p: float, u, tol: float = 1e-9):
     return v3 if u.ndim else float(v3[0])
 
 
-def chf_rp(model: FadingModel, p: float, omega, tol: float = 1e-9):
-    """Phi(w) = E[exp(i w R^p)] for real w, Hermitian in w."""
+def chf_rp(model: FadingModel, p: float, omega):
+    """Phi(w) = E[exp(i w R^p)] for real w, Hermitian in w.
+
+    The model's closed transform at s = -i w where it has one; else, for
+    p > 0, the cached ray (``ray_grid``).  p < 0 without a closed form
+    raises MethodUnavailableError.
+    """
     scalar = np.isscalar(omega) or (hasattr(omega, "ndim")
                                     and omega.ndim == 0)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -869,7 +835,15 @@ def chf_rp(model: FadingModel, p: float, omega, tol: float = 1e-9):
     zero = a == 0
     out[zero] = 1.0
     if np.any(~zero):
-        out[~zero] = _transform(model, p, -1j * a[~zero], tol)
+        closed = model.closed_transform(p, -1j * a[~zero])
+        if closed is not None:
+            out[~zero] = closed
+        elif p > 0:
+            out[~zero] = _ray_chf(model, p, a[~zero])
+        else:
+            raise MethodUnavailableError(
+                f"no characteristic function of R^{p} for {model!r}: with "
+                "p < 0 it exists in closed form for Nakagami branches only")
     out[neg] = np.conj(out[neg])
     return complex(out[0]) if scalar else out
 

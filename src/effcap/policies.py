@@ -19,7 +19,8 @@ diagnostics report as ``route``:
 In every pairing C_q(u) = L^-1{(1+x^q)^-A}.  OPRA needs the cutoff of
 the power constraint, the truncated moment
 E[(gamma/gamma0)^-lam; gamma >= gamma0] and the outage probability (or,
-for Gamma-sum combiners, the incomplete-MGF route); CIFR needs one
+for Gamma-sum combiners, the incomplete-MGF route, whose outage
+probability is the regularized incomplete gamma); CIFR needs one
 Mellin-type MGF integral (``route`` ``"mgf"``); TIFR needs the truncated
 moment E[1/gamma; gamma >= gamma0] plus the outage factor.
 
@@ -53,13 +54,15 @@ from scipy import special as sp
 
 from .combiner import (
     CombinerSpec,
-    cdf_x_euler_laplace,
     cdf_x_gil_pelaez,
     incomplete_mgf_x,
     integral_route,
     joint_mgf_x,
     mgf_x_derivative,
+    x_fractional_moment,
+    x_inverse_moment,
     x_mean,
+    x_moment,
     x_tail_exponent,
     x_ora_mean,
     x_truncated_moment,
@@ -70,9 +73,14 @@ from .errors import (
     MethodUnavailableError,
     NumericError,
     ParameterError,
-    UnsupportedModelError,
 )
-from .quadrature import brentq, integrate_semi_infinite, minimize_bounded
+from .quadrature import (
+    _egc_kernel,
+    brentq,
+    integrate_hankel_partitioned,
+    integrate_semi_infinite,
+    minimize_bounded,
+)
 from .specfun import kummer_1f1
 
 __all__ = [
@@ -170,8 +178,6 @@ def kernel_cq(q: float, a_exp: float, u):
         with np.errstate(divide="ignore"):
             return np.exp((a_exp - 1.0) * np.log(u) - u - sp.gammaln(a_exp))
     if q == 2:
-        from .quadrature import _egc_kernel
-
         return _egc_kernel(u, a_exp)
     if q == -1:
         return kummer_1f1(a_exp, 1.0, -u)
@@ -197,8 +203,6 @@ def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
     that adaptive error control stays relative even deep in the high-SNR
     tail, where E[(1+gamma)^-A] is many orders below one.
     """
-    from .combiner import x_moment
-
     k = spec.k
     if spec.q == 1:
         def f(u):
@@ -235,8 +239,6 @@ def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
         return value, {"err_estimate": est.error_estimate * scale0,
                        "evaluations": est.evaluations}
     if spec.q == 2:
-        from .quadrature import integrate_hankel_partitioned
-
         rk = math.sqrt(k)
 
         def g(u):
@@ -364,8 +366,6 @@ class _OpraRefs:
 
 
 def _opra_refs(spec: CombinerSpec, a_eff: float, tol: float) -> _OpraRefs:
-    from .combiner import x_fractional_moment, x_inverse_moment, x_moment
-
     lam = a_eff / (a_eff + 1.0)
     k = spec.k
     q = spec.q
@@ -400,8 +400,6 @@ def _outage_mass_bound(spec: CombinerSpec, gamma0: float) -> float:
         # P(X < delta) <= (delta-origin mass); use the smallest branch
         # origin exponent through Markov on X^-s
         try:
-            from .combiner import x_inverse_moment
-
             s = 1.0
             return x_inverse_moment(spec, s) * delta
         except (DomainError, NumericError):
@@ -482,100 +480,87 @@ def _opra_closed_lnarg(refs: _OpraRefs, lam: float, lng0: float) -> float:
     return lam * lng0 + math.log(refs.e_lam)
 
 
-def ec_opra_chf(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8,
-                cutoff: CutoffSolution | None = None) -> EcResult:
-    """OPRA capacity via the characteristic-function route."""
+def _opra(spec: CombinerSpec, qos: QosSpec, tol: float, method: str,
+          outage_terms) -> EcResult:
+    """OPRA capacity, shared by both routes: the cutoff, then the
+    no-outage closed form when the outage mass at the cutoff is beyond
+    machine resolution, else ``outage_terms(g0, lam, refs)``, the
+    argument of the log: E[(gamma/gamma0)^-lam; gamma >= gamma0] plus the
+    outage probability."""
     a_eff, div = _effective_a(spec, qos)
     lam = a_eff / (a_eff + 1.0)
-    if cutoff is None:
-        cut, refs, lng0, closed = _solve_cutoff(spec, qos, tol)
-    else:
-        cut = cutoff
-        refs = _opra_refs(spec, a_eff, tol)
-        lng0 = math.log(cut.gamma0) if cut.gamma0 > 0 else refs.lng0_est
-        closed = (lng0 < math.log(1e-280)
-                  or _outage_mass_bound(spec, max(cut.gamma0, 5e-324))
-                  < 1e-12)
+    cut, refs, lng0, closed = _solve_cutoff(spec, qos, tol)
     if closed:
-        # outage mass beyond machine resolution: the no-outage closed
-        # form is exact
         lnarg = _opra_closed_lnarg(refs, lam, lng0)
         value = -lnarg / (a_eff * _LN2) / div
-        return EcResult("opra", "chf", _snr_db(spec), qos.theta,
+        return EcResult("opra", method, _snr_db(spec), qos.theta,
                         max(value, 0.0), cutoff_gamma0=cut.gamma0,
                         diagnostics={"regime": "no-outage-asymptotic",
                                      "route": integral_route(spec)})
     g0 = math.exp(lng0)
-    delta = _delta_of(spec, g0)
-    kterm = x_truncated_moment(spec, delta, lam * abs(spec.q), tol,
-                               scale=refs.k_est(g0, lam))
-    fx = cdf_x_gil_pelaez(spec, delta, tol=tol)
-    fterm = fx if spec.q > 0 else 1.0 - fx
-    return _finish("opra", "chf", spec, qos, kterm + fterm, a_eff, div,
-                   gamma0=g0, diag=_cutoff_diagnostics(spec, cut))
+    return _finish("opra", method, spec, qos, outage_terms(g0, lam, refs),
+                   a_eff, div, gamma0=g0,
+                   diag={"cutoff_residual": cut.residual,
+                         "cutoff_iterations": cut.iterations,
+                         "route": integral_route(spec)})
 
 
-def _cutoff_diagnostics(spec: CombinerSpec, cut: CutoffSolution) -> dict:
-    return {"cutoff_residual": cut.residual,
-            "cutoff_iterations": cut.iterations,
-            "route": integral_route(spec)}
+def ec_opra_chf(spec: CombinerSpec, qos: QosSpec,
+                tol: float = 1e-8) -> EcResult:
+    """OPRA capacity via the characteristic-function route."""
+
+    def terms(g0, lam, refs):
+        delta = _delta_of(spec, g0)
+        kterm = x_truncated_moment(spec, delta, lam * abs(spec.q), tol,
+                                   scale=refs.k_est(g0, lam))
+        fx = cdf_x_gil_pelaez(spec, delta, tol=tol)
+        return kterm + (fx if spec.q > 0 else 1.0 - fx)
+
+    return _opra(spec, qos, tol, "chf", terms)
 
 
-def ec_opra_mgf(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8,
-                cutoff: CutoffSolution | None = None) -> EcResult:
+def ec_opra_mgf(spec: CombinerSpec, qos: QosSpec,
+                tol: float = 1e-8) -> EcResult:
     """OPRA capacity via the incomplete-MGF route (Gamma-sum combiners).
 
-    Available when the combiner admits a closed incomplete MGF (MRC over
-    Nakagami with a common Gamma scale); anything else raises and the
-    caller should use ec_opra_chf.
+    Available when X is an exact Gamma sum (MRC over Nakagami with a
+    common Gamma scale), whose incomplete MGF and outage probability, the
+    regularized incomplete gamma P(shape, delta/scale), are closed;
+    anything else raises and the caller should use ec_opra_chf.
     """
     if spec.q <= 0:
         raise MethodUnavailableError(
             "the incomplete-MGF route applies to q > 0 only; AF uses the "
             "CHF route")
-    if _gamma_sum_params(spec) is None:
+    gs = _gamma_sum_params(spec)
+    if gs is None:
         raise MethodUnavailableError(
             "no closed incomplete MGF for this combiner; use ec_opra_chf")
-    a_eff, div = _effective_a(spec, qos)
-    lam = a_eff / (a_eff + 1.0)
-    if cutoff is None:
-        cut, refs, lng0, closed = _solve_cutoff(spec, qos, tol)
-    else:
-        cut = cutoff
-        refs = _opra_refs(spec, a_eff, tol)
-        lng0 = math.log(cut.gamma0) if cut.gamma0 > 0 else refs.lng0_est
-        closed = lng0 < math.log(1e-280)
-    if closed:
-        lnarg = _opra_closed_lnarg(refs, lam, lng0)
-        value = -lnarg / (a_eff * _LN2) / div
-        return EcResult("opra", "incomplete-mgf", _snr_db(spec), qos.theta,
-                        max(value, 0.0), cutoff_gamma0=cut.gamma0,
-                        diagnostics={"regime": "no-outage-asymptotic",
-                                     "route": integral_route(spec)})
-    g0 = math.exp(lng0)
-    delta = _delta_of(spec, g0)
-    q = spec.q
-    lq = lam * q
-    # integrate in w = v/delta, where the incomplete MGF lives on the
-    # combiner scale whatever the cutoff is; the delta^(lam q) prefactor
-    # is carried in logs
-    ref = refs.e_lam * spec.k ** lam  # ~ E[X^-lam q]
+    shape, scale = gs
 
-    def f(w):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        vals = np.array([incomplete_mgf_x(spec, ww, delta) for ww in w])
-        with np.errstate(divide="ignore"):
-            return np.exp((lq - 1.0) * np.log(w) - sp.gammaln(lq)) \
-                * vals / ref
+    def terms(g0, lam, refs):
+        delta = _delta_of(spec, g0)
+        lq = lam * spec.q
+        # integrate in w = v/delta, where the incomplete MGF lives on the
+        # combiner scale whatever the cutoff is; the delta^(lam q)
+        # prefactor is carried in logs
+        ref = refs.e_lam * spec.k ** lam  # ~ E[X^-lam q]
 
-    est = integrate_semi_infinite(
-        f, tol=tol, origin_power=(lq - 1.0 if lq < 1 else 0.0), scale=1.0)
-    ln_j = math.log(float(np.real(est.value)) * ref) + lq * math.log(delta)
-    jterm = math.exp(ln_j) if ln_j > -700.0 else 0.0
-    fterm = cdf_x_euler_laplace(spec, delta, tol=max(tol, 1e-9))
-    return _finish("opra", "incomplete-mgf", spec, qos,
-                   jterm + fterm, a_eff, div,
-                   gamma0=g0, diag=_cutoff_diagnostics(spec, cut))
+        def f(w):
+            w = np.atleast_1d(np.asarray(w, dtype=float))
+            with np.errstate(divide="ignore"):
+                return np.exp((lq - 1.0) * np.log(w) - sp.gammaln(lq)) \
+                    * incomplete_mgf_x(spec, w, delta) / ref
+
+        est = integrate_semi_infinite(
+            f, tol=tol, origin_power=(lq - 1.0 if lq < 1 else 0.0),
+            scale=1.0)
+        ln_j = math.log(float(np.real(est.value)) * ref) \
+            + lq * math.log(delta)
+        jterm = math.exp(ln_j) if ln_j > -700.0 else 0.0
+        return jterm + float(sp.gammainc(shape, delta / scale))
+
+    return _opra(spec, qos, tol, "incomplete-mgf", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +609,12 @@ def _tifr_inverse_moment(spec: CombinerSpec, gamma0: float,
 
 
 def ec_tifr(spec: CombinerSpec, qos: QosSpec,
-            gamma0: float | None = None, tol: float = 1e-8,
-            optimize: bool = False) -> EcResult:
-    """EC under truncated channel inversion.
+            gamma0: float | None = None, tol: float = 1e-8) -> EcResult:
+    """EC under truncated channel inversion, at the cutoff ``gamma0``.
 
-    With ``gamma0=None`` (or optimize=True) the cutoff maximizing the
-    capacity is located by bounded Brent minimization (golden section with
-    parabolic steps) of the negated rate on ln gamma0 over
+    With ``gamma0=None`` the cutoff maximizing the capacity is located by
+    bounded Brent minimization (golden section with parabolic steps) of
+    the negated rate on ln gamma0 over
     [ln(1e-3 gbar), ln(8 gbar)], stopped at 1e-3 in ln gamma0: the rate is
     flat to second order at its maximum.  The diagnostics report the rate
     evaluations (``iterations``) and ``bracket_width``, the width in
@@ -648,7 +632,7 @@ def ec_tifr(spec: CombinerSpec, qos: QosSpec,
             return 0.0
         return (1.0 - p_out) * math.log2(1.0 + 1.0 / inv) / div
 
-    if gamma0 is None or optimize:
+    if gamma0 is None:
         gbar = spec.k * x_mean(spec) ** spec.q
         lo, hi = math.log(1e-3 * gbar), math.log(8.0 * gbar)
         seen = []

@@ -24,13 +24,16 @@ and estimates are immutable values.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaln, jv
 
+from . import _halfrange_tables
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -77,8 +80,6 @@ def gauss_halfline_rule(n_t: int) -> GaussRule:
     Served from the embedded tables that tools/gen_halfrange_tables.py
     generates (Golub-Welsch in multiprecision).
     """
-    from . import _halfrange_tables
-
     tab = _halfrange_tables.TABLES.get(n_t)
     if tab is None:
         raise DomainError(f"no embedded half-line rule with {n_t} nodes; "
@@ -242,8 +243,6 @@ class IntegralEstimate:
 
 def integrate_interval(f, a, b, tol=1e-10, max_depth=48, max_evals=200_000):
     """Adaptive Gauss-Kronrod on a finite interval (complex-valued f ok)."""
-    import heapq
-
     val, err, ne = _gk15(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     total, toterr, evals = val, err, ne
@@ -322,8 +321,6 @@ def integrate_semi_infinite(
 
 def _egc_kernel(u: np.ndarray, a_exp: float) -> np.ndarray:
     """sqrt(pi)/Gamma(A) * (u/2)^(A-1/2) * J_{A-1/2}(u), computed stably."""
-    from scipy.special import gammaln, jv
-
     u = np.asarray(u, dtype=float)
     nu = a_exp - 0.5
     pref = math.exp(0.5 * math.log(math.pi) - gammaln(a_exp) - nu * math.log(2.0))
@@ -342,6 +339,7 @@ def integrate_hankel_partitioned(g, a_exp: float, tol: float = 1e-8,
     edge instead, using ``g_deriv0`` = g'(0) when the caller supplies it).
     The alternating panel series is epsilon accelerated in batches.
     """
+    # imported here: specfun imports this module
     from .specfun import bessel_j_zeros
 
     if a_exp <= 0:
@@ -357,7 +355,6 @@ def integrate_hankel_partitioned(g, a_exp: float, tol: float = 1e-8,
     # Head panel [0, z1]: kernel ~ u^(2A-1) near the origin.
     z1 = zeros[0]
     if 2 * a_exp < 0.5:
-        from scipy.special import gammaln
         pref = math.exp(0.5 * math.log(math.pi) - gammaln(a_exp)
                         - nu * math.log(2.0))
         p2a = 2.0 * a_exp
@@ -371,7 +368,6 @@ def integrate_hankel_partitioned(g, a_exp: float, tol: float = 1e-8,
         head = IntegralEstimate(head0 + rest.value, rest.error_estimate,
                                 rest.evaluations)
     elif 2 * a_exp - 1 < 0:
-        from scipy.special import gammaln, jv
         pref = math.exp(0.5 * math.log(math.pi) - gammaln(a_exp)
                         - nu * math.log(2.0))
         p2a = 2.0 * a_exp

@@ -11,7 +11,8 @@ pieces scipy does not cover are implemented here with controlled accuracy:
   steepest-descent ray t = 1 - i s, on which the integrand decays as e^-s
   (Gil, Segura & Temme, Numerical Methods for Special Functions, 2007),
 * the Gaussian-Laplace moment G(nu, w) = int t^(nu-1) exp(-t^2/2 + w t) dt,
-  the integral behind the parabolic cylinder function D_-nu, at complex w,
+  the integral behind the parabolic cylinder function D_-nu, at real
+  w <= 0,
 * positive zeros of J_nu for real order,
 * the power Stieltjes transform J_nu(y) = int_1^inf t^-nu / (t - y) dt
   off the cut [1, inf), the kernel of the truncated inverse moments.
@@ -29,7 +30,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, NumericError
-from .quadrature import brentq
+from .quadrature import brentq, integrate_interval, integrate_semi_infinite
 
 __all__ = [
     "lower_incomplete_gamma",
@@ -39,8 +40,6 @@ __all__ = [
     "bessel_j_zeros",
     "stieltjes_power",
 ]
-
-_EULER = 0.5772156649015328606
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def _expint_series(nu: float, z: np.ndarray) -> np.ndarray:
         out -= acc
     else:
         # A&S 5.1.12 with the logarithmic term.
-        psi_n = -_EULER + sum(1.0 / m for m in range(1, n))
+        psi_n = float(sp.digamma(n))
         out += (-z) ** (n - 1) / math.factorial(n - 1) * (psi_n - np.log(z))
         term = np.ones_like(z)
         acc = np.zeros_like(z)
@@ -262,88 +261,70 @@ def _kummer_asymptotic(a: float, x: np.ndarray) -> np.ndarray:
 # The Gaussian-Laplace kernel (parabolic cylinder functions)
 # ---------------------------------------------------------------------------
 
-def gaussian_laplace_moment_log(nu: float, w, tol: float = 1e-10):
+def gaussian_laplace_moment_log(nu: float, w: float, tol: float = 1e-10):
     """(mantissa, logscale) with G(nu, w) = mantissa * exp(logscale).
 
-    G(nu, w) = int_0^inf t^(nu-1) exp(-t^2/2 + w t) dt for Re w <= O(1);
+    G(nu, w) = int_0^inf t^(nu-1) exp(-t^2/2 + w t) dt for real w <= 0;
     the split representation keeps huge orders (nu ~ 1e5 in
-    near-deterministic channels) inside double range.  Three regimes:
-    real-axis adaptive quadrature; a ray rotated by +-pi/6 when the
-    argument is strongly oscillatory; and the Watson expansion
-    G ~ sum_j (-1/2)^j/j! Gamma(nu+2j) (-w)^(-nu-2j) for large |w| away
-    from the positive real axis.
+    near-deterministic channels) inside double range.  The Watson
+    expansion G ~ sum_j (-1/2)^j/j! Gamma(nu+2j) (-w)^(-nu-2j) serves
+    w <= -10 where it reaches full accuracy before its terms grow;
+    adaptive quadrature on the real axis serves the rest.
     """
-    from .quadrature import integrate_semi_infinite
-
     if nu <= 0:
         raise DomainError("gaussian_laplace_moment_log requires nu > 0")
-    wc = complex(w)
-    if wc.real > 0.5 * (1.0 + abs(wc.imag)) and abs(wc.real) > 8.0:
-        raise DomainError("gaussian_laplace_moment_log: Re w too large")
-    # Watson regime: the algebraic origin behaviour dominates; accept the
-    # expansion only when it actually reaches full accuracy before the
-    # asymptotic terms start growing.
-    if abs(wc) >= 10.0 and (wc.real <= 0 or abs(wc.imag) > abs(wc.real)):
-        out = _gaussian_laplace_watson(nu, wc)
+    if isinstance(w, complex) or not w <= 0.0:
+        raise DomainError("gaussian_laplace_moment_log requires real w <= 0")
+    if w <= -10.0:
+        out = _gaussian_laplace_watson(nu, -w)
         if out is not None:
             return out
-    if abs(wc.imag) > 0.75 * (1.0 + abs(wc.real)):
-        phi = math.pi / 6.0 if wc.imag > 0 else -math.pi / 6.0
-    else:
-        phi = 0.0
-    rot = complex(math.cos(phi), math.sin(phi))
-    rot2 = rot * rot
-    wr = wc * rot
-    # characteristic support of |integrand| = s^(nu-1) exp(-c2 s^2/2 + c1 s)
-    c2 = math.cos(2 * phi)
-    c1 = wr.real
-    s_char = (c1 + math.sqrt(c1 * c1 + 4.0 * c2 * nu)) / (2.0 * c2)
+    # characteristic support of the integrand s^(nu-1) exp(-s^2/2 + w s)
+    s_char = (w + math.sqrt(w * w + 4.0 * nu)) / 2.0
     if nu > 1.0:
-        disc = c1 * c1 + 4.0 * c2 * (nu - 1.0)
-        speak = (c1 + math.sqrt(disc)) / (2.0 * c2)
+        speak = (w + math.sqrt(w * w + 4.0 * (nu - 1.0))) / 2.0
     else:
         speak = s_char
-    peaklog = (nu - 1.0) * math.log(speak) - 0.5 * c2 * speak ** 2 + c1 * speak
+    peaklog = (nu - 1.0) * math.log(speak) - 0.5 * speak ** 2 + w * speak
+    # complex integrand: real sums round differently (~1e-16) and would
+    # move every value of the Nakagami p = 1 transform
+    wc = complex(w)
 
     def f(s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore"):
             logmag = (nu - 1.0) * np.log(s) - peaklog
-        return np.exp(logmag - 0.5 * rot2 * s * s + wr * s)
+        return np.exp(logmag - 0.5 * s * s + wc * s)
 
-    phase = complex(math.cos(nu * phi), math.sin(nu * phi))
-    sigma = 1.0 / math.sqrt(c2 + max(nu - 1.0, 0.0) / speak ** 2)
+    sigma = 1.0 / math.sqrt(1.0 + max(nu - 1.0, 0.0) / speak ** 2)
     if speak / sigma > 8.0:
         # sharply peaked (large order): integrate in peak-centered units
-        from .quadrature import integrate_interval
-
         vlo = -min(40.0, 0.98 * speak / sigma)
 
         def fshift(v):
             return f(speak + sigma * np.asarray(v)) * sigma
 
         est = integrate_interval(fshift, vlo, 40.0, tol=tol)
-        return phase * est.value, peaklog
-    est = integrate_semi_infinite(f, tol=tol, origin_power=nu - 1.0,
-                                  scale=1.5 * s_char)
-    return phase * est.value, peaklog
+    else:
+        est = integrate_semi_infinite(f, tol=tol, origin_power=nu - 1.0,
+                                      scale=1.5 * s_char)
+    return est.real, peaklog
 
 
-def _gaussian_laplace_watson(nu: float, w: complex):
-    mw = -w
-    l0 = sp.loggamma(nu) - nu * np.log(mw)
-    logscale = float(np.real(l0))
-    term = complex(np.exp(1j * np.imag(l0)))
-    acc = term
-    prev = abs(term)
+def _gaussian_laplace_watson(nu: float, mw: float):
+    """The Watson series at -w = mw >= 10, or None where it diverges
+    before reaching full accuracy."""
+    logscale = float(sp.loggamma(nu)) - nu * math.log(mw)
+    term = acc = 1.0
     for j in range(1, 80):
-        term = term * (-0.5) * (nu + 2 * j - 2) * (nu + 2 * j - 1) / (j * mw * mw)
-        if abs(term) > prev:
+        new = term * (-0.5) * (nu + 2 * j - 2) * (nu + 2 * j - 1) \
+            / (j * mw * mw)
+        if abs(new) > abs(term):
             return None
+        term = new
         acc += term
-        prev = abs(term)
         if abs(term) < 1e-14 * abs(acc):
-            return complex(acc), logscale
+            return acc, logscale
     return None
 
 

@@ -9,8 +9,6 @@ from scipy.stats import gamma as gamma_dist
 from effcap import combiner as cb
 from effcap.combiner import (
     CombinerSpec,
-    EulerInversionParams,
-    cdf_x_euler_laplace,
     cdf_x_gil_pelaez,
     chf_x,
     incomplete_mgf_x,
@@ -23,7 +21,12 @@ from effcap.combiner import (
     x_tail_exponent,
     x_truncated_moment,
 )
-from effcap.errors import DomainError, NumericError, ParameterError
+from effcap.errors import (
+    DomainError,
+    MethodUnavailableError,
+    NumericError,
+    ParameterError,
+)
 from effcap.fading import (
     AlphaEtaMu,
     GeneralizedGamma,
@@ -152,11 +155,12 @@ class TestMgfDerivative:
 class TestCdf:
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0])
     def test_erlang_reference_both_methods(self, x):
+        # Gil-Pelaez inversion and the closed Gamma-sum survival function
         ref = gamma_dist.cdf(x, 2, scale=1.0)
         assert cdf_x_gil_pelaez(RAYLEIGH2, x, tol=1e-9) == pytest.approx(
             ref, abs=1e-6)
-        assert cdf_x_euler_laplace(RAYLEIGH2, x) == pytest.approx(ref,
-                                                                  abs=1e-6)
+        assert 1.0 - incomplete_mgf_x(RAYLEIGH2, 0.0, x) == pytest.approx(
+            ref, abs=1e-12)
 
     def test_erlang_value_at_one(self):
         assert cdf_x_gil_pelaez(RAYLEIGH2, 1.0) == pytest.approx(
@@ -164,18 +168,6 @@ class TestCdf:
 
     def test_small_x_limit(self):
         assert cdf_x_gil_pelaez(RAYLEIGH2, 1e-4) < 1e-6
-
-    def test_huge_x(self):
-        assert cdf_x_euler_laplace(RAYLEIGH2, 100.0) == pytest.approx(
-            1.0, abs=1e-8)
-
-    @pytest.mark.parametrize("spec", [NAK2, NAK2_EGC, GG3_EGC])
-    def test_methods_agree_on_sums(self, spec):
-        grid = np.linspace(0.4, 4.0, 10)
-        for x in grid:
-            gp = cdf_x_gil_pelaez(spec, float(x), tol=1e-9)
-            el = cdf_x_euler_laplace(spec, float(x))
-            assert abs(gp - el) < 1e-6
 
     @pytest.mark.parametrize("spec", [NAK2, GG3_EGC])
     def test_monotone_and_bounded(self, spec):
@@ -193,13 +185,6 @@ class TestCdf:
         # empirical median CDF standard error ~ 0.5/sqrt(n)
         assert got == pytest.approx(0.5, abs=4 * 0.5 / math.sqrt(n))
 
-    def test_euler_params_validated(self):
-        with pytest.raises(ParameterError):
-            cdf_x_euler_laplace(RAYLEIGH2, 1.0,
-                                EulerInversionParams(Q=5.0), tol=1e-6)
-        with pytest.raises(ParameterError):
-            EulerInversionParams(Q=-1.0)
-
 
 class TestIncompleteMgf:
     def test_v_zero_is_mgf(self):
@@ -211,15 +196,20 @@ class TestIncompleteMgf:
         want = 1.0 - cdf_x_gil_pelaez(NAK2, 1.3, tol=1e-10)
         assert got == pytest.approx(want, abs=1e-8)
 
-    def test_closed_form_vs_density_reconstruction(self):
-        closed = incomplete_mgf_x(NAK2, 0.7, 1.3)
-        orig = cb._gamma_sum_params
-        cb._gamma_sum_params = lambda s: None
-        try:
-            numeric = incomplete_mgf_x(NAK2, 0.7, 1.3)
-        finally:
-            cb._gamma_sum_params = orig
-        assert closed == pytest.approx(numeric, abs=1e-6)
+    def test_vectorized_in_s(self):
+        s = np.array([0.0, 0.3, 0.7, 4.0])
+        got = incomplete_mgf_x(NAK2, s, 1.3)
+        assert got.shape == s.shape
+        for sv, g in zip(s, got):
+            assert g == pytest.approx(incomplete_mgf_x(NAK2, float(sv), 1.3),
+                                      rel=1e-14)
+
+    def test_needs_a_gamma_sum(self):
+        # EGC sums envelopes, and unequal Gamma scales break the closed form
+        for spec in (NAK2_EGC, CombinerSpec.mrc([Nakagami(1.5, 1.0),
+                                                 Nakagami(1.5, 2.0)], 1.0)):
+            with pytest.raises(MethodUnavailableError):
+                incomplete_mgf_x(spec, 0.7, 1.3)
 
     def test_bounds(self):
         s, v = 0.5, 1.0

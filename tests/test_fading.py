@@ -135,6 +135,10 @@ class TestMgf:
     def test_domain(self):
         with pytest.raises(DomainError):
             mgf_rp(Nakagami(1.0), 2.0, -1.0)
+        # the imaginary axis is chf_rp's, and no route takes s off both
+        for u in (1j, 2.0 - 10j, np.array([0.5, 1.0 + 0j])):
+            with pytest.raises(DomainError):
+                mgf_rp(Nakagami(50.0), 1.0, u)
 
 
 class TestChf:
@@ -297,13 +301,13 @@ class TestSampler:
 
 class TestGsnmTransform:
     def test_mellin_barnes_vs_compound_quadrature(self):
-        from effcap.fading import _transform_off_axis
+        from effcap.fading import _mixture_mgf
 
         g = Gsnm(1.25, 5 / 3, 2.3, 3.5)
         for p in (1.0, 2.0):
             for u in (0.1, 1.0, 10.0, 100.0):
                 mb = mgf_rp(g, p, u)
-                comp = float(np.real(_transform_off_axis(
+                comp = float(np.real(_mixture_mgf(
                     g, p, np.array([u + 0j]), 1e-9)[0]))
                 assert mb == pytest.approx(comp, rel=3e-6)
 

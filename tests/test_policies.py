@@ -270,11 +270,16 @@ class TestOpra:
         assert got == pytest.approx(DET_GAMMA, rel=1e-3)
 
     def test_two_methods_agree(self):
-        for theta in (1e-3, 1e-2):
+        # the last two are the benchmark's Gamma-sum OPRA cells
+        for spec, theta in ((NAK2_MRC, 1e-3), (NAK2_MRC, 1e-2),
+                            (CombinerSpec.mrc([Nakagami(1.5)] * 2,
+                                              10 ** 0.3), 2e-3),
+                            (CombinerSpec.mrc([Nakagami(3.0)] * 2,
+                                              10 ** 0.1), 4e-3)):
             qos = QosSpec(theta)
-            a = ec_opra_chf(NAK2_MRC, qos).value
-            b = ec_opra_mgf(NAK2_MRC, qos).value
-            assert abs(a - b) / b <= 1e-4
+            a = ec_opra_chf(spec, qos).value
+            b = ec_opra_mgf(spec, qos).value
+            assert abs(a - b) / b <= 1e-9
 
     def test_mgf_route_guards(self):
         with pytest.raises(MethodUnavailableError):
@@ -459,14 +464,14 @@ class TestOutageMassBound:
         def fail(spec, s):
             raise NumericError("moment quadrature did not converge")
 
-        monkeypatch.setattr(combiner, "x_inverse_moment", fail)
+        monkeypatch.setattr(policies, "x_inverse_moment", fail)
         assert _outage_mass_bound(NAK2_MRC, 1e-3) == 1.0
 
     def test_other_exceptions_propagate(self, monkeypatch):
         def fail(spec, s):
             raise ZeroDivisionError("a bug, not a numeric failure")
 
-        monkeypatch.setattr(combiner, "x_inverse_moment", fail)
+        monkeypatch.setattr(policies, "x_inverse_moment", fail)
         with pytest.raises(ZeroDivisionError):
             _outage_mass_bound(NAK2_MRC, 1e-3)
 

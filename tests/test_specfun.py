@@ -150,17 +150,22 @@ class TestParabolicCylinder:
         assert _gaussian_laplace(1.0, 0.0) == pytest.approx(
             math.sqrt(math.pi / 2), rel=1e-10)
 
-    def test_complex_against_mpmath(self):
-        for p, z in [(-3.0, 1 + 2j), (-0.5, -2j), (-2.4, 5.0),
-                     (-3.0, -1.5j), (-1.2, 0.7 - 0.9j)]:
-            nu, w = -p, -z
-            ref = complex(mp.gamma(nu) * mp.exp(mp.mpc(w) ** 2 / 4)
-                          * mp.pcfd(p, z))
-            assert _gaussian_laplace(nu, w) == pytest.approx(ref, rel=1e-8)
+    def test_real_against_mpmath(self):
+        # both sides of the Watson switch at w = -10
+        for nu in (1.0, 1.4, 3.4, 20.0, 100.0):
+            for w in (-0.3, -2.4, -9.9, -10.0, -35.0, -400.0):
+                mant, logscale = sf.gaussian_laplace_moment_log(nu, w)
+                with mp.workdps(30):
+                    want = float(mp.gamma(nu) * mp.pcfd(-nu, -w) * mp.exp(
+                        mp.mpf(w) ** 2 / 4 - logscale))
+                assert mant == pytest.approx(want, rel=1e-8)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             sf.gaussian_laplace_moment_log(-0.5, 1.0)
+        for w in (0.5, 1j, -2.0 + 1j):
+            with pytest.raises(DomainError):
+                sf.gaussian_laplace_moment_log(2.0, w)
 
 
 class TestBesselZeros:
