@@ -87,13 +87,6 @@ def combined_tail_log(spec: CombinerSpec):
     return lnc_tot, d_tot
 
 
-def _inverse_moment(spec: CombinerSpec, s: float, d_tot: float,
-                    tol: float = 1e-9) -> float:
-    if s >= d_tot:
-        raise DomainError("inverse moment diverges: s >= d")
-    return x_inverse_moment(spec, s, tol)
-
-
 def high_snr_metrics(spec: CombinerSpec, qos: QosSpec,
                      tol: float = 1e-9) -> HighSnrMetrics:
     """Slope and power offset of the high-SNR ORA asymptote."""
@@ -109,7 +102,7 @@ def high_snr_metrics(spec: CombinerSpec, qos: QosSpec,
             f"A = {a:g} sits on the regime boundary d/q = {thresh:g}; "
             "the asymptote has a logarithmic correction there")
     if a < thresh:
-        inv = _inverse_moment(spec, q * a, d_tot, tol)
+        inv = x_inverse_moment(spec, q * a, tol)
         return HighSnrMetrics(1.0, math.log2(inv) / a - logk)
     if q == 1.0:
         lng = (lnc_tot + sp.gammaln(a - d_tot) - sp.gammaln(a))

@@ -32,7 +32,10 @@ truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
   not enter.
 * ``"panels"`` (AF, p < 0, and L >= 3).  The Gil-Pelaez and Parseval
   integrals over w are summed panel by panel between phase zeros and
-  epsilon accelerated to ``tol``; E[X^-s] is a Mellin integral of M_X.
+  epsilon accelerated to ``tol``; the Parseval kernels are E_nu(i w)
+  (q > 0) and int_0^1 t^nu exp(-i w t) dt (q < 0) from ``specfun``.
+  E[X^-s] is the Mellin integral int u^(s-1) M_X(u) du / Gamma(s), the
+  one CIFR takes E[1/gamma] from (``_mellin_mgf_x``).
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ from .quadrature import (
     gk15_panels,
     integrate_alternating,
     integrate_interval,
+    integrate_semi_infinite,
 )
-from .specfun import expint_iomega, lower_incomplete_gamma, stieltjes_power
+from .specfun import expint_iomega, lower_kernel_iomega, stieltjes_power
 
 __all__ = [
     "CombinerSpec",
@@ -419,57 +423,38 @@ def x_tail_exponent(spec: CombinerSpec) -> float:
     return sum(b.origin()[1] / spec.p for b in spec.branches)
 
 
-def x_inverse_moment(spec: CombinerSpec, s: float, tol: float = 1e-9) -> float:
-    """E[X^-s] for 0 < s below the tail exponent.
-
-    On the law-ray route Re sum_k G_k z_k^-s over a grid deep enough for
-    the z^-s weight.  On the panel route the Mellin identity
-    (1/Gamma(s)) int u^(s-1) M_X(u) du: split at u = 1 (origin power
-    substituted away for s < 1), adaptive in log u out to a cut, then the
-    analytic C u^(s-d) remainder.
-    """
-    if s <= 0:
-        raise DomainError("x_inverse_moment requires s > 0")
-    d_tot = x_tail_exponent(spec)
-    if s >= d_tot:
-        raise DomainError("inverse moment diverges: s >= tail exponent")
-    if integral_route(spec) == "law-ray":
-        grid = _law_grid_for(spec, lambda u, x: -s * u)
-        return float(np.real(grid.g @ np.exp(-s * np.log(grid.x))))
+def _mellin_mgf_x(spec: CombinerSpec, s: float,
+                  tol: float = 1e-9) -> IntegralEstimate:
+    """int_0^inf u^(s-1) M_X(u) du = Gamma(s) E[X^-s], s > 0, by adaptive
+    quadrature on [0, inf) with the u^(s-1) origin power substituted away
+    for s < 1.  The panel route's inverse moments and CIFR share it."""
 
     def f(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
-            pw = (s - 1.0) * np.log(u)
-        return np.exp(pw) * np.real(joint_mgf_x(spec, u))
+            pw = (s - 1.0) * np.log(u) if s != 1 else 0.0
+        return np.exp(pw) * joint_mgf_x(spec, u)
 
-    if s < 1.0:
-        def head_f(sig):
-            sig = np.asarray(sig, dtype=float)
-            return np.real(joint_mgf_x(spec, sig ** (1.0 / s))) / s
+    return integrate_semi_infinite(
+        f, tol=tol, origin_power=(s - 1.0 if s < 1 else 0.0), scale=1.0,
+        max_evals=800_000)
 
-        p1 = integrate_interval(head_f, 1e-300, 1.0, tol=0.2 * tol)
-    else:
-        p1 = integrate_interval(f, 0.0, 1.0, tol=0.2 * tol)
-    u_cut = 2e4
 
-    def flog(v):
-        u = np.exp(np.asarray(v, dtype=float))
-        return f(u) * u
+def x_inverse_moment(spec: CombinerSpec, s: float, tol: float = 1e-9) -> float:
+    """E[X^-s] for 0 < s below the tail exponent.
 
-    p2 = integrate_interval(flog, 0.0, math.log(u_cut), tol=0.2 * tol)
-    # algebraic continuation beyond the cut, anchored on the actual MGF
-    # value and the local log-log slope (exact to first order for power
-    # tails, negligible for exponentially small remainders)
-    m_cut = float(np.real(joint_mgf_x(spec, u_cut)))
-    m_half = float(np.real(joint_mgf_x(spec, 0.5 * u_cut)))
-    if m_cut > 0 and m_half > 0:
-        d_loc = math.log(m_half / m_cut) / math.log(2.0)
-        d_loc = max(d_loc, s + 0.5)
-        tail_corr = m_cut * u_cut ** s / (d_loc - s)
-    else:
-        tail_corr = 0.0
-    return (float(p1.value) + float(p2.value) + tail_corr) / math.gamma(s)
+    On the law-ray route Re sum_k G_k z_k^-s over a grid deep enough for
+    the z^-s weight; on the panel route the Mellin integral
+    ``_mellin_mgf_x`` over Gamma(s).
+    """
+    if s <= 0:
+        raise DomainError("x_inverse_moment requires s > 0")
+    if s >= x_tail_exponent(spec):
+        raise DomainError("inverse moment diverges: s >= tail exponent")
+    if integral_route(spec) == "law-ray":
+        grid = _law_grid_for(spec, lambda u, x: -s * u)
+        return float(np.real(grid.g @ np.exp(-s * np.log(grid.x))))
+    return float(_mellin_mgf_x(spec, s, tol).value) / math.gamma(s)
 
 
 def x_fractional_moment(spec: CombinerSpec, s: float,
@@ -487,7 +472,7 @@ def x_fractional_moment(spec: CombinerSpec, s: float,
     eps = 1e-3
 
     def gres(u):
-        return (1.0 - float(np.real(joint_mgf_x(spec, u)))) / u - mean
+        return (1.0 - float(joint_mgf_x(spec, u))) / u - mean
 
     head = mean * eps ** (1.0 - s) / (1.0 - s)
     g1, g2 = gres(eps), gres(0.5 * eps)
@@ -501,7 +486,7 @@ def x_fractional_moment(spec: CombinerSpec, s: float,
         u = np.exp(np.asarray(v, dtype=float))
         with np.errstate(divide="ignore"):
             pw = -s * np.log(u)
-        return np.exp(pw) * (1.0 - np.real(joint_mgf_x(spec, u)))
+        return np.exp(pw) * (1.0 - joint_mgf_x(spec, u))
 
     u_hi = 1e8
     p2 = integrate_interval(flog, math.log(eps), math.log(u_hi),
@@ -608,21 +593,6 @@ def _log1p(w: np.ndarray) -> np.ndarray:
 # Truncated inverse moments of X
 # ---------------------------------------------------------------------------
 
-def _kernel_e(nu: float):
-    def kern(w):
-        return expint_iomega(nu, w)
-    return kern
-
-
-def _kernel_w(nu: float):
-    def kern(w):
-        w = np.asarray(w, dtype=float)
-        z = 1j * w
-        return np.exp(-(1.0 + nu) * np.log(z)) \
-            * lower_incomplete_gamma(1.0 + nu, z)
-    return kern
-
-
 def _parseval(spec: CombinerSpec, delta: float, kern, tol: float,
               sing_power: float | None = None,
               scale: float = 1.0) -> complex:
@@ -701,13 +671,12 @@ def x_truncated_moment(spec: CombinerSpec, delta: float, nu: float,
                           or _log_moduli(grid)[0][0] <= ln_delta))
         vals = np.imag(stieltjes_power(nus, grid.x / delta) @ grid.g)
         return float(vals[0] - vals[1:].sum()) / math.pi
-    make = _kernel_e if spec.q > 0 else _kernel_w
-    kerns = [make(float(n)) for n in nus]
-    if nu_sub is None:
-        kern = kerns[0]
-    else:
-        def kern(w):
-            return kerns[0](w) - kerns[1](w)
+    kernel = expint_iomega if spec.q > 0 else lower_kernel_iomega
+
+    def kern(w):
+        out = kernel(nu, w)
+        return out if nu_sub is None else out - kernel(nu_sub, w)
+
     sing = min(nus) - 1.0 if spec.q > 0 and min(nus) < 1.0 else None
     val = _parseval(spec, delta, kern, tol, sing_power=sing,
                     scale=1.0 if scale is None else math.pi * scale)

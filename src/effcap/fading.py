@@ -27,7 +27,7 @@ with R^p = c W^a:
 Closed forms are optional methods that return None where a model has
 none: ``closed_transform`` (Nakagami p in {2, -2}, and p = 1 on the real
 axis; alpha-eta-mu at p = alpha; the GSNM Mellin-Barnes contour on the
-real axis), ``closed_transform_deriv`` (Nakagami
+real axis for p > 0), ``closed_transform_deriv`` (Nakagami
 p in {2, -2}) and ``power_gamma`` (Nakagami p = 2, an exact Gamma law).
 Nakagami is the generalized gamma with beta = 2 and inherits its methods.
 
@@ -46,14 +46,16 @@ density of R^p off the real axis for the combiner's ray measure of a sum
 of branches, whose ray ``ray_rule`` narrows so that the branches share
 the cancellation budget.
 
-The moment generating function takes real arguments only and the
-characteristic function the imaginary axis.  MGFs and moments without a
-closed form use a Gauss rule with weight exp(-t^2) under W = t^2/lambda,
-which absorbs the density's exponential decay, and adaptive quadrature on
-the real axis deep in the tail, where that rule cannot reach.  The GSNM
-moment generating function is a one-dimensional Mellin-Barnes
+The moment generating function takes real arguments only, in real
+arithmetic, and the characteristic function the imaginary axis.  MGFs
+and moments without a closed form use a Gauss rule with weight exp(-t^2)
+under W = t^2/lambda, which absorbs the density's exponential decay, and
+adaptive quadrature on the real axis deep in the tail, where that rule
+cannot reach; a value outside [0, 1], NaN included, raises.  The GSNM
+moment generating function with p > 0 is a one-dimensional Mellin-Barnes
 contour integral with four gamma factors, evaluated on a cached uniform
-grid along the vertical contour.
+grid along the vertical contour; with p < 0 it is the Gauss rule mixed
+over the shadow components.
 
 All model values are immutable and hashable; evaluators are pure.
 """
@@ -124,8 +126,8 @@ class FadingModel:
         return _ONE_LOGW, _ONE_SCALE, self
 
     def closed_transform(self, p: float, s: np.ndarray):
-        """E[exp(-s R^p)] in closed form, or None, for a complex array s
-        on the real axis (s >= 0, the MGF) or on the imaginary axis
+        """E[exp(-s R^p)] in closed form, or None, for a real array
+        s >= 0 (the MGF) or a complex array on the imaginary axis
         (s = -i w, the CHF)."""
         return None
 
@@ -203,19 +205,19 @@ class Nakagami(_GammaPower):
         if p == 2.0:
             return np.exp(-m * np.log1p(s * omega / m))
         if p == 1.0:
-            if np.any(s.imag != 0.0):
+            if np.iscomplexobj(s):
                 return None
             scale = math.sqrt(omega / (2.0 * m))
             pref = (1.0 - m) * math.log(2.0) - sp.gammaln(m)
-            out = np.empty(s.shape, dtype=complex)
-            for i, sv in enumerate(s.real):
+            out = np.empty(s.shape)
+            for i, sv in enumerate(s):
                 mant, logscale = gaussian_laplace_moment_log(2.0 * m,
                                                              -sv * scale)
                 out[i] = mant * math.exp(min(pref + logscale, 705.0))
             return out
         if p != -2.0:
             return None
-        out = np.empty(s.shape, dtype=complex)
+        out = np.empty(s.shape, dtype=s.dtype)
         zero = s == 0
         out[zero] = 1.0
         sv = s[~zero]
@@ -226,10 +228,10 @@ class Nakagami(_GammaPower):
         else:
             # the Bessel-K pair overflows at large order; integrate the
             # inverse-gamma kernel directly (real arguments suffice there)
-            if np.any(np.abs(sv.imag) > 1e-12 * (1.0 + np.abs(sv.real))):
+            if np.iscomplexobj(sv):
                 raise MethodUnavailableError(
                     "complex inverse-power transform needs m <= 60")
-            out[~zero] = [_inv_gamma_laplace(m, m / omega, float(x.real), 0)
+            out[~zero] = [_inv_gamma_laplace(m, m / omega, float(x), 0)
                           for x in sv]
         return out
 
@@ -296,10 +298,10 @@ class Gsnm(FadingModel):
         return _gsnm_mixture(self)
 
     def closed_transform(self, p: float, s: np.ndarray):
-        """The Mellin-Barnes form of the MGF, for real s only."""
-        if np.any(s.imag != 0.0):
+        """The Mellin-Barnes form of the MGF, for real s and p > 0 only."""
+        if np.iscomplexobj(s) or p < 0:
             return None
-        return _gsnm_mgf_mb(self, p, s.real)
+        return _gsnm_mgf_mb(self, p, s)
 
     def origin(self):
         # f_R(r) ~ r^(beta m - 1) from the multipath and ~ r^(2 m_s - 1)
@@ -488,7 +490,7 @@ def _gauss_terms(logpdf, decay: float, n: int):
     rule = gauss_halfline_rule(n)
     t = rule.nodes
     w = t * t / decay
-    logc = (np.log(rule.weights) + t * t + np.real(logpdf(np.log(w)))
+    logc = (np.log(rule.weights) + t * t + logpdf(np.log(w))
             + np.log(2.0 * t / decay))
     return logc, w
 
@@ -513,7 +515,7 @@ def pdf_envelope(model: FadingModel, r):
     x = r[..., None] / scales
     w = (x / c) ** (1.0 / a)
     # f_R(r) = sum_k exp(logw_k) f_W(w) (dw/dx) / scale_k, dw/dx = w/(a x)
-    logf = (np.real(unit.power_logpdf(np.log(w))) + np.log(w / (a * x))
+    logf = (unit.power_logpdf(np.log(w)) + np.log(w / (a * x))
             + logw - np.log(scales))
     return np.exp(logf).sum(axis=-1)
 
@@ -524,23 +526,20 @@ def pdf_envelope(model: FadingModel, r):
 
 def _plain_transform(model: FadingModel, p: float, s, n: int):
     logc, r = _envelope_terms(model, n)
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
     ex = logc[None, :] - s[:, None] * (r ** p)[None, :]
     return np.exp(ex).sum(axis=1)
 
 
-def _quad_transform(model, p: float, s: complex, tol: float) -> complex:
+def _quad_transform(model, p: float, s: float, tol: float) -> float:
     """E[exp(-s R^p)] for real s >= 0 and p > 0 by adaptive quadrature in
-    the power variable w on the real axis.  The integrand stays complex:
-    real sums round differently (~1e-16) and would move every value on
-    this route."""
+    the power variable w on the real axis."""
     c, a, orig = model.power_map(p)
 
     def logmag(v):
-        wc = v.astype(complex)
         with np.errstate(divide="ignore"):
-            lg = model.power_logpdf(np.log(wc))
-        return np.real(lg - s * c * wc ** a)
+            lg = model.power_logpdf(np.log(v))
+        return lg - s * c * v ** a
 
     # Locate where the mass per log-interval peaks, then rescale the
     # variable so the feature is O(1) wide and O(1) tall; adaptive error
@@ -552,13 +551,13 @@ def _quad_transform(model, p: float, s: complex, tol: float) -> complex:
     peaklog = float(lm[k])
 
     def f(v):
-        wc = (w_peak * np.asarray(v, dtype=float)).astype(complex)
+        w = w_peak * np.asarray(v, dtype=float)
         with np.errstate(divide="ignore"):
-            lg = model.power_logpdf(np.log(wc))
-        return np.exp(lg - s * c * wc ** a - peaklog + math.log(w_peak))
+            lg = model.power_logpdf(np.log(w))
+        return np.exp(lg - s * c * w ** a - peaklog + math.log(w_peak))
 
     est = integrate_semi_infinite(f, tol=tol, origin_power=orig, scale=3.0)
-    return complex(est.value * math.exp(peaklog))
+    return float(est.value * math.exp(peaklog))
 
 
 def _inv_gamma_laplace(m: float, c: float, s: float, j: int) -> float:
@@ -723,9 +722,9 @@ def _ray_chf(model: FadingModel, p: float, a: np.ndarray) -> np.ndarray:
 
 
 def _mixture_mgf(model: FadingModel, p: float, s: np.ndarray, tol: float):
-    """E[exp(-s R^p)] for real s >= 0 (a complex array) without a closed
-    form: unit transforms mixed over the model's components, since scaling
-    the envelope by sigma scales the argument by sigma^p."""
+    """E[exp(-s R^p)] for a real array s >= 0 without a closed form:
+    unit transforms mixed over the model's components, since scaling the
+    envelope by sigma scales the argument by sigma^p."""
     logw, scales, unit = model.mixture()
     flat = (s[:, None] * scales[None, :] ** p).ravel()
     vals = _unit_mgf(unit, p, flat, tol).reshape(s.size, scales.size)
@@ -739,14 +738,14 @@ def _unit_mgf(model: FadingModel, p: float, s: np.ndarray, tol: float):
     if p > 0:
         c_sc, a_pow, orig = model.power_map(p)
         w_typ = 0.5 * (orig + 1.0)
-        deep = np.abs(s) * c_sc * w_typ ** a_pow > 18.0
+        deep = s * c_sc * w_typ ** a_pow > 18.0
     else:
         deep = np.zeros(s.shape, dtype=bool)
-    out = np.empty(s.shape, dtype=complex)
+    out = np.empty(s.shape)
     if not np.all(deep):
         out[~deep] = _plain_sum_escalating(model, p, s[~deep], tol)
     for i in np.nonzero(deep)[0]:
-        out[i] = _quad_transform(model, p, complex(s[i]), tol)
+        out[i] = _quad_transform(model, p, float(s[i]), tol)
     return out
 
 
@@ -762,7 +761,7 @@ def _plain_sum_escalating(model, p, s, tol):
     excess = np.abs(v2 - v3) - np.maximum(100 * tol * np.abs(v3), 5e-7)
     if np.all(excess <= 0):
         return v3
-    worst = complex(s[np.argmax(excess)])
+    worst = float(s[np.argmax(excess)])
     raise NumericError(
         f"fading transform quadrature did not converge for {model!r}, "
         f"p = {p}, worst at s = {worst:.6g}", best_estimate=v3)
@@ -783,16 +782,20 @@ def mgf_rp(model: FadingModel, p: float, u, tol: float = 1e-9):
     if np.iscomplexobj(uu) or np.any(uu < 0):
         raise DomainError("mgf_rp takes real u >= 0; chf_rp serves the "
                           "imaginary axis")
-    s = uu.astype(complex)
+    s = uu.astype(float)
     out = model.closed_transform(p, s)
     if out is None:
         out = _mixture_mgf(model, p, s, tol)
-    zero = uu == 0.0
-    outr = np.where(zero, 1.0, np.real(out))
-    # underflow to 0 in deep tails is legitimate; genuine sign errors
-    # are not
-    if np.any((outr < -1e-9) | (outr > 1.0 + 1e-9)):
-        raise NumericError("MGF left [0, 1]; quadrature failure")
+    outr = np.where(s == 0.0, 1.0, out)
+    # underflow to 0 in deep tails is legitimate; a sign error or a
+    # non-finite value is not
+    bad = ~((outr >= -1e-9) & (outr <= 1.0 + 1e-9))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericError(
+            f"branch MGF for {model!r}, p = {p}, at u = {s[i]:.6g} is "
+            f"{outr[i]:.6g}, outside [0, 1]: quadrature failure",
+            best_estimate=float(outr[i]))
     outr = np.clip(outr, 0.0, 1.0)
     return float(outr[0]) if scalar else outr
 
@@ -860,10 +863,6 @@ def _gsnm_contour(model: Gsnm, p: float):
     z and the constant C follow the contour form of the shadowed MGF,
     which exists for p > 0 only.
     """
-    if p < 0:
-        raise MethodUnavailableError(
-            f"no Mellin-Barnes MGF for {model!r} with p = {p}: the GSNM "
-            "contour form needs p > 0")
     m, beta, m_s, omega_s = model.m, model.beta, model.m_s, model.omega_s
     b = model.b
     sigma = -0.5 * min(m_s / p, m * beta / (2.0 * p))

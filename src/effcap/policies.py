@@ -21,7 +21,8 @@ the power constraint, the truncated moment
 E[(gamma/gamma0)^-lam; gamma >= gamma0] and the outage probability (or,
 for Gamma-sum combiners, the incomplete-MGF route, whose outage
 probability is the regularized incomplete gamma); CIFR needs one
-Mellin-type MGF integral (``route`` ``"mgf"``); TIFR needs the truncated
+Mellin-type MGF integral (``route`` ``"mgf"``), the one the panel route's
+inverse moments take (``combiner._mellin_mgf_x``); TIFR needs the truncated
 moment E[1/gamma; gamma >= gamma0] plus the outage factor.
 
 OPRA and TIFR ask ``combiner`` for the CDF (``cdf_x_gil_pelaez``), the
@@ -67,6 +68,7 @@ from .combiner import (
     x_ora_mean,
     x_truncated_moment,
     _gamma_sum_params,
+    _mellin_mgf_x,
 )
 from .errors import (
     DomainError,
@@ -193,7 +195,7 @@ _ORA_PAIRINGS = {1.0: "laguerre", 2.0: "hankel", -1.0: "kummer"}
 # may return
 _HANKEL_REL_ERR = 1e-4
 # a real argument at which a branch's closed transform is looked for
-_PROBE_S = np.ones(1, dtype=complex)
+_PROBE_S = np.ones(1)
 
 
 def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
@@ -206,7 +208,7 @@ def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
     k = spec.k
     if spec.q == 1:
         def f(u):
-            return kernel_cq(1, a_eff, u) * np.real(joint_mgf_x(spec, k * u))
+            return kernel_cq(1, a_eff, u) * joint_mgf_x(spec, k * u)
 
         scale0 = _probe_scale(f, max(a_eff, 1.0))
 
@@ -242,7 +244,7 @@ def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
         rk = math.sqrt(k)
 
         def g(u):
-            return np.real(joint_mgf_x(spec, rk * u))
+            return joint_mgf_x(spec, rk * u)
 
         def cg(u):
             return kernel_cq(2, a_exp=a_eff, u=u) * g(u)
@@ -333,7 +335,7 @@ def ec_ora(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
     diag["route"] = route
     if clamped:
         diag["a_clamped"] = True
-    return _finish("ora", "mgf", spec, qos, float(np.real(val)), a_eff, div,
+    return _finish("ora", "mgf", spec, qos, float(val), a_eff, div,
                    diag=diag)
 
 
@@ -555,7 +557,7 @@ def ec_opra_mgf(spec: CombinerSpec, qos: QosSpec,
         est = integrate_semi_infinite(
             f, tol=tol, origin_power=(lq - 1.0 if lq < 1 else 0.0),
             scale=1.0)
-        ln_j = math.log(float(np.real(est.value)) * ref) \
+        ln_j = math.log(float(est.value) * ref) \
             + lq * math.log(delta)
         jterm = math.exp(ln_j) if ln_j > -700.0 else 0.0
         return jterm + float(sp.gammainc(shape, delta / scale))
@@ -580,16 +582,8 @@ def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
                             diagnostics={"flag": "divergent-inverse-moment",
                                          "route": "mgf"})
 
-        def f(u):
-            u = np.asarray(u, dtype=float)
-            with np.errstate(divide="ignore"):
-                pw = (q - 1.0) * np.log(u) if q != 1 else 0.0
-            return np.exp(pw) * np.real(joint_mgf_x(spec, u))
-
-        est = integrate_semi_infinite(
-            f, tol=tol, origin_power=(q - 1.0 if q < 1 else 0.0), scale=1.0,
-            max_evals=800_000)
-        inv_mean = float(np.real(est.value)) / (k * math.gamma(q))
+        est = _mellin_mgf_x(spec, q, tol)
+        inv_mean = float(est.value) / (k * math.gamma(q))
         diag = {"err_estimate": est.error_estimate, "route": "mgf"}
     elif q == -1.0:
         inv_mean = x_mean(spec) / k

@@ -9,7 +9,7 @@ Six pieces of machinery shared by every analytic path in the package:
 * an adaptive Gauss-Kronrod integrator for finite and semi-infinite ranges;
 * a Bessel-zero partitioned integrator for Hankel-type oscillatory
   integrals, with the partial sums accelerated by the epsilon algorithm;
-* Wynn's epsilon (Shanks) table itself;
+* Wynn's epsilon (Shanks) table itself, one numpy column at a time;
 * trapezoid rules in ln|x| along a ray in the upper half plane, built out
   from their peak until their weights fall exp(-RAY_LOGTOL) below it,
   which carry the characteristic-function grids of the fading models and
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -39,7 +39,7 @@ from .errors import DomainError, NumericError
 __all__ = [
     "GaussRule",
     "IntegralEstimate",
-    "EpsilonTable",
+    "epsilon_limit",
     "gauss_halfline_rule",
     "integrate_interval",
     "integrate_semi_infinite",
@@ -91,48 +91,31 @@ def gauss_halfline_rule(n_t: int) -> GaussRule:
 # Epsilon (Shanks) acceleration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EpsilonTable:
-    """Wynn epsilon table over a sequence of partial sums.
+def epsilon_limit(sums: Sequence) -> float | complex:
+    """The limit of a sequence of partial sums by Wynn's epsilon table
+    (Wynn, 1956), real or complex.
 
-    Column r = -1 is identically zero, column r = 0 holds the partial sums;
-    only even columns approximate the limit. ``estimates`` collects the
-    newest entry of each even column, shallow to deep.
+    Column -1 is identically zero and column 0 holds the sums; column
+    r + 1 is column r - 1 plus the reciprocal differences of column r.
+    Only even columns approximate the limit, and the newest entry of the
+    deepest one is returned.  A difference below 1e-16 of the largest sum
+    means the table has converged: the entry after it is returned.
     """
-
-    sums: Sequence[float]
-    estimates: list = field(default_factory=list)
-    converged_early: bool = False
-
-    def __post_init__(self):
-        s = list(self.sums)  # float or complex entries
-        if len(s) < 3:
-            raise DomainError("need at least 3 partial sums to accelerate")
-        scale = max(abs(x) for x in s) or 1.0
-        tiny = 1e-305
-        zero = 0.0 * s[0]
-        prev = [zero] * (len(s) + 1)  # column r-1
-        cur = s[:]                    # column r
-        self.estimates = [cur[-1]]
-        r = 0
-        while len(cur) >= 2:
-            nxt = []
-            for k in range(len(cur) - 1):
-                diff = cur[k + 1] - cur[k]
-                if abs(diff) < tiny or abs(diff) < 1e-16 * abs(scale):
-                    # Denominator underflow: the lozenge has converged.
-                    self.converged_early = True
-                    self.estimates.append(cur[k + 1])
-                    return
-                nxt.append(prev[k + 1] + 1.0 / diff)
-            prev, cur = cur, nxt
-            r += 1
-            if r % 2 == 0 and cur:
-                self.estimates.append(cur[-1])
-
-    @property
-    def best(self) -> float:
-        return self.estimates[-1]
+    cur = np.asarray(sums)
+    if cur.size < 3:
+        raise DomainError("need at least 3 partial sums to accelerate")
+    tiny = 1e-16 * (float(np.abs(cur).max()) or 1.0)
+    prev = np.zeros(cur.size + 1, dtype=cur.dtype)
+    best = cur[-1]
+    for r in range(1, cur.size):
+        diff = cur[1:] - cur[:-1]
+        small = (np.abs(diff) < 1e-305) | (np.abs(diff) < tiny)
+        if small.any():
+            return cur[int(np.argmax(small)) + 1]
+        prev, cur = cur, prev[1:cur.size] + 1.0 / diff
+        if r % 2 == 0:
+            best = cur[-1]
+    return best
 
 
 def integrate_alternating(
@@ -160,8 +143,7 @@ def integrate_alternating(
         n += batch
         if len(sums) < 3:
             continue
-        table = EpsilonTable(sums[-min(len(sums), 40):])
-        est = table.best
+        est = epsilon_limit(sums[-40:])
         if last is not None and abs(est - last) < tol * max(1.0, abs(est)):
             return est, n, abs(est - last)
         # A vanished tail means the raw sums themselves have converged.

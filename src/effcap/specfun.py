@@ -4,12 +4,14 @@ scipy.special supplies the standard real-argument cases (gamma, Bessel,
 confluent hypergeometric), called directly where they are needed.  The
 pieces scipy does not cover are implemented here with controlled accuracy:
 
-* the lower incomplete gamma function of a complex argument (series /
-  continued fraction / the imaginary-axis exponential integral below),
-* the generalized exponential integral E_nu(i w) of real order on the
-  imaginary axis, where Gauss-Laguerre quadrature runs along the
-  steepest-descent ray t = 1 - i s, on which the integrand decays as e^-s
-  (Gil, Segura & Temme, Numerical Methods for Special Functions, 2007),
+* the two Parseval kernels of the truncated moments on the imaginary
+  axis: the generalized exponential integral E_nu(i w) =
+  int_1^inf t^-nu e^(-i w t) dt of real order, and its lower counterpart
+  int_0^1 t^nu e^(-i w t) dt = (i w)^-(1+nu) gamma(1+nu, i w).  Both take
+  a power series at small |w|; beyond it Gauss-Laguerre quadrature runs
+  along the steepest-descent ray t = 1 - i s, on which the integrand
+  decays as e^-s (Gil, Segura & Temme, Numerical Methods for Special
+  Functions, 2007),
 * the Gaussian-Laplace moment G(nu, w) = int t^(nu-1) exp(-t^2/2 + w t) dt,
   the integral behind the parabolic cylinder function D_-nu, at real
   w <= 0,
@@ -33,96 +35,13 @@ from .errors import DomainError, NumericError
 from .quadrature import brentq, integrate_interval, integrate_semi_infinite
 
 __all__ = [
-    "lower_incomplete_gamma",
     "expint_iomega",
+    "lower_kernel_iomega",
     "kummer_1f1",
     "gaussian_laplace_moment_log",
     "bessel_j_zeros",
     "stieltjes_power",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Incomplete gamma with complex argument
-# ---------------------------------------------------------------------------
-
-def _lower_series(a: float, z: np.ndarray, tol: float) -> np.ndarray:
-    """gamma(a,z) = z^a e^-z sum_n z^n / (a (a+1) ... (a+n)), |z| <~ a+1."""
-    z = np.asarray(z, dtype=complex)
-    term = np.full(z.shape, 1.0 / a, dtype=complex)
-    acc = term.copy()
-    for n in range(1, 600):
-        term = term * z / (a + n)
-        acc += term
-        if np.all(np.abs(term) <= tol * np.abs(acc) + 1e-300):
-            break
-    else:
-        raise NumericError("incomplete gamma series did not converge")
-    return np.exp(a * np.log(z) - z) * acc
-
-
-def _upper_cf(a: float, z: complex, tol: float) -> complex:
-    """Continued fraction for Gamma(a,z), Re z > 0 (modified Lentz)."""
-    tiny = 1e-300
-    b = z + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, 2000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            return np.exp(-z + a * np.log(z)) * h
-    raise NumericError("incomplete gamma continued fraction did not converge")
-
-
-def lower_incomplete_gamma(a: float, z, tol: float = 1e-12):
-    """Lower incomplete gamma gamma(a, z) for a > 0 and complex z.
-
-    Series for |z| <= a + 1 (and on the imaginary axis for |z| < 4);
-    beyond that the continued fraction for Re z > 0, and on the imaginary
-    axis Gamma(a, i w) = (i w)^a E_{1-a}(i w) from the Gauss-Laguerre ray.
-    Other z with Re z < 0 beyond the series region raise DomainError.
-    """
-    if a <= 0:
-        raise DomainError("lower_incomplete_gamma requires a > 0")
-    scalar = np.isscalar(z) or (hasattr(z, "ndim") and z.ndim == 0)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(zz)
-    ga = sp.gamma(a)
-
-    zero = zz == 0
-    imag = zz.real == 0
-    small = ((np.abs(zz) <= a + 1.0) | (imag & (np.abs(zz) < _RAY_MIN))) \
-        & ~zero
-    big = ~small & ~zero
-    if np.any(big & (zz.real < 0)):
-        raise DomainError("incomplete gamma beyond the series region needs "
-                          "Re z > 0 or Re z = 0 (the negative real axis is "
-                          "its branch cut)")
-    out[zero] = 0.0
-    if np.any(small):
-        out[small] = _lower_series(a, zz[small], tol)
-    for i in np.nonzero(big & ~imag)[0]:
-        out[i] = ga - _upper_cf(a, complex(zz[i]), tol)
-    ray = big & imag
-    if np.any(ray):
-        w = zz[ray].imag
-        aw = np.abs(w)
-        up = np.exp(a * np.log(1j * aw)) * _expint_ray(1.0 - a, aw)
-        out[ray] = ga - np.where(w < 0, np.conj(up), up)
-    if np.any(np.isnan(out)):
-        raise NumericError("incomplete gamma produced NaN")
-    return complex(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +81,11 @@ def _expint_series(nu: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-# E_nu(i w) and gamma(a, i w) take their series below this |w| and the
-# Gauss-Laguerre ray at and above it (gamma keeps its series up to |z| = a + 1
-# when that is larger).
+# E_nu(i w) and the lower kernel take their series below this |w| and the
+# Gauss-Laguerre ray at and above it
 _RAY_MIN = 4.0
+# terms of the lower kernel's series: 4^48 / 48! < 1e-32
+_LOWER_TERMS = np.arange(48.0)
 
 
 @lru_cache(maxsize=None)
@@ -214,6 +134,36 @@ def expint_iomega(nu: float, omega) -> np.ndarray:
         out[small] = _expint_series(nu, 1j * a[small])
     if np.any(~small):
         out[~small] = _expint_ray(nu, a[~small])
+    out[neg] = np.conj(out[neg])
+    return out
+
+
+def lower_kernel_iomega(nu: float, omega) -> np.ndarray:
+    """Vectorized int_0^1 t^nu exp(-i w t) dt = (i w)^-(1+nu) gamma(1+nu, i w)
+    for real omega, nu > -1; Hermitian in omega.
+
+    Below |w| = _RAY_MIN the power series sum_k (-i w)^k / (k! (k+1+nu));
+    at and above it the complement of E_-nu(i w) = int_1^inf t^nu
+    exp(-i w t) dt in Gamma(1+nu) (i w)^-(1+nu), from the Gauss-Laguerre ray.
+    """
+    if nu <= -1:
+        raise DomainError("the lower kernel requires nu > -1")
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    out = np.empty(om.shape, dtype=complex)
+    a = np.abs(om)
+    small = a < _RAY_MIN
+    if np.any(small):
+        # (-i w)^k / k! as a running product of the ratios -i w / k
+        ratio = -1j * a[small, None] / np.maximum(_LOWER_TERMS, 1.0)
+        ratio[:, 0] = 1.0
+        coefs = 1.0 / (_LOWER_TERMS + 1.0 + nu)
+        out[small] = np.cumprod(ratio, axis=1) @ coefs
+    if np.any(~small):
+        ab = a[~small]
+        out[~small] = sp.gamma(1.0 + nu) \
+            * np.exp(-(1.0 + nu) * (np.log(ab) + 0.5j * math.pi)) \
+            - _expint_ray(-nu, ab)
+    neg = om < 0
     out[neg] = np.conj(out[neg])
     return out
 
@@ -286,15 +236,12 @@ def gaussian_laplace_moment_log(nu: float, w: float, tol: float = 1e-10):
     else:
         speak = s_char
     peaklog = (nu - 1.0) * math.log(speak) - 0.5 * speak ** 2 + w * speak
-    # complex integrand: real sums round differently (~1e-16) and would
-    # move every value of the Nakagami p = 1 transform
-    wc = complex(w)
 
     def f(s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore"):
             logmag = (nu - 1.0) * np.log(s) - peaklog
-        return np.exp(logmag - 0.5 * s * s + wc * s)
+        return np.exp(logmag - 0.5 * s * s + w * s)
 
     sigma = 1.0 / math.sqrt(1.0 + max(nu - 1.0, 0.0) / speak ** 2)
     if speak / sigma > 8.0:

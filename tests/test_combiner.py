@@ -338,3 +338,25 @@ class TestLawRay:
         assert cdf_x_gil_pelaez(spec, 2.1) > 1.0 - 1e-9
         assert x_truncated_moment(spec, 1.0, 1.5) == pytest.approx(
             2.0 ** -1.5, rel=1e-4)
+
+
+class TestPanelInverseMoment:
+    """E[X^-s] for L >= 3 from the Mellin integral that CIFR shares."""
+
+    @pytest.mark.parametrize("L", [3, 4])
+    @pytest.mark.parametrize("m", [0.6, 1.5])
+    @pytest.mark.parametrize("s", [0.3, 0.9, 1.0])
+    def test_gamma_sum_inverse_moment(self, L, m, s):
+        # X ~ Gamma(L m, 1/m): E[X^-s] = m^s Gamma(L m - s) / Gamma(L m)
+        spec = CombinerSpec.mrc([Nakagami(m)] * L, 1.0)
+        assert integral_route(spec) == "panels"
+        want = m ** s * math.exp(sp.gammaln(L * m - s) - sp.gammaln(L * m))
+        assert x_inverse_moment(spec, s) == pytest.approx(want, rel=1e-9)
+
+    def test_cifr_shares_the_integral(self):
+        from effcap.policies import QosSpec, ec_cifr
+
+        spec = CombinerSpec.egc([Nakagami(1.5)] * 3, 2.0)
+        got = ec_cifr(spec, QosSpec(1e-2), tol=1e-9).value
+        want = math.log2(1.0 + spec.k / x_inverse_moment(spec, 2.0, 1e-9))
+        assert got == pytest.approx(want, rel=1e-14)

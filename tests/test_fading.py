@@ -6,7 +6,6 @@ import pytest
 
 from effcap.errors import (
     DomainError,
-    MethodUnavailableError,
     NumericError,
     ParameterError,
     UnsupportedModelError,
@@ -307,14 +306,24 @@ class TestGsnmTransform:
         for p in (1.0, 2.0):
             for u in (0.1, 1.0, 10.0, 100.0):
                 mb = mgf_rp(g, p, u)
-                comp = float(np.real(_mixture_mgf(
-                    g, p, np.array([u + 0j]), 1e-9)[0]))
+                comp = float(_mixture_mgf(g, p, np.array([u]), 1e-9)[0])
                 assert mb == pytest.approx(comp, rel=3e-6)
 
-    def test_negative_power_refused(self):
-        g = Gsnm(2.4, 2.35, 3.6, 1.0)
-        with pytest.raises(MethodUnavailableError, match=r"Gsnm\(.*p = -2"):
-            mgf_rp(g, -2.0, 0.5)
+    @pytest.mark.parametrize("g", [Gsnm(2.0, 2.5, 1.5, 1.0),
+                                   Gsnm(2.4, 2.35, 3.6, 1.0)])
+    def test_negative_power_mixture_rule(self, g):
+        # p < 0 has no contour form: the Gauss rule mixed over the shadow
+        # components, against 4e6 draws of exp(-u R^-2)
+        u = np.array([0.05, 0.5, 2.0])
+        got = mgf_rp(g, -2.0, u)
+        rng = np.random.default_rng(11)
+        n, tot, sq = 4 * 10 ** 6, 0.0, 0.0
+        for _ in range(4):  # in chunks, to bound the draws held at once
+            z = np.exp(-np.outer(g.sample(rng, n // 4) ** -2.0, u))
+            tot, sq = tot + z.sum(axis=0), sq + (z * z).sum(axis=0)
+        mean = tot / n
+        se = np.sqrt((sq / n - mean * mean) / n)
+        assert np.all(np.abs(mean - got) < 2.0 * se)
 
     def test_reduces_to_gg_for_weak_shadowing(self):
         g = Gsnm(2.0, 1.5, 1e4, 1.0)
@@ -480,6 +489,19 @@ class TestErrorContext:
         msg = str(info.value)
         assert repr(model) in msg and "p = 2.0" in msg and "0.01" in msg
         assert info.value.best_estimate is not None
+
+    # the tail quadrature overflows on the way to NaN
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model, u", [
+        (GeneralizedGamma(0.8, 1.5), 1e14),
+        (AlphaKappaMu(2.0, 0.0, 0.8), 1e10),
+        (AlphaEtaMu(2.5, 3.0, 1.2), 1e10),
+    ])
+    def test_non_finite_transform_refused(self, model, u):
+        with pytest.raises(NumericError) as info:
+            mgf_rp(model, 1.0, u)
+        msg = str(info.value)
+        assert repr(model) in msg and "p = 1.0" in msg and f"{u:.6g}" in msg
 
     def test_chf_grid_failure_names_model(self):
         # sp.ive underflows in this alpha-eta-mu density (mu = 300, eta

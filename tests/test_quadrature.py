@@ -5,8 +5,8 @@ import pytest
 
 from effcap.errors import DomainError, NumericError
 from effcap.quadrature import (
-    EpsilonTable,
     brentq,
+    epsilon_limit,
     gauss_halfline_rule,
     integrate_hankel_partitioned,
     integrate_interval,
@@ -48,39 +48,63 @@ class TestGaussHalfline:
             gauss_halfline_rule(9)  # not in the embedded tables
 
 
-def _accelerate(sums):
-    return EpsilonTable(sums).best
-
-
 class TestEpsilon:
     def test_alternating_harmonic(self):
         sums = np.cumsum([(-1) ** (k + 1) / k for k in range(1, 16)])
-        assert _accelerate(sums) == pytest.approx(math.log(2), abs=1e-9)
+        assert epsilon_limit(sums) == pytest.approx(math.log(2), abs=1e-9)
 
     def test_leibniz(self):
         sums = np.cumsum([(-1) ** k / (2 * k + 1) for k in range(15)])
-        assert _accelerate(sums) == pytest.approx(math.pi / 4, abs=1e-8)
+        assert epsilon_limit(sums) == pytest.approx(math.pi / 4, abs=1e-8)
 
     def test_constant_sequence(self):
-        assert _accelerate([3.5, 3.5, 3.5]) == 3.5
+        assert epsilon_limit([3.5, 3.5, 3.5]) == 3.5
 
     def test_geometric_tail_machine_accuracy(self):
         # s_k = L - 0.7^k reaches the limit with <= 12 terms
         lim = 2.0
         sums = [lim - 0.7 ** k for k in range(1, 13)]
-        assert _accelerate(sums) == pytest.approx(lim, abs=1e-12)
+        assert epsilon_limit(sums) == pytest.approx(lim, abs=1e-12)
 
     def test_requires_three_sums(self):
         with pytest.raises(DomainError):
-            _accelerate([1.0, 2.0])
+            epsilon_limit([1.0, 2.0])
 
-    def test_table_layout(self):
-        table = EpsilonTable(np.cumsum([(-1) ** k / (2 * k + 1)
-                                        for k in range(9)]))
-        # the first estimate is the last raw partial sum; the others come
-        # from even columns
-        assert table.estimates[0] == pytest.approx(table.sums[-1])
-        assert len(table.estimates) >= 2
+    def test_matches_the_loop_table(self):
+        # element-by-element reference: the same arithmetic for real sums;
+        # complex division rounds differently in numpy (Smith's method with
+        # a reciprocal), and the table amplifies that
+        def loop_limit(s):
+            scale = max(abs(x) for x in s) or 1.0
+            prev, cur, best, r = [0.0 * s[0]] * (len(s) + 1), list(s), s[-1], 0
+            while len(cur) >= 2:
+                nxt = []
+                for k in range(len(cur) - 1):
+                    diff = cur[k + 1] - cur[k]
+                    if abs(diff) < 1e-305 or abs(diff) < 1e-16 * scale:
+                        return cur[k + 1]
+                    nxt.append(prev[k + 1] + 1.0 / diff)
+                prev, cur, r = cur, nxt, r + 1
+                if r % 2 == 0:
+                    best = cur[-1]
+            return best
+
+        rng = np.random.default_rng(3)
+        for n in (3, 4, 9, 24, 40):
+            terms = rng.standard_normal(n) * (-0.8) ** np.arange(n)
+            sums = list(np.cumsum(terms))
+            assert epsilon_limit(sums) == loop_limit(sums)
+            stalled = sums[:3] + [sums[2]] * (n - 3)
+            assert epsilon_limit(stalled) == loop_limit(stalled)
+            csums = [complex(x, 0.5 * x * x) for x in sums]
+            assert epsilon_limit(csums) == pytest.approx(loop_limit(csums),
+                                                         rel=1e-10)
+
+    def test_complex_sums(self):
+        # the Parseval panels accelerate real and imaginary parts jointly
+        terms = [(-1) ** (k + 1) * (1.0 + 2.0j) / k for k in range(1, 16)]
+        assert epsilon_limit(list(np.cumsum(terms))) == pytest.approx(
+            (1.0 + 2.0j) * math.log(2), abs=1e-9)
 
 
 class TestSemiInfinite:
