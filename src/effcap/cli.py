@@ -255,7 +255,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1):
                 "policy": policy, "method": res.method, "snr_db": snr_db,
                 "theta": theta, "A": a_exp, "ec_bits_s_hz": res.value,
                 "gamma0": res.cutoff_gamma0,
-                "err_estimate": res.diagnostics.get("err_estimate", 0.0),
+                # None (empty in the CSV) where the route reports none
+                "err_estimate": res.diagnostics.get("err_estimate"),
                 "status": str(res.diagnostics.get("flag", "ok")),
             })
         else:

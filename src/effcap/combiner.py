@@ -10,39 +10,44 @@ SNR map itself.
 
 Two routes serve the Gil-Pelaez CDF, the inverse moments E[X^-s] and the
 truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
-``integral_route`` picks one from L and the sign of p alone.
+``integral_route`` picks one from the sign of p alone.
 
-* ``"law-ray"`` (p > 0, L <= 2).  X gets its own ray measure: complex
+* ``"law-ray"`` (p > 0, any L).  X gets its own ray measure: complex
   nodes z_k on one ray in the upper half plane and weights G_k with
   Phi_X(w) = sum_k G_k exp(i w z_k) for w > 0 (Trefethen & Weideman, SIAM
-  Rev. 56, 2014).  For L = 1 it is the branch's own CHF ray grid; for
-  L = 2 its density is the convolution continued along the ray,
+  Rev. 56, 2014).  For L = 1 it is the branch's own CHF ray grid.  For
+  L >= 2 the branches share one ray, and its cancellation budget, and the
+  density of a sum is the convolution continued along the ray,
   f_X(z) = z int_0^1 f_1(sz) f_2((1-s)z) ds, by a sinh-mapped trapezoid
   rule in ln(s/(1-s)) centred on the integrand's peak (a double
-  exponential rule, Takahasi & Mori, Publ. RIMS 9, 1974).  The measure
-  depends on (branches, p) only and is cached, so a sweep over SNR and
-  theta reuses it.  Swapping the finite sum with the frequency integral
-  turns every Gil-Pelaez and Parseval integral into a closed-form node
-  sum: F(delta) = (1/pi) Im sum G_k Log(1 - delta/z_k) by Frullani's
-  identity, E[X^-s] = Re sum G_k z_k^-s, and the truncated moment is
-  (1/pi) Im sum G_k J_nu(z_k/delta) with J_nu the power Stieltjes
-  transform.  The ORA expectation is the node sum
+  exponential rule, Takahasi & Mori, Publ. RIMS 9, 1974).  The sum of L
+  branches adds the sum of its first L // 2 and the sum of the rest; a
+  partial sum of two or more branches has its own grid, on a finer step,
+  and its density off that grid comes from windowed sinc interpolation
+  (Stenger, *Numerical Methods Based on Sinc and Analytic Functions*,
+  1993).  The measure depends on (branches, p) only and is cached, so a
+  sweep over SNR and theta reuses it.  Swapping the finite sum with the
+  frequency integral turns every Gil-Pelaez and Parseval integral into a
+  closed-form node sum: F(delta) = (1/pi) Im sum G_k Log(1 - delta/z_k) by
+  Frullani's identity, E[X^-s] = Re sum G_k z_k^-s, and the truncated
+  moment is (1/pi) Im sum G_k J_nu(z_k/delta) with J_nu the power
+  Stieltjes transform.  The ORA expectation is the node sum
   E[(1 + k X^q)^-A] = Re sum G_k (1 + k z_k^q)^-A, on a narrower ray
   (the measure is also cached per angle) when A is large.  ``tol`` does
   not enter.
-* ``"panels"`` (AF, p < 0, and L >= 3).  The Gil-Pelaez and Parseval
-  integrals over w are summed panel by panel between phase zeros and
-  epsilon accelerated to ``tol``; the Parseval kernels are E_nu(i w)
-  (q > 0) and int_0^1 t^nu exp(-i w t) dt (q < 0) from ``specfun``.
-  E[X^-s] is the Mellin integral int u^(s-1) M_X(u) du / Gamma(s), the
-  one CIFR takes E[1/gamma] from (``_mellin_mgf_x``).
+* ``"panels"`` (p < 0: AF).  The Gil-Pelaez and Parseval integrals over w
+  are summed panel by panel between phase zeros and epsilon accelerated
+  to ``tol``; the Parseval kernel is int_0^1 t^nu exp(-i w t) dt from
+  ``specfun``.  E[X^-s] is the Mellin integral
+  int u^(s-1) M_X(u) du / Gamma(s), the one CIFR takes E[1/gamma] from
+  (``_mellin_mgf_x``) for every p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +75,7 @@ from .quadrature import (
     integrate_interval,
     integrate_semi_infinite,
 )
-from .specfun import expint_iomega, lower_kernel_iomega, stieltjes_power
+from .specfun import lower_kernel_iomega, stieltjes_power
 
 __all__ = [
     "CombinerSpec",
@@ -95,7 +100,8 @@ class CombinerSpec:
     Presets: MRC (2, 1, 1), AF (-2, -1, 1) and EGC (1, 2) with K defaulting
     to 1/L, the normalization that makes the output SNR the standard
     coherent EGC value; K = 1/sqrt(L) reproduces the alternative printed
-    convention and can be set explicitly.
+    convention and can be set explicitly.  p and q share their sign, as
+    q = 2/p does in the L_p-norm family.
     """
 
     p: float
@@ -107,6 +113,10 @@ class CombinerSpec:
     def __post_init__(self):
         if self.p == 0 or self.q == 0:
             raise ParameterError("p and q must be nonzero")
+        if (self.p > 0) != (self.q > 0):
+            raise ParameterError(
+                f"p = {self.p:g} and q = {self.q:g} differ in sign; the "
+                "L_p-norm family has q = 2/p")
         if self.K <= 0:
             raise ParameterError("K must be positive")
         if self.snr_per_symbol <= 0:
@@ -202,19 +212,33 @@ def mgf_x_derivative(spec: CombinerSpec, u, tol: float = 1e-9):
 
 
 # ---------------------------------------------------------------------------
-# The ray measure of X (p > 0, L <= 2)
+# The ray measure of X (p > 0)
 # ---------------------------------------------------------------------------
 
 def integral_route(spec: CombinerSpec) -> str:
     """How the CDF and the (truncated) inverse moments of X are evaluated:
-    ``"law-ray"`` node sums for p > 0 and L <= 2, else ``"panels"``."""
-    return "law-ray" if spec.p > 0 and spec.L <= 2 else "panels"
+    ``"law-ray"`` node sums for p > 0, else ``"panels"``."""
+    return "law-ray" if spec.p > 0 else "panels"
 
 
 # inner-rule evaluations (nodes x mixture components) per work array
 _SUM_BLOCK = 1 << 14
 # deepest level a law grid is extended to for a moment (decades of |z|)
 _MAX_LEVEL = 40
+# a partial sum of two or more branches, a summand of a larger sum, is
+# sampled on a step this many times finer than the law's own: its samples
+# then resolve the strip of analyticity the step is sized for twice over,
+# which a short sinc interpolation needs
+_PART_REFINE = 4
+# taps on either side of a sinc interpolation point, and the variance, in
+# squared steps, of the Gaussian window that makes so few of them enough:
+# at twice the resolution the error is about exp(-pi taps / 4)
+_SINC_TAPS = 44
+_SINC_VAR = 2.0 * _SINC_TAPS / math.pi
+_SINC_OFFSETS = np.arange(-_SINC_TAPS, _SINC_TAPS + 1, dtype=float)
+_SINC_SIGNS = np.where(_SINC_OFFSETS % 2 == 0, 1.0, -1.0)
+# interpolation points per work array
+_SINC_BLOCK = 2048
 
 
 def _log_var(rule) -> float:
@@ -227,41 +251,84 @@ def _log_var(rule) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class _Part:
+    """One summand of a sum on the ray: ``logpdf(lnx)`` is its ln f at
+    x = exp(lnx), ``u0`` ln of a typical value, ``var`` Var ln X, ``slope``
+    the rate at which x f(x) falls as ln x -> -inf, ``width`` the
+    evaluations one point costs, and ``margin`` how far, in widths of the
+    inner peak, the inner rule reaches past this summand's tail."""
+
+    logpdf: object
+    u0: float
+    var: float
+    slope: float
+    width: int
+    margin: float
+
+
+@lru_cache(maxsize=256)
+def _branch_part(model: FadingModel, p: float) -> _Part:
+    rule = ray_rule(model, p)
+    return _Part(partial(logpdf_rp, model, p), rule.u0, _log_var(rule),
+                 rule.slope, rule.logw.size, 30.0)
+
+
+def _partial_sum(branches: tuple, p: float, phi: float) -> _Part:
+    """The sum over two or more ``branches`` as a summand of a larger sum
+    on the ray at angle ``phi``.  Its density comes from its own grid
+    (``_part_grid``) by ``_sinc_logpdf``; its typical value and log
+    variance from a log-normal match of its branches (Fenton & Wilkinson,
+    Bell Syst. Tech. J. 39, 1960).
+
+    Its margin is 10 peak widths: the inner terms past them add nothing
+    (sums of GSNM, Nakagami, alpha-kappa-mu and mixed branches weigh the
+    same to 1e-15 as with 30, to level 8), but the 20 widths more would
+    deepen its grid, whose samples cost an inner rule each, by 4 to 10
+    decades.
+    """
+    parts = [_branch_part(b, p) for b in branches]
+    means = np.exp([q.u0 for q in parts])
+    spread = sum(math.expm1(q.var) * m * m for q, m in zip(parts, means))
+    return _Part(partial(_sinc_logpdf, branches, p, phi),
+                 math.log(means.sum()), math.log1p(spread / means.sum() ** 2),
+                 sum(q.slope for q in parts), 1, 10.0)
+
+
+@dataclass(frozen=True, eq=False)
 class _SumRule:
-    """Ray rule of X = X_1 + X_2, X_l = R_l^p, p > 0.
+    """Ray rule of X = X_1 + X_2 for two independent summands on one ray.
 
     Node k sits at z_k = exp(u0 + k h + i phi), on a ray no wider than
-    either branch's with the two sharing the cancellation budget, and
-    weighs G_k = h int g_1(s z_k) g_2((1-s) z_k) dtau with g_l(x) = x
-    f_l(x) and tau = ln(s/(1-s)): the convolution continued along the
-    ray.  The inner integrand decays like e^(d_1 tau) and e^(-d_2 tau)
-    (d_l the branch slopes) and, for concentrated branches, peaks with
-    width sig_c = (v_1^-1 + v_2^-1)^(-1/2) (v_l = Var ln X_l) where a
-    log-normal match of the two branches puts it, at tau_c(|z_k|).  The
-    map tau = tau_c + A sinh(xi), A = 2 max(sig_c, phi), turns the tails
-    into double-exponential decay, and the trapezoid step h / A in xi
-    keeps the spacing near h over the peak, the step the analytic strip
-    of the rays allows.  Identical branches have tau_c = 0 and a
+    either summand's with all the branches sharing the cancellation
+    budget, and weighs G_k = h int g_1(s z_k) g_2((1-s) z_k) dtau with
+    g_l(x) = x f_l(x) and tau = ln(s/(1-s)): the convolution continued
+    along the ray.  The inner integrand decays like e^(d_1 tau) and
+    e^(-d_2 tau) (d_l the summand slopes) and, for concentrated summands,
+    peaks with width sig_c = (v_1^-1 + v_2^-1)^(-1/2) (v_l = Var ln X_l)
+    where a log-normal match of the two puts it, at tau_c(|z_k|).  The map
+    tau = tau_c + A sinh(xi), A = 2 max(sig_c, phi), turns the tails into
+    double-exponential decay, and the trapezoid step h / A in xi keeps the
+    spacing near h over the peak, the step the analytic strip of the rays
+    allows (h is the step of the sum's own law; a partial sum's grid is
+    finer, ``_PART_REFINE``).  Identical summands have tau_c = 0 and a
     symmetric integrand: one side, doubled.
     """
 
-    p: float
     phi: float
     h: float
     u0: float
     slope: float
-    branches: tuple
-    ln_mean: tuple  # ln of a typical X_l
-    var: tuple  # Var ln X_l
+    parts: tuple  # (_Part, _Part)
+    iid: bool
     amp: float  # A
     xi: np.ndarray
     ln_dxi: np.ndarray  # ln(A cosh(xi) step), doubled off-centre if iid
 
     def _centre(self, r: np.ndarray) -> np.ndarray:
         """tau_c(r): bisection on the log-normal match's d/dtau."""
-        if self.branches[0] == self.branches[1]:
+        if self.iid:
             return np.zeros(r.shape)
-        (l1, l2), (v1, v2) = self.ln_mean, self.var
+        (l1, v1), (l2, v2) = ((q.u0, q.var) for q in self.parts)
         lr = np.log(r)
         lo = np.full(r.shape, l1 - l2 - 60.0)
         hi = np.full(r.shape, l1 - l2 + 60.0)
@@ -277,9 +344,9 @@ class _SumRule:
 
     def weights(self, j: np.ndarray):
         lnz = self.u0 + self.h * j + 1j * self.phi
-        b1, b2 = self.branches
-        parts = max(b.mixture()[0].size for b in self.branches)
-        chunk = max(1, _SUM_BLOCK // (parts * self.xi.size))
+        f1, f2 = self.parts
+        width = max(q.width for q in self.parts)
+        chunk = max(1, _SUM_BLOCK // (width * self.xi.size))
         g = np.empty(j.size, dtype=complex)
         for i in range(0, j.size, chunk):
             lz = lnz[i:i + chunk]
@@ -287,8 +354,7 @@ class _SumRule:
                 + self.amp * np.sinh(self.xi)[:, None]
             ln_s = -np.logaddexp(0.0, -tau)
             ln_o = -np.logaddexp(0.0, tau)
-            e = (logpdf_rp(b1, self.p, ln_s + lz)
-                 + logpdf_rp(b2, self.p, ln_o + lz)
+            e = (f1.logpdf(ln_s + lz) + f2.logpdf(ln_o + lz)
                  + (ln_s + ln_o + 2.0 * lz + self.ln_dxi[:, None]))
             with np.errstate(over="ignore", under="ignore",
                              invalid="ignore"):
@@ -296,49 +362,116 @@ class _SumRule:
         return np.exp(lnz), self.h * np.nan_to_num(g, nan=0.0)
 
 
-def _sum_rule(branches: tuple, p: float, halvings: int) -> _SumRule:
-    r1, r2 = (ray_rule(b, p, 2, halvings) for b in branches)
-    phi = min(r1.phi, r2.phi)
-    v1, v2 = _log_var(r1), _log_var(r2)
+def _sum_rule(first: _Part, second: _Part, phi: float, iid: bool,
+              refine: int) -> _SumRule:
+    v1, v2 = first.var, second.var
     sig_c = math.sqrt(v1 * v2 / (v1 + v2))
     # uniform spacing h across the peak and the analytic strip of the rays
     h = math.pi * phi / RAY_LOGTOL
     amp = 2.0 * max(sig_c, phi)
     step = h / amp
 
-    def reach(slope):
+    def reach(part):
         # xi where the tail is exp(-RAY_LOGTOL - 6) below the peak, past
-        # 30 sig_c that the peak of a concentrated pair moves across the
-        # grid
-        return math.asinh(((RAY_LOGTOL + 6.0) / slope + 30.0 * sig_c) / amp)
+        # the summand's margin and at least the 30 sig_c that the peak of
+        # a concentrated pair moves across the grid
+        return math.asinh(max((RAY_LOGTOL + 6.0) / part.slope
+                              + part.margin * sig_c, 30.0 * sig_c) / amp)
 
-    iid = branches[0] == branches[1]
-    xi = step * np.arange(-math.ceil(reach(r1.slope) / step),
-                          1 if iid else math.ceil(reach(r2.slope) / step) + 1)
+    xi = step * np.arange(-math.ceil(reach(first) / step),
+                          1 if iid else math.ceil(reach(second) / step) + 1)
     ln_dxi = np.log(amp * step * np.cosh(xi))
     if iid:
         ln_dxi[:-1] += math.log(2.0)
-    # the branch rules' anchors, ln of a typical X_l, place the sum's grid
-    return _SumRule(p, phi, h, float(np.logaddexp(r1.u0, r2.u0)),
-                    r1.slope + r2.slope, tuple(branches), (r1.u0, r2.u0),
-                    (v1, v2), amp, xi, ln_dxi)
+    # the summands' anchors, ln of their typical values, place the grid
+    return _SumRule(phi, h / refine, float(np.logaddexp(first.u0, second.u0)),
+                    first.slope + second.slope, (first, second), iid, amp,
+                    xi, ln_dxi)
+
+
+def _summand(branches: tuple, p: float, phi: float) -> _Part:
+    return (_branch_part(branches[0], p) if len(branches) == 1
+            else _partial_sum(branches, p, phi))
+
+
+def _build_law(branches: tuple, p: float, phi: float,
+               refine: int) -> RayGrid:
+    """Level 0 of the ray measure of a sum of L >= 2 branches on the ray at
+    angle ``phi``: the sum of its first L // 2 branches and of the rest,
+    so that the sum of four branches adds two pairs."""
+    half = len(branches) // 2
+    first, second = branches[:half], branches[half:]
+    rule = _sum_rule(_summand(first, p, phi), _summand(second, p, phi), phi,
+                     first == second, refine)
+    mass = math.prod(float(np.exp(b.mixture()[0]).sum()) for b in branches)
+    return build_ray_grid(rule, mass,
+                          f"combiner ray measure for {branches!r}, p = {p}")
+
+
+@lru_cache(maxsize=256)
+def _part_grid(branches: tuple, p: float, phi: float, level: int) -> RayGrid:
+    """The grid of a partial sum of two or more branches on the refined
+    step, at ``level`` as in ``_law_grid``."""
+    if level > 0:
+        return deepen_ray_grid(_part_grid(branches, p, phi, level - 1), level)
+    return _build_law(branches, p, phi, _PART_REFINE)
+
+
+def _sinc_logpdf(branches: tuple, p: float, phi: float, lnx) -> np.ndarray:
+    """ln f of the partial sum over ``branches`` at x = exp(lnx) on its ray.
+
+    x f(x) is analytic in u = ln|x| about the ray, so its samples
+    g_j / h on the refined grid determine it (Stenger, *Numerical Methods
+    Based on Sinc and Analytic Functions*, 1993): the sinc series, with a
+    Gaussian window that cuts it to 2 _SINC_TAPS + 1 terms whose error is
+    relative to the samples near x.  The grid is taken at the shallowest
+    level that reaches every window; samples past its ends are zero.
+    """
+    lnx = np.asarray(lnx, dtype=complex)
+    grid = _part_grid(branches, p, phi, 0)
+    rule = grid.rule
+    t = ((lnx.real - rule.u0) / rule.h).ravel()
+    j0 = np.rint(t)
+    lowest = j0.min() - _SINC_TAPS
+    for level in range(1, _MAX_LEVEL + 1):
+        if grid.j_first <= lowest:
+            break
+        grid = _part_grid(branches, p, phi, level)
+    # the samples padded with a zero at each end, where every index past
+    # the grid is clipped to
+    samples = np.concatenate([[0.0], grid.g, [0.0]])
+    at = j0 - (grid.j_first - 1)
+    # sinc(frac - k) = (-1)^k sin(pi frac) / (pi (frac - k)); frac = 0 is
+    # moved off the pole, where the product is 1 at k = 0 and 0 beside
+    frac = t - j0
+    frac[frac == 0.0] = 1e-300
+    out = np.empty(t.size, dtype=complex)
+    for i in range(0, t.size, _SINC_BLOCK):
+        d = frac[i:i + _SINC_BLOCK, None] - _SINC_OFFSETS
+        idx = np.clip(at[i:i + _SINC_BLOCK, None] + _SINC_OFFSETS, 0,
+                      samples.size - 1).astype(np.intp)
+        w = _SINC_SIGNS * np.exp(-0.5 / _SINC_VAR * d * d) / d
+        out[i:i + _SINC_BLOCK] = np.sin(math.pi * frac[i:i + _SINC_BLOCK]) \
+            / math.pi * np.einsum("ij,ij->i", w, samples[idx])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(out).reshape(lnx.shape) - math.log(rule.h) - lnx
 
 
 @lru_cache(maxsize=256)
 def _law_grid(branches: tuple, p: float, level: int,
               halvings: int) -> RayGrid:
-    """The ray measure of X = sum_l R_l^p (L <= 2, p > 0) at ``level``:
-    down to exp(-RAY_LOGTOL - level ln(10) slope) of its peak on the
-    left, exp(-RAY_LOGTOL) on the right; on a ray whose angle is halved
-    ``halvings`` times (see ``fading.ray_rule``)."""
+    """The ray measure of X = sum_l R_l^p (p > 0) at ``level``: down to
+    exp(-RAY_LOGTOL - level ln(10) slope) of its peak on the left,
+    exp(-RAY_LOGTOL) on the right; on a ray whose angle is halved
+    ``halvings`` times (see ``fading.ray_rule``), with the L branches
+    sharing its cancellation budget."""
     if len(branches) == 1:
         return ray_grid(branches[0], p, level, halvings)
     if level > 0:
         return deepen_ray_grid(_law_grid(branches, p, level - 1, halvings),
                                level)
-    mass = math.prod(float(np.exp(b.mixture()[0]).sum()) for b in branches)
-    return build_ray_grid(_sum_rule(branches, p, halvings), mass,
-                          f"combiner ray measure for {branches!r}, p = {p}")
+    phi = min(ray_rule(b, p, len(branches), halvings).phi for b in branches)
+    return _build_law(branches, p, phi, 1)
 
 
 @lru_cache(maxsize=256)
@@ -594,12 +727,9 @@ def _log1p(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _parseval(spec: CombinerSpec, delta: float, kern, tol: float,
-              sing_power: float | None = None,
               scale: float = 1.0) -> complex:
     """int_0^inf Phi_X(w/delta) kern(w) dw with partitioning + epsilon.
 
-    ``sing_power`` declares an integrable w^s behaviour of the kernel at
-    the origin (s in (-1, 0)); the head panel substitutes it away.
     ``scale`` pre-divides the integrand so the adaptive error control is
     relative to the expected magnitude of the result.
     """
@@ -610,17 +740,7 @@ def _parseval(spec: CombinerSpec, delta: float, kern, tol: float,
         w = np.asarray(w, dtype=float)
         return chf_x(spec, w / delta) * kern(w) / scale
 
-    if sing_power is not None and sing_power < 0:
-        ap1 = sing_power + 1.0
-
-        def head_f(sig):
-            sig = np.asarray(sig, dtype=float)
-            w = period * sig ** (1.0 / ap1)
-            return f(w) * (period / ap1) * sig ** (1.0 / ap1 - 1.0)
-
-        head = integrate_interval(head_f, 1e-300, 1.0, tol=0.1 * tol)
-    else:
-        head = integrate_interval(f, 1e-300, period, tol=0.1 * tol)
+    head = integrate_interval(f, 1e-300, period, tol=0.1 * tol)
 
     dead = [False]
 
@@ -655,11 +775,10 @@ def x_truncated_moment(spec: CombinerSpec, delta: float, nu: float,
     ``nu_sub`` the result is T_nu - T_nu_sub.
 
     On the law-ray route T_nu(delta) = (1/pi) Im sum_k G_k J_nu(z_k/delta)
-    with J_nu the power Stieltjes transform.  On the panel route it is
-    (1/pi) Re int_0^inf Phi_X(w/delta) K(w) dw, with
-    K(w) = E_nu(i w) for q > 0 and (i w)^-(1+nu) gamma(1 + nu, i w) for
-    q < 0, to ``tol`` relative to ``scale`` (the expected magnitude of
-    the result; absolute when None).
+    with J_nu the power Stieltjes transform.  On the panel route (p < 0,
+    so q < 0) it is (1/pi) Re int_0^inf Phi_X(w/delta) K(w) dw with
+    K(w) = (i w)^-(1+nu) gamma(1 + nu, i w), to ``tol`` relative to
+    ``scale`` (the expected magnitude of the result; absolute when None).
     """
     nus = (nu,) if nu_sub is None else (nu, nu_sub)
     if integral_route(spec) == "law-ray":
@@ -671,14 +790,12 @@ def x_truncated_moment(spec: CombinerSpec, delta: float, nu: float,
                           or _log_moduli(grid)[0][0] <= ln_delta))
         vals = np.imag(stieltjes_power(nus, grid.x / delta) @ grid.g)
         return float(vals[0] - vals[1:].sum()) / math.pi
-    kernel = expint_iomega if spec.q > 0 else lower_kernel_iomega
 
     def kern(w):
-        out = kernel(nu, w)
-        return out if nu_sub is None else out - kernel(nu_sub, w)
+        out = lower_kernel_iomega(nu, w)
+        return out if nu_sub is None else out - lower_kernel_iomega(nu_sub, w)
 
-    sing = min(nus) - 1.0 if spec.q > 0 and min(nus) < 1.0 else None
-    val = _parseval(spec, delta, kern, tol, sing_power=sing,
+    val = _parseval(spec, delta, kern, tol,
                     scale=1.0 if scale is None else math.pi * scale)
     return float(np.real(val)) / math.pi
 

@@ -51,7 +51,9 @@ arithmetic, and the characteristic function the imaginary axis.  MGFs
 and moments without a closed form use a Gauss rule with weight exp(-t^2)
 under W = t^2/lambda, which absorbs the density's exponential decay, and
 adaptive quadrature on the real axis deep in the tail, where that rule
-cannot reach; a value outside [0, 1], NaN included, raises.  The GSNM
+cannot reach; a value outside [0, 1], NaN included, raises, and so does
+a rule whose total weight misses 1 by more than 1e-2, which a law too
+concentrated for its nodes leaves.  The GSNM
 moment generating function with p > 0 is a one-dimensional Mellin-Barnes
 contour integral with four gamma factors, evaluated on a cached uniform
 grid along the vertical contour; with p < 0 it is the Gauss rule mixed
@@ -505,6 +507,23 @@ def _envelope_terms(model: FadingModel, n: int):
     return (logw[:, None] + logc).ravel(), (scales[:, None] * r).ravel()
 
 
+# largest distance from 1 of the total weight of a Gauss rule whose sum is
+# accepted; a law too concentrated for the rule falls between its nodes
+_RULE_MASS_TOL = 1e-2
+
+
+def _vouched(model: FadingModel, p: float, n: int, value):
+    """``value``, a sum over the n-node Gauss rule of ``model``, unless
+    that rule's total weight is more than _RULE_MASS_TOL away from 1."""
+    mass = float(np.exp(_envelope_terms(model, n)[0]).sum())
+    if not abs(mass - 1.0) <= _RULE_MASS_TOL:
+        raise NumericError(
+            f"the {n}-node Gauss rule for {model!r}, p = {p}, has total "
+            f"weight {mass:.3g}: the law is too concentrated for it",
+            best_estimate=value)
+    return value
+
+
 def pdf_envelope(model: FadingModel, r):
     """Density of the fading envelope at r > 0 (vectorized)."""
     r = np.asarray(r, dtype=float)
@@ -756,11 +775,11 @@ def _plain_sum_escalating(model, p, s, tol):
     v1 = _plain_transform(model, p, s, 15)
     v2 = _plain_transform(model, p, s, 32)
     if np.all(np.abs(v1 - v2) <= np.maximum(10 * tol * np.abs(v2), 1e-7)):
-        return v2
+        return _vouched(model, p, 32, v2)
     v3 = _plain_transform(model, p, s, 64)
     excess = np.abs(v2 - v3) - np.maximum(100 * tol * np.abs(v3), 5e-7)
     if np.all(excess <= 0):
-        return v3
+        return _vouched(model, p, 64, v3)
     worst = float(s[np.argmax(excess)])
     raise NumericError(
         f"fading transform quadrature did not converge for {model!r}, "
@@ -819,6 +838,7 @@ def mgf_rp_deriv(model: FadingModel, p: float, u, tol: float = 1e-9):
         raise NumericError(
             f"branch MGF derivative did not converge for {model!r}, "
             f"p = {p}", best_estimate=v3)
+    _vouched(model, p, 64, v3)
     return v3 if u.ndim else float(v3[0])
 
 
@@ -956,10 +976,10 @@ def moment_rp(model: FadingModel, p: float, n: int, tol: float = 1e-9):
 
     v1, v2 = eval_at(15), eval_at(32)
     if abs(v1 - v2) <= 10 * tol * abs(v2):
-        return v2
+        return _vouched(model, p, 32, v2)
     v3 = eval_at(64)
     if abs(v2 - v3) <= 100 * tol * abs(v3):
-        return v3
+        return _vouched(model, p, 64, v3)
     raise NumericError(
         f"moment quadrature did not converge for {model!r}: "
         f"E[R^{power}] ~ {v3:.6g}, change {abs(v2 - v3):.2e}",

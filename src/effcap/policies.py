@@ -1,38 +1,35 @@
 """Effective capacity under the four adaptive transmission policies.
 
-ORA needs E[(1 + gamma)^-A], found on one of four routes, which its
+ORA needs E[(1 + gamma)^-A], found on one of three routes, which its
 diagnostics report as ``route``:
 
-* ``"law-ray"`` (p > 0, q > 0, L <= 2): the node sum
-  Re sum_k G_k (1 + k z_k^q)^-A over the cached ray measure of the
-  combiner output (``combiner.x_ora_mean``).  It serves every EGC law and
-  every MRC law with a branch that has no closed real-axis transform.
+* ``"law-ray"`` (p > 0): the node sum Re sum_k G_k (1 + k z_k^q)^-A over
+  the cached ray measure of the combiner output (``combiner.x_ora_mean``),
+  for any number of branches.  It serves every EGC law and every MRC law
+  with a branch that has no closed real-axis transform.
 * ``"laguerre"`` (q = 1): the paper's pairing of the combiner MGF with
   the kernel C_1(u) = u^(A-1) e^-u / Gamma(A), for MRC laws whose every
   branch has a closed real-axis transform (Nakagami p = 2, alpha-eta-mu
-  p = alpha, GSNM's Mellin-Barnes form), and for L >= 3.
-* ``"hankel"`` (q = 2, L >= 3): the pairing with the Bessel kernel C_2,
-  summed between its zeros; it raises when its own error estimate
-  exceeds 1e-4 of the integral.
+  p = alpha, GSNM's Mellin-Barnes form), with any number of branches.
 * ``"kummer"`` (AF, q = -1): the pairing of 1F1(A; 1; -u) with -dM/du.
 
-In every pairing C_q(u) = L^-1{(1+x^q)^-A}.  OPRA needs the cutoff of
-the power constraint, the truncated moment
-E[(gamma/gamma0)^-lam; gamma >= gamma0] and the outage probability (or,
-for Gamma-sum combiners, the incomplete-MGF route, whose outage
-probability is the regularized incomplete gamma); CIFR needs one
-Mellin-type MGF integral (``route`` ``"mgf"``), the one the panel route's
-inverse moments take (``combiner._mellin_mgf_x``); TIFR needs the truncated
-moment E[1/gamma; gamma >= gamma0] plus the outage factor.
+In both pairings C_q(u) = L^-1{(1+x^q)^-A}; ``kernel_cq`` also gives the
+Bessel kernel C_2 of EGC.  OPRA needs the cutoff of the power constraint,
+the truncated moment E[(gamma/gamma0)^-lam; gamma >= gamma0] and the
+outage probability (or, for Gamma-sum combiners, the incomplete-MGF
+route, whose outage probability is the regularized incomplete gamma);
+CIFR needs one Mellin-type MGF integral (``route`` ``"mgf"``,
+``combiner._mellin_mgf_x``); TIFR needs the truncated moment
+E[1/gamma; gamma >= gamma0] plus the outage factor.
 
 OPRA and TIFR ask ``combiner`` for the CDF (``cdf_x_gil_pelaez``), the
 inverse moments (``x_inverse_moment``) and the truncated moments
 (``x_truncated_moment``) and integrate no characteristic function
 themselves.  ``combiner.integral_route`` decides how those are evaluated,
-from L and the sign of p alone: closed-form node sums over a cached ray
-measure of the combiner output (``"law-ray"``, p > 0 and L <= 2) or
-epsilon-accelerated Gil-Pelaez and Parseval panels (``"panels"``, AF and
-L >= 3).  The OPRA and TIFR diagnostics report it as ``route``.
+from the sign of p alone: closed-form node sums over a cached ray
+measure of the combiner output (``"law-ray"``, p > 0) or
+epsilon-accelerated Gil-Pelaez and Parseval panels (``"panels"``, AF).
+The OPRA and TIFR diagnostics report it as ``route``.
 
 Conventions
 -----------
@@ -76,13 +73,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .quadrature import (
-    _egc_kernel,
-    brentq,
-    integrate_hankel_partitioned,
-    integrate_semi_infinite,
-    minimize_bounded,
-)
+from .quadrature import brentq, integrate_semi_infinite, minimize_bounded
 from .specfun import kummer_1f1
 
 __all__ = [
@@ -139,10 +130,6 @@ class EcResult:
     cutoff_gamma0: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.value < 0 and not self.diagnostics.get("flag"):
-            raise NumericError(f"negative capacity {self.value}")
-
 
 @dataclass(frozen=True)
 class CutoffSolution:
@@ -169,9 +156,10 @@ def _effective_a(spec: CombinerSpec, qos: QosSpec):
 def kernel_cq(q: float, a_exp: float, u):
     """C_q(u) = L^-1{(1+x^q)^-A; x; u} for q in {1, 2, -1}.
 
-    q = 1: u^(A-1) e^-u / Gamma(A);  q = 2: the normalized Hankel kernel
+    q = 1: u^(A-1) e^-u / Gamma(A);  q = 2: the normalized Bessel kernel
     sqrt(pi)/Gamma(A) (u/2)^(A-1/2) J_{A-1/2}(u);  q = -1: 1F1(A, 1, -u)
-    (which pairs with -dM/du rather than M).
+    (which pairs with -dM/du rather than M).  ORA pairs q = 1 and q = -1;
+    EGC (q = 2) takes the law-ray node sum.
     """
     if a_exp <= 0:
         raise DomainError("A must be positive")
@@ -180,7 +168,10 @@ def kernel_cq(q: float, a_exp: float, u):
         with np.errstate(divide="ignore"):
             return np.exp((a_exp - 1.0) * np.log(u) - u - sp.gammaln(a_exp))
     if q == 2:
-        return _egc_kernel(u, a_exp)
+        nu = a_exp - 0.5
+        pref = math.exp(0.5 * math.log(math.pi) - sp.gammaln(a_exp)
+                        - nu * _LN2)
+        return pref * np.power(u, nu) * sp.jv(nu, u)
     if q == -1:
         return kummer_1f1(a_exp, 1.0, -u)
     raise DomainError("kernel_cq supports q in {1, 2, -1} only; other "
@@ -189,11 +180,6 @@ def kernel_cq(q: float, a_exp: float, u):
 
 # the smallest QoS exponent ORA evaluates; below it the ergodic limit
 _A_MIN = 1e-6
-# ORA pairing of the kernel C_q with the combiner MGF, per q
-_ORA_PAIRINGS = {1.0: "laguerre", 2.0: "hankel", -1.0: "kummer"}
-# largest error estimate, relative to the integral, a Hankel ORA pairing
-# may return
-_HANKEL_REL_ERR = 1e-4
 # a real argument at which a branch's closed transform is looked for
 _PROBE_S = np.ones(1)
 
@@ -240,31 +226,6 @@ def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
             value = est.value * scale0 + head
         return value, {"err_estimate": est.error_estimate * scale0,
                        "evaluations": est.evaluations}
-    if spec.q == 2:
-        rk = math.sqrt(k)
-
-        def g(u):
-            return joint_mgf_x(spec, rk * u)
-
-        def cg(u):
-            return kernel_cq(2, a_exp=a_eff, u=u) * g(u)
-
-        scale0 = _probe_scale(cg, max(a_eff, 1.0), positive=False)
-        gd0 = -rk * x_moment(spec, 1) if a_eff < 0.25 else None
-        est = integrate_hankel_partitioned(lambda u: g(u) / scale0, a_eff,
-                                           tol=tol,
-                                           g_deriv0=(None if gd0 is None
-                                                     else gd0 / scale0))
-        value, err = est.real * scale0, est.error_estimate * scale0
-        # tol governs the probe scale, not the integral, which can lie
-        # far below it at a large A
-        if not err <= _HANKEL_REL_ERR * abs(value):
-            raise NumericError(
-                f"Hankel ORA pairing for {spec.branches!r} at A = "
-                f"{a_eff:.6g}: error estimate {err:.3g} against the "
-                f"integral {value:.6g}", best_estimate=value)
-        return value, {"err_estimate": err, "evaluations": est.evaluations,
-                       "zeros_used": est.zeros_used}
     if spec.q == -1:
         def f(u):
             u = np.asarray(u)
@@ -278,10 +239,10 @@ def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
         return est.value * scale0, {"err_estimate": est.error_estimate
                                     * scale0,
                                     "evaluations": est.evaluations}
-    raise DomainError("ORA supports q in {1, 2, -1}")
+    raise DomainError("the ORA pairings take q in {1, -1}")
 
 
-def _probe_scale(f, scale: float, positive: bool = True) -> float:
+def _probe_scale(f, scale: float) -> float:
     """Order-of-magnitude of int f over a coarse logarithmic grid."""
     u = np.geomspace(1e-4 * scale, 60.0 * scale, 40)
     vals = np.abs(np.asarray(f(u)))
@@ -300,18 +261,19 @@ def _finish(policy, method, spec, qos, lnarg, a_eff, div, gamma0=None,
 
 
 def _ora_route(spec: CombinerSpec) -> str:
-    """``"law-ray"`` for p > 0, q > 0 and L <= 2, except MRC-type (q = 1)
-    laws whose every branch has a closed real-axis transform, which keep
-    the Laguerre pairing; else the pairing for q: ``"laguerre"``,
-    ``"hankel"`` or ``"kummer"``."""
+    """``"laguerre"`` for MRC-type (q = 1) laws whose every branch has a
+    closed real-axis transform, else ``"law-ray"`` for p > 0 and
+    ``"kummer"`` for AF (q = -1)."""
     closed = spec.q == 1 and all(
         b.closed_transform(spec.p, _PROBE_S) is not None
         for b in set(spec.branches))
-    if integral_route(spec) == "law-ray" and spec.q > 0 and not closed:
+    if closed:
+        return "laguerre"
+    if integral_route(spec) == "law-ray":
         return "law-ray"
-    if spec.q not in _ORA_PAIRINGS:
-        raise DomainError("ORA supports q in {1, 2, -1} off the law ray")
-    return _ORA_PAIRINGS[spec.q]
+    if spec.q != -1:
+        raise DomainError("ORA with p < 0 supports q = -1 only")
+    return "kummer"
 
 
 def ec_ora(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
@@ -426,11 +388,14 @@ def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
     """
     a_eff, _ = _effective_a(spec, qos)
     refs = _opra_refs(spec, a_eff, tol)
-    evals = [0]
+    # each residual is a Parseval integral or a node sum; brentq asks
+    # again for the bracket ends, and the closing check for its last root
+    seen: dict = {}
 
     def resid(g0):
-        evals[0] += 1
-        return _cutoff_lhs_scaled(spec, a_eff, g0, tol) - 1.0
+        if g0 not in seen:
+            seen[g0] = _cutoff_lhs_scaled(spec, a_eff, g0, tol) - 1.0
+        return seen[g0]
 
     g0_est = math.exp(max(refs.lng0_est, -744.0))
     if refs.lng0_est < math.log(1e-280) \
@@ -466,7 +431,7 @@ def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
     g0 = brentq(resid, lo, hi, xtol=1e-300, rtol=1e-10, maxiter=300)
     res = abs(resid(g0))
     return (CutoffSolution(gamma0=float(g0), residual=float(res),
-                           iterations=evals[0]),
+                           iterations=len(seen)),
             refs, math.log(g0), False)
 
 
@@ -584,6 +549,10 @@ def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
 
         est = _mellin_mgf_x(spec, q, tol)
         inv_mean = float(est.value) / (k * math.gamma(q))
+        if not inv_mean > 0:
+            raise NumericError(
+                f"cifr: E[1/gamma] = {inv_mean:.6g} for {spec.branches!r} "
+                "is not positive", best_estimate=inv_mean)
         diag = {"err_estimate": est.error_estimate, "route": "mgf"}
     elif q == -1.0:
         inv_mean = x_mean(spec) / k

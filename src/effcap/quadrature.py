@@ -1,19 +1,20 @@
 """Integration and series-acceleration engines.
 
-Six pieces of machinery shared by every analytic path in the package:
+Five pieces of machinery shared by every analytic path in the package:
 
 * a Gauss rule for half-line integrals with Gaussian weight,
   ``int_0^inf exp(-t^2) f(t) dt ~= sum w_k f(t_k)``, from tables that
   tools/gen_halfrange_tables.py generates by the Golub-Welsch procedure
   from the moment problem mu_j = Gamma((j+1)/2)/2;
 * an adaptive Gauss-Kronrod integrator for finite and semi-infinite ranges;
-* a Bessel-zero partitioned integrator for Hankel-type oscillatory
-  integrals, with the partial sums accelerated by the epsilon algorithm;
-* Wynn's epsilon (Shanks) table itself, one numpy column at a time;
+* Wynn's epsilon (Shanks) table, one numpy column at a time, which
+  accelerates the panel sums of the Gil-Pelaez and Parseval integrals of
+  the p < 0 (AF) combiner;
 * trapezoid rules in ln|x| along a ray in the upper half plane, built out
   from their peak until their weights fall exp(-RAY_LOGTOL) below it,
   which carry the characteristic-function grids of the fading models and
-  the ray measure of the combiner output;
+  the ray measure of the p > 0 combiner output, whatever its number of
+  branches;
 * Brent's bracketing root finder and bounded scalar minimizer, step for
   step as SciPy has them (``brentq``, and ``minimize_scalar`` with method
   "bounded"), without the 0.2-0.3 s import of SciPy's optimize package.
@@ -31,7 +32,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, jv
 
 from . import _halfrange_tables
 from .errors import DomainError, NumericError
@@ -43,7 +43,6 @@ __all__ = [
     "gauss_halfline_rule",
     "integrate_interval",
     "integrate_semi_infinite",
-    "integrate_hankel_partitioned",
     "integrate_alternating",
     "RayGrid",
     "build_ray_grid",
@@ -216,7 +215,6 @@ class IntegralEstimate:
     value: complex
     error_estimate: float
     evaluations: int
-    zeros_used: int | None = None
 
     @property
     def real(self) -> float:
@@ -295,113 +293,6 @@ def integrate_semi_infinite(
             f"semi-infinite integral did not reach tol={tol:g} "
             f"(err~{err:.2e})", best_estimate=value)
     return IntegralEstimate(value, err, evals)
-
-
-# ---------------------------------------------------------------------------
-# Hankel-type partitioned integration (EGC kernel against a smooth factor)
-# ---------------------------------------------------------------------------
-
-def _egc_kernel(u: np.ndarray, a_exp: float) -> np.ndarray:
-    """sqrt(pi)/Gamma(A) * (u/2)^(A-1/2) * J_{A-1/2}(u), computed stably."""
-    u = np.asarray(u, dtype=float)
-    nu = a_exp - 0.5
-    pref = math.exp(0.5 * math.log(math.pi) - gammaln(a_exp) - nu * math.log(2.0))
-    return pref * np.power(u, nu) * jv(nu, u)
-
-
-def integrate_hankel_partitioned(g, a_exp: float, tol: float = 1e-8,
-                                 batch: int = 8, max_zeros: int = 4096,
-                                 g_deriv0: float | None = None):
-    """``int_0^inf sqrt(pi)/Gamma(A) (u/2)^(A-1/2) J_{A-1/2}(u) g(u) du``.
-
-    The range is split at consecutive zeros of J_{A-1/2}; the first panel
-    [0, u_1] is not oscillatory and is handled adaptively (with the
-    u^(2A-1) origin behaviour substituted away when A < 1/2; for A below
-    1/4 the substitution underflows and an analytic Taylor head peels the
-    edge instead, using ``g_deriv0`` = g'(0) when the caller supplies it).
-    The alternating panel series is epsilon accelerated in batches.
-    """
-    # imported here: specfun imports this module
-    from .specfun import bessel_j_zeros
-
-    if a_exp <= 0:
-        raise DomainError("A must be positive")
-    nu = a_exp - 0.5
-    evals = [0]
-
-    def integrand(u):
-        return _egc_kernel(u, a_exp) * g(u)
-
-    zeros = bessel_j_zeros(nu, batch)
-
-    # Head panel [0, z1]: kernel ~ u^(2A-1) near the origin.
-    z1 = zeros[0]
-    if 2 * a_exp < 0.5:
-        pref = math.exp(0.5 * math.log(math.pi) - gammaln(a_exp)
-                        - nu * math.log(2.0))
-        p2a = 2.0 * a_exp
-        ratio0 = math.exp(-nu * math.log(2.0) - gammaln(nu + 1.0))
-        u0 = 1e-4
-        g0 = float(np.asarray(g(np.array([1e-30]))).ravel()[0])
-        gd = g_deriv0 if g_deriv0 is not None else 0.0
-        head0 = pref * ratio0 * (g0 * u0 ** p2a / p2a
-                                 + gd * u0 ** (p2a + 1.0) / (p2a + 1.0))
-        rest = integrate_interval(integrand, u0, z1, tol=0.1 * tol)
-        head = IntegralEstimate(head0 + rest.value, rest.error_estimate,
-                                rest.evaluations)
-    elif 2 * a_exp - 1 < 0:
-        pref = math.exp(0.5 * math.log(math.pi) - gammaln(a_exp)
-                        - nu * math.log(2.0))
-        p2a = 2.0 * a_exp
-        ratio0 = math.exp(-nu * math.log(2.0) - gammaln(nu + 1.0))
-
-        def head_w(w):
-            w = np.asarray(w)
-            u = z1 * np.power(w, 1.0 / p2a)
-            # J_nu(u)/u^nu is smooth through u = 0; use its limit when the
-            # node underflows.
-            safe = u > 1e-150
-            us = np.where(safe, u, 1.0)
-            ratio = np.where(safe, jv(nu, us) / np.power(us, nu), ratio0)
-            return pref * ratio * g(u) * (z1 ** p2a / p2a)
-
-        head = integrate_interval(head_w, 1e-300, 1.0, tol=0.1 * tol)
-    else:
-        head = integrate_interval(integrand, 1e-300, z1, tol=0.1 * tol)
-    evals[0] += head.evaluations
-
-    zero_list = [0.0] + list(zeros)
-
-    def panel_sums(i0, i1):
-        nonlocal zero_list
-        need = i1 + 1
-        if len(zero_list) - 1 < need:
-            zs = bessel_j_zeros(nu, need + batch)
-            zero_list = [0.0] + list(zs)
-        edges = np.array(zero_list[i0 + 1:i1 + 2])
-        vals, errs, n = gk15_panels(integrand, edges)
-        evals[0] += n
-        out = list(vals)
-        for j in np.nonzero(errs > 1e-3 * tol * np.maximum(1.0, np.abs(vals))
-                            + 1e-14 * np.abs(vals))[0]:
-            est = integrate_interval(integrand, edges[j], edges[j + 1],
-                                     tol=1e-2 * tol)
-            out[j] = est.value
-            evals[0] += est.evaluations
-        return out
-
-    try:
-        tail, used, err = integrate_alternating(panel_sums, tol, batch=batch,
-                                                max_panels=max_zeros)
-    except NumericError as exc:
-        if exc.best_estimate is None:
-            raise
-        raise NumericError(
-            "Hankel integral acceleration stagnated",
-            best_estimate=head.value + exc.best_estimate) from exc
-    value = head.value + tail
-    return IntegralEstimate(value, head.error_estimate + err, evals[0],
-                            zeros_used=used)
 
 
 # ---------------------------------------------------------------------------

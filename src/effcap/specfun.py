@@ -4,20 +4,19 @@ scipy.special supplies the standard real-argument cases (gamma, Bessel,
 confluent hypergeometric), called directly where they are needed.  The
 pieces scipy does not cover are implemented here with controlled accuracy:
 
-* the two Parseval kernels of the truncated moments on the imaginary
-  axis: the generalized exponential integral E_nu(i w) =
-  int_1^inf t^-nu e^(-i w t) dt of real order, and its lower counterpart
-  int_0^1 t^nu e^(-i w t) dt = (i w)^-(1+nu) gamma(1+nu, i w).  Both take
-  a power series at small |w|; beyond it Gauss-Laguerre quadrature runs
-  along the steepest-descent ray t = 1 - i s, on which the integrand
-  decays as e^-s (Gil, Segura & Temme, Numerical Methods for Special
-  Functions, 2007),
+* the Parseval kernel of the truncated moments of a p < 0 (AF) combiner
+  on the imaginary axis, int_0^1 t^nu e^(-i w t) dt =
+  (i w)^-(1+nu) gamma(1+nu, i w): a power series at small |w|, and beyond
+  it the complement of E_-nu(i w) = int_1^inf t^nu e^(-i w t) dt, by
+  Gauss-Laguerre quadrature along the steepest-descent ray t = 1 - i s,
+  on which the integrand decays as e^-s (Gil, Segura & Temme, Numerical
+  Methods for Special Functions, 2007),
 * the Gaussian-Laplace moment G(nu, w) = int t^(nu-1) exp(-t^2/2 + w t) dt,
   the integral behind the parabolic cylinder function D_-nu, at real
   w <= 0,
-* positive zeros of J_nu for real order,
 * the power Stieltjes transform J_nu(y) = int_1^inf t^-nu / (t - y) dt
-  off the cut [1, inf), the kernel of the truncated inverse moments.
+  off the cut [1, inf), the kernel of the law-ray truncated moments
+  (p > 0).
 
 Everything is pure and reentrant; vectorized variants used by the policy
 integrals operate on numpy arrays of arguments.
@@ -32,57 +31,18 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, NumericError
-from .quadrature import brentq, integrate_interval, integrate_semi_infinite
+from .quadrature import integrate_interval, integrate_semi_infinite
 
 __all__ = [
-    "expint_iomega",
     "lower_kernel_iomega",
     "kummer_1f1",
     "gaussian_laplace_moment_log",
-    "bessel_j_zeros",
     "stieltjes_power",
 ]
 
 
-# ---------------------------------------------------------------------------
-# Generalized exponential integral E_nu(z) = int_1^inf e^{-z t} t^{-nu} dt
-# ---------------------------------------------------------------------------
-
-def _expint_series(nu: float, z: np.ndarray) -> np.ndarray:
-    """Small-|z| expansion of E_nu, integer and non-integer orders."""
-    z = np.asarray(z, dtype=complex)
-    n = round(nu)
-    out = np.zeros_like(z)
-    if abs(nu - n) > 1e-6 or n < 1:
-        out += sp.gamma(1.0 - nu) * np.exp((nu - 1.0) * np.log(z))
-        term = np.ones_like(z)
-        acc = term / (1.0 - nu)
-        for k in range(1, 300):
-            term = term * (-z) / k
-            acc += term / (k + 1.0 - nu)
-            if np.all(np.abs(term) < 1e-18 * (1 + np.abs(acc))):
-                break
-        out -= acc
-    else:
-        # A&S 5.1.12 with the logarithmic term.
-        psi_n = float(sp.digamma(n))
-        out += (-z) ** (n - 1) / math.factorial(n - 1) * (psi_n - np.log(z))
-        term = np.ones_like(z)
-        acc = np.zeros_like(z)
-        if n != 1:
-            acc += term / (1.0 - n)
-        for k in range(1, 300):
-            term = term * (-z) / k
-            if k != n - 1:
-                acc += term / (k + 1.0 - n)
-            if np.all(np.abs(term) < 1e-18 * (1 + np.abs(acc))):
-                break
-        out -= acc
-    return out
-
-
-# E_nu(i w) and the lower kernel take their series below this |w| and the
-# Gauss-Laguerre ray at and above it
+# the lower kernel takes its series below this |w| and the Gauss-Laguerre
+# ray at and above it
 _RAY_MIN = 4.0
 # terms of the lower kernel's series: 4^48 / 48! < 1e-32
 _LOWER_TERMS = np.arange(48.0)
@@ -117,25 +77,6 @@ def _expint_ray(nu: float, omega: np.ndarray) -> np.ndarray:
             tail[sel] = (mag * np.cos(phase)) @ w \
                 + 1j * ((mag * np.sin(phase)) @ w)
     return -1j * np.exp(-1j * omega) / omega * tail
-
-
-def expint_iomega(nu: float, omega) -> np.ndarray:
-    """Vectorized E_nu(i * omega) for real omega, nu > 0."""
-    if nu <= 0:
-        raise DomainError("E_nu on the imaginary axis requires nu > 0")
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(om == 0):
-        raise DomainError("E_nu(0) is not defined on this path")
-    out = np.empty(om.shape, dtype=complex)
-    neg = om < 0
-    a = np.abs(om)
-    small = a < _RAY_MIN
-    if np.any(small):
-        out[small] = _expint_series(nu, 1j * a[small])
-    if np.any(~small):
-        out[~small] = _expint_ray(nu, a[~small])
-    out[neg] = np.conj(out[neg])
-    return out
 
 
 def lower_kernel_iomega(nu: float, omega) -> np.ndarray:
@@ -273,60 +214,6 @@ def _gaussian_laplace_watson(nu: float, mw: float):
         if abs(term) < 1e-14 * abs(acc):
             return acc, logscale
     return None
-
-
-# ---------------------------------------------------------------------------
-# Zeros of J_nu
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=256)
-def _zero_cache(nu: float) -> list:
-    return []
-
-
-def bessel_j_zeros(nu: float, k_max: int) -> np.ndarray:
-    """First k_max positive zeros of J_nu, nu > -1, to ~1e-12 absolute.
-
-    Orders in (-1, 0) arise from the oscillatory capacity kernel when the
-    normalized QoS exponent drops below 1/2.
-
-    Zeros are found by forward scanning with a guaranteed-bracketing step
-    (consecutive zeros of J_nu are at least ~2 apart and the scan step is
-    well below that), then polished with Brent's method; results are cached
-    per order and extended on demand.
-    """
-    if nu <= -1:
-        raise DomainError("bessel_j_zeros requires nu > -1")
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
-    cache = _zero_cache(float(nu))
-    if len(cache) >= k_max:
-        return np.array(cache[:k_max])
-
-    def f(x):
-        return sp.jv(nu, x)
-
-    # start past the turning point x ~ nu where the oscillation begins
-    if cache:
-        x = cache[-1] + 1e-3
-    else:
-        x = max(nu + 1e-2, 1e-2)
-    step = math.pi / 4.0
-    fx = f(x)
-    while fx == 0.0:
-        x += 1e-9
-        fx = f(x)
-    while len(cache) < k_max:
-        x2 = x + step
-        f2 = f(x2)
-        if fx * f2 < 0:
-            root = brentq(f, x, x2, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-            cache.append(float(root))
-            x = root + 1e-3
-            fx = f(x)
-        else:
-            x, fx = x2, f2
-    return np.array(cache[:k_max])
 
 
 # ---------------------------------------------------------------------------

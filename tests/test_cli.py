@@ -75,6 +75,21 @@ class TestSweep:
         assert all(r["status"] == "ok" for r in rows)
         assert all(r["ec_bits_s_hz"] > 0 for r in rows)
 
+    def test_missing_error_estimate_is_empty(self, tmp_path):
+        # OPRA reports no error estimate: the CSV field is empty and the
+        # JSON value null, not a claimed zero
+        cfg = build_config(dict(BASE, policies=["opra", "ora"],
+                                theta=[1e-2]))
+        rows = run_sweep(cfg)
+        assert rows[0]["err_estimate"] is None
+        assert rows[1]["err_estimate"] > 0.0
+        csv_path, json_path = write_outputs(rows, str(tmp_path), "sweep")
+        with open(csv_path) as fh:
+            opra = fh.read().splitlines()[1].split(",")
+        assert opra[0] == "opra" and opra[7] == ""
+        with open(json_path) as fh:
+            assert json.load(fh)[0]["err_estimate"] is None
+
     def test_csv_byte_determinism(self):
         cfg = build_config(BASE)
         a = rows_to_csv(run_sweep(cfg))

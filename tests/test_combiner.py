@@ -27,11 +27,13 @@ from effcap.errors import (
     NumericError,
     ParameterError,
 )
+from effcap import specfun as sf
 from effcap.fading import (
     AlphaEtaMu,
     GeneralizedGamma,
     Gsnm,
     Nakagami,
+    ray_grid,
     sample_envelope,
 )
 
@@ -56,6 +58,12 @@ class TestSpec:
             CombinerSpec(0.0, 1.0, 1.0, (Nakagami(1.0),), 1.0)
         with pytest.raises(ParameterError):
             CombinerSpec(2.0, 1.0, 1.0, (), 1.0)
+
+    @pytest.mark.parametrize("p, q", [(2.0, -1.0), (-2.0, 1.0), (1.0, -2.0)])
+    def test_signs_of_p_and_q_must_match(self, p, q):
+        # in the L_p-norm family q = 2/p; MRC, EGC and AF all keep the sign
+        with pytest.raises(ParameterError, match="sign"):
+            CombinerSpec(p, q, 1.0, (Nakagami(1.0),) * 2, 1.0)
 
 
 class TestSnrEnd:
@@ -247,7 +255,9 @@ class TestLawRay:
         assert integral_route(NAK2_EGC) == "law-ray"
         assert integral_route(CombinerSpec.mrc([Nakagami(1.5)], 1.0)) \
             == "law-ray"
-        assert integral_route(GG3_EGC) == "panels"
+        for L in range(1, 7):
+            assert integral_route(CombinerSpec.egc(
+                [GeneralizedGamma(2.0, 1.5)] * L, 1.0)) == "law-ray"
         assert integral_route(CombinerSpec.af([Nakagami(1.5)] * 2, 1.0)) \
             == "panels"
 
@@ -296,32 +306,34 @@ class TestLawRay:
                 float(want), rel=1e-10)
 
     def test_truncated_moment_routes_agree(self):
-        # the node sum against the Parseval panels at a tight tolerance
-        from effcap import combiner
-
+        # the node sum over the law ray against the product of the two
+        # branch rays, which shares no convolution with it
+        x, g = _product_measure(*(ray_grid(b, 1.0, 0, 0)
+                                  for b in NAK2_EGC.branches))
         for delta, nu in ((0.4, 0.8), (1.7, 2.0)):
             node = x_truncated_moment(NAK2_EGC, delta, nu)
-            route = combiner.integral_route
-            combiner.integral_route = lambda spec: "panels"
-            try:
-                panels = x_truncated_moment(NAK2_EGC, delta, nu, tol=1e-11)
-            finally:
-                combiner.integral_route = route
-            assert node == pytest.approx(panels, rel=1e-9)
+            prod = float(np.imag(sf.stieltjes_power(nu, x / delta) @ g)) \
+                / math.pi
+            assert node == pytest.approx(prod, rel=1e-9)
 
     def test_measure_does_not_depend_on_history(self):
-        spec = CombinerSpec.egc([GeneralizedGamma(1.3, 1.7)] * 2, 1.0)
-
-        def values():
+        # L = 3 adds a pair whose own grid deepens as the sum needs
+        def values(spec):
             return (x_inverse_moment(spec, 1.5),
                     x_truncated_moment(spec, 1e-4, 2.0),
                     cdf_x_gil_pelaez(spec, 0.8))
 
-        cb._law_grid.cache_clear()
-        first = values()
-        cb._law_grid.cache_clear()
-        cb._law_grid(spec.branches, spec.p, 6, 0)  # deeper levels first
-        assert values()[::-1] == first[::-1]
+        def clear():
+            cb._law_grid.cache_clear()
+            cb._part_grid.cache_clear()
+
+        for L in (2, 3):
+            spec = CombinerSpec.egc([GeneralizedGamma(1.3, 1.7)] * L, 1.0)
+            clear()
+            first = values(spec)
+            clear()
+            cb._law_grid(spec.branches, spec.p, 6, 0)  # deeper levels first
+            assert values(spec)[::-1] == first[::-1]
 
     def test_underflowing_law_is_refused_by_name(self):
         spec = CombinerSpec.egc([AlphaEtaMu(2.0, 1.001, 300.0)] * 2, 1.0)
@@ -340,8 +352,58 @@ class TestLawRay:
             2.0 ** -1.5, rel=1e-4)
 
 
+def _product_measure(*grids):
+    """Nodes and weights of the product of ray measures: the measure of a
+    sum of independent variables, since Phi_X is the product of theirs."""
+    x, g = np.zeros(1), np.ones(1)
+    for grid in grids:
+        x = (x[:, None] + grid.x).ravel()
+        g = (g[:, None] * grid.g).ravel()
+    return x, g
+
+
+class TestLawRayManyBranches:
+    """The law ray of L >= 3 branches, built along the ray from partial
+    sums interpolated off their own grids."""
+
+    @pytest.mark.parametrize("L", [3, 4])
+    @pytest.mark.parametrize("m", [0.7, 1.5])
+    def test_gamma_sum_cdf_and_truncated_moment(self, L, m):
+        # X ~ Gamma(L m, 1/m)
+        spec = CombinerSpec.mrc([Nakagami(m)] * L, 1.0)
+        a, th = L * m, 1.0 / m
+        for ratio in (0.01, 0.3, 1.0, 3.0):
+            delta = ratio * a * th
+            assert cdf_x_gil_pelaez(spec, delta) == pytest.approx(
+                float(sp.gammainc(a, delta / th)), rel=1e-12)
+            for nu in (0.5, 1.0, 2.0):
+                want = math.exp(nu * math.log(delta / th)
+                                + sp.gammaln(a - nu) - sp.gammaln(a)) \
+                    * float(sp.gammaincc(a - nu, delta / th))
+                # far past the mean the moment is ~1e-6: 1e-17 absolute
+                assert x_truncated_moment(spec, delta, nu) == pytest.approx(
+                    want, rel=1e-12 if ratio < 3.0 else 1e-9)
+
+    def test_triple_egc_against_a_product_measure(self):
+        # the dual law ray times the third branch's ray: 2.1e-13 from
+        # Gamma(4.5) on triple Nakagami(1.5) MRC
+        spec = CombinerSpec.egc([Nakagami(1.5)] * 3, 10 ** 0.5)
+        x, g = _product_measure(cb._law_grid(spec.branches[:2], 1.0, 0, 0),
+                                ray_grid(spec.branches[2], 1.0, 0, 0))
+        for delta in (0.3, 1.5, 4.0):
+            want = float(np.imag(g @ cb._log1p(-delta / x))) / math.pi
+            assert cdf_x_gil_pelaez(spec, delta) == pytest.approx(
+                want, rel=1e-10, abs=1e-15)
+        for a_exp in (0.3, 2.9):
+            want = float(np.real(
+                g @ np.exp(-a_exp * cb._log1p(spec.k * x * x))))
+            assert cb.x_ora_mean(spec, a_exp).value == pytest.approx(
+                want, rel=1e-10)
+
+
 class TestPanelInverseMoment:
-    """E[X^-s] for L >= 3 from the Mellin integral that CIFR shares."""
+    """E[X^-s] for L >= 3, a node sum over the law ray since the Mellin
+    integral of the panel route went to CIFR alone."""
 
     @pytest.mark.parametrize("L", [3, 4])
     @pytest.mark.parametrize("m", [0.6, 1.5])
@@ -349,14 +411,19 @@ class TestPanelInverseMoment:
     def test_gamma_sum_inverse_moment(self, L, m, s):
         # X ~ Gamma(L m, 1/m): E[X^-s] = m^s Gamma(L m - s) / Gamma(L m)
         spec = CombinerSpec.mrc([Nakagami(m)] * L, 1.0)
-        assert integral_route(spec) == "panels"
+        assert integral_route(spec) == "law-ray"
         want = m ** s * math.exp(sp.gammaln(L * m - s) - sp.gammaln(L * m))
         assert x_inverse_moment(spec, s) == pytest.approx(want, rel=1e-9)
 
     def test_cifr_shares_the_integral(self):
+        # CIFR takes E[X^-q] from the Mellin integral, which the node sum
+        # confirms
         from effcap.policies import QosSpec, ec_cifr
 
         spec = CombinerSpec.egc([Nakagami(1.5)] * 3, 2.0)
         got = ec_cifr(spec, QosSpec(1e-2), tol=1e-9).value
-        want = math.log2(1.0 + spec.k / x_inverse_moment(spec, 2.0, 1e-9))
-        assert got == pytest.approx(want, rel=1e-14)
+        mellin = cb._mellin_mgf_x(spec, 2.0, 1e-9).value / math.gamma(2.0)
+        assert got == pytest.approx(math.log2(1.0 + spec.k / mellin),
+                                    rel=1e-14)
+        want = math.log2(1.0 + spec.k / x_inverse_moment(spec, 2.0))
+        assert got == pytest.approx(want, rel=1e-9)

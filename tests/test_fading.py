@@ -512,6 +512,19 @@ class TestErrorContext:
             chf_rp(model, 1.0, 1.0)
         assert repr(model) in str(info.value) and "p = 1.0" in str(info.value)
 
+    # sp.ive underflows in the alpha-eta-mu density at some rule nodes
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model", [AlphaKappaMu(2.0, 0.0, 300.0),
+                                       AlphaEtaMu(2.0, 1.5, 100.0)])
+    def test_concentrated_law_refused_by_the_gauss_rule(self, model):
+        # both laws sit at R = 1, so M(u) is near exp(-u); the rule's
+        # nodes miss them, and its total weight is 3e-88 and 5e-24
+        with pytest.raises(NumericError, match="total weight") as info:
+            mgf_rp(model, 1.0, np.array([0.5, 1.0]))
+        msg = str(info.value)
+        assert repr(model) in msg and "p = 1.0" in msg
+        assert np.all(np.asarray(info.value.best_estimate) < 1e-20)
+
     def test_moment_failure_names_model_and_power(self):
         # alpha-kappa-mu has no closed moments, and the Gauss rule does not
         # converge on E[R^-1] close to the origin exponent alpha mu = 1.6

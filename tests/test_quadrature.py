@@ -8,7 +8,6 @@ from effcap.quadrature import (
     brentq,
     epsilon_limit,
     gauss_halfline_rule,
-    integrate_hankel_partitioned,
     integrate_interval,
     integrate_semi_infinite,
     minimize_bounded,
@@ -141,42 +140,6 @@ class TestSemiInfinite:
     def test_bad_tol_rejected(self):
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda u: np.exp(-u), tol=-1.0)
-
-
-class TestHankelPartitioned:
-    @pytest.mark.parametrize("a_exp", [0.6, 1.0, 2.0, 4.7])
-    @pytest.mark.parametrize("x", [0.2, 1.0, 5.0])
-    def test_defining_laplace_pair(self, a_exp, x):
-        est = integrate_hankel_partitioned(lambda u: np.exp(-x * u), a_exp,
-                                           tol=1e-9)
-        assert est.value == pytest.approx((1 + x * x) ** -a_exp, abs=1e-6)
-
-    def test_zero_factor(self):
-        est = integrate_hankel_partitioned(lambda u: np.zeros_like(u), 2.0,
-                                           tol=1e-10)
-        assert est.value == pytest.approx(0.0, abs=1e-12)
-
-    def test_sub_half_exponent_head(self):
-        # A < 1/2 has an integrable u^(2A-1) singularity at the origin
-        a_exp, x = 0.3, 1.0
-        est = integrate_hankel_partitioned(lambda u: np.exp(-x * u), a_exp,
-                                           tol=1e-9)
-        assert est.value == pytest.approx(2.0 ** -a_exp, abs=1e-7)
-
-    def test_agrees_with_adaptive_on_fast_decay(self):
-        # strong exponential decay: the plain adaptive integrator applies too
-        from effcap.quadrature import _egc_kernel
-
-        a_exp, x = 2.0, 5.0
-        hank = integrate_hankel_partitioned(lambda u: np.exp(-x * u), a_exp,
-                                            tol=1e-10)
-        flat = integrate_semi_infinite(
-            lambda u: _egc_kernel(u, a_exp) * np.exp(-x * u), tol=1e-10)
-        assert hank.value == pytest.approx(flat.value, rel=1e-6)
-
-    def test_reports_zero_count(self):
-        est = integrate_hankel_partitioned(lambda u: np.exp(-u), 1.0, tol=1e-9)
-        assert est.zeros_used and est.zeros_used >= 8
 
 
 def _counted(f):

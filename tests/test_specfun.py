@@ -3,7 +3,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import special as sp
 
 from effcap.errors import DomainError
 from effcap import specfun as sf
@@ -43,30 +42,6 @@ class TestIncompleteGamma:
         for nu in (-1.0, -2.5):
             with pytest.raises(DomainError):
                 sf.lower_kernel_iomega(nu, 1.0)
-
-
-class TestExpint:
-    def test_real_order_imaginary_argument(self):
-        got = sf.expint_iomega(1.6, 2.0)[0]
-        ref = complex(mp.expint(1.6, 2j))
-        assert got == pytest.approx(ref, rel=1e-10)
-
-    def test_imag_axis_vectorized(self):
-        w = np.array([0.05, 0.5, 1.9, 2.1, 3.99, 4.0, 4.01, 8.0, 9.99,
-                      10.0, 10.01, 300.0, 1e3])
-        for nu in (0.05, 0.5, 0.8, 0.97, 1.0, 1.5, 2.0):
-            got = sf.expint_iomega(nu, w)
-            for wi, gi in zip(w, got):
-                ref = complex(mp.expint(nu, 1j * wi))
-                assert gi == pytest.approx(ref, rel=1e-12, abs=0)
-            # Hermitian symmetry
-            assert np.array_equal(sf.expint_iomega(nu, -w), np.conj(got))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sf.expint_iomega(1.0, 0.0)
-        with pytest.raises(DomainError):
-            sf.expint_iomega(0.0, 1.0)
 
 
 class TestBessel:
@@ -152,33 +127,6 @@ class TestParabolicCylinder:
         for w in (0.5, 1j, -2.0 + 1j):
             with pytest.raises(DomainError):
                 sf.gaussian_laplace_moment_log(2.0, w)
-
-
-class TestBesselZeros:
-    def test_half_order_zeros_of_sin(self):
-        z = sf.bessel_j_zeros(0.5, 6)
-        assert np.allclose(z, np.pi * np.arange(1, 7), atol=1e-11)
-
-    def test_first_zero_j0(self):
-        assert sf.bessel_j_zeros(0.0, 1)[0] == pytest.approx(2.404825558,
-                                                             abs=1e-8)
-
-    @pytest.mark.parametrize("nu", [0.0, 0.37, 1.5, 7.2, 28.35])
-    def test_zeros_are_zeros_and_increasing(self, nu):
-        z = sf.bessel_j_zeros(nu, 30)
-        assert np.all(np.diff(z) > 0)
-        assert np.max(np.abs(sp.jv(nu, z))) < 1e-10
-
-    def test_negative_order_from_small_qos_exponent(self):
-        z = sf.bessel_j_zeros(-0.2, 10)
-        assert np.all(np.diff(z) > 0)
-        assert np.max(np.abs(sp.jv(-0.2, z))) < 1e-10
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sf.bessel_j_zeros(-1.5, 3)
-        with pytest.raises(DomainError):
-            sf.bessel_j_zeros(1.0, 0)
 
 
 class TestStieltjesPower:
