@@ -21,17 +21,23 @@ truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
   f_X(z) = z int_0^1 f_1(sz) f_2((1-s)z) ds, by a sinh-mapped trapezoid
   rule in ln(s/(1-s)) centred on the integrand's peak (a double
   exponential rule, Takahasi & Mori, Publ. RIMS 9, 1974).  The sum of L
-  branches adds the sum of its first L // 2 and the sum of the rest; a
-  partial sum of two or more branches has its own grid, on a finer step,
-  and its density off that grid comes from windowed sinc interpolation
-  (Stenger, *Numerical Methods Based on Sinc and Analytic Functions*,
-  1993).  The measure depends on (branches, p) only and is cached, so a
-  sweep over SNR and theta reuses it.  Swapping the finite sum with the
-  frequency integral turns every Gil-Pelaez and Parseval integral into a
-  closed-form node sum: F(delta) = (1/pi) Im sum G_k Log(1 - delta/z_k) by
-  Frullani's identity, E[X^-s] = Re sum G_k z_k^-s, and the truncated
-  moment is (1/pi) Im sum G_k J_nu(z_k/delta) with J_nu the power
-  Stieltjes transform.  The ORA expectation is the node sum
+  branches adds the sum of its first L // 2 and the sum of the rest.  A
+  summand whose density costs more than one evaluation a point has its
+  own grid, on a finer step, and its density off that grid comes from
+  windowed sinc interpolation (Stenger, *Numerical Methods Based on Sinc
+  and Analytic Functions*, 1993): a partial sum of two or more branches
+  (a point of it is an inner rule) and a mixture branch (GSNM, 32 shadow
+  components a point); a single-component branch is evaluated directly,
+  which costs less than the read.  For identical grid-read summands every
+  inner point sits at one fractional grid position at every node, so its
+  sinc taps are shared by all nodes.  The measure depends on (branches,
+  p) only and is cached, so a sweep over SNR and theta reuses it.
+  Swapping the finite sum with the frequency integral turns every
+  Gil-Pelaez and Parseval integral into a closed-form node sum:
+  F(delta) = (1/pi) Im sum G_k Log(1 - delta/z_k) by Frullani's identity,
+  E[X^-s] = Re sum G_k z_k^-s, and the truncated moment is
+  (1/pi) Im sum G_k J_nu(z_k/delta) with J_nu the power Stieltjes
+  transform.  The ORA expectation is the node sum
   E[(1 + k X^q)^-A] = Re sum G_k (1 + k z_k^q)^-A, on a narrower ray
   (the measure is also cached per angle) when A is large.  ``tol`` does
   not enter.
@@ -46,11 +52,12 @@ truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sp
 
 from .errors import DomainError, MethodUnavailableError, ParameterError
@@ -221,7 +228,7 @@ def integral_route(spec: CombinerSpec) -> str:
     return "law-ray" if spec.p > 0 else "panels"
 
 
-# inner-rule evaluations (nodes x mixture components) per work array
+# inner-rule evaluations (nodes x inner points) per work array
 _SUM_BLOCK = 1 << 14
 # deepest level a law grid is extended to for a moment (decades of |z|)
 _MAX_LEVEL = 40
@@ -236,9 +243,11 @@ _PART_REFINE = 4
 _SINC_TAPS = 44
 _SINC_VAR = 2.0 * _SINC_TAPS / math.pi
 _SINC_OFFSETS = np.arange(-_SINC_TAPS, _SINC_TAPS + 1, dtype=float)
-_SINC_SIGNS = np.where(_SINC_OFFSETS % 2 == 0, 1.0, -1.0)
 # interpolation points per work array
 _SINC_BLOCK = 2048
+# bisection steps of a sum rule's centre: its 120-wide bracket halved
+# until below 1e-6 in tau
+_CENTRE_STEPS = math.ceil(math.log2(120.0 / 1e-6))
 
 
 def _log_var(rule) -> float:
@@ -254,31 +263,41 @@ def _log_var(rule) -> float:
 class _Part:
     """One summand of a sum on the ray: ``logpdf(lnx)`` is its ln f at
     x = exp(lnx), ``u0`` ln of a typical value, ``var`` Var ln X, ``slope``
-    the rate at which x f(x) falls as ln x -> -inf, ``width`` the
-    evaluations one point costs, and ``margin`` how far, in widths of the
-    inner peak, the inner rule reaches past this summand's tail."""
+    the rate at which x f(x) falls as ln x -> -inf, and ``margin`` how
+    far, in widths of the inner peak, the inner rule reaches past this
+    summand's tail.
+
+    A summand whose point costs more than one evaluation is read off its
+    own grid of samples: ``grid`` is then the (branches, p, phi) key of
+    ``_part_grid`` and ``logpdf`` is ``_sinc_logpdf`` on it.  That is
+    every partial sum, whose point is an inner rule, and a mixture branch
+    (GSNM: 32 shadow components a point), whose grid costs one mixture a
+    node where the inner rule of a sum asks for about 30 times as many
+    points.  A single-component branch keeps its exact ``logpdf_rp``
+    (``grid`` None): one evaluation a point costs less than the read.
+    """
 
     logpdf: object
     u0: float
     var: float
     slope: float
-    width: int
     margin: float
+    grid: tuple | None = None
 
 
 @lru_cache(maxsize=256)
 def _branch_part(model: FadingModel, p: float) -> _Part:
     rule = ray_rule(model, p)
     return _Part(partial(logpdf_rp, model, p), rule.u0, _log_var(rule),
-                 rule.slope, rule.logw.size, 30.0)
+                 rule.slope, 30.0)
 
 
 def _partial_sum(branches: tuple, p: float, phi: float) -> _Part:
     """The sum over two or more ``branches`` as a summand of a larger sum
     on the ray at angle ``phi``.  Its density comes from its own grid
-    (``_part_grid``) by ``_sinc_logpdf``; its typical value and log
-    variance from a log-normal match of its branches (Fenton & Wilkinson,
-    Bell Syst. Tech. J. 39, 1960).
+    (``_part_grid``) by ``_sinc_logpdf``, since a point of it costs an
+    inner rule; its typical value and log variance from a log-normal match
+    of its branches (Fenton & Wilkinson, Bell Syst. Tech. J. 39, 1960).
 
     Its margin is 10 peak widths: the inner terms past them add nothing
     (sums of GSNM, Nakagami, alpha-kappa-mu and mixed branches weigh the
@@ -291,7 +310,7 @@ def _partial_sum(branches: tuple, p: float, phi: float) -> _Part:
     spread = sum(math.expm1(q.var) * m * m for q, m in zip(parts, means))
     return _Part(partial(_sinc_logpdf, branches, p, phi),
                  math.log(means.sum()), math.log1p(spread / means.sum() ** 2),
-                 sum(q.slope for q in parts), 1, 10.0)
+                 sum(q.slope for q in parts), 10.0, (branches, p, phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +330,10 @@ class _SumRule:
     spacing near h over the peak, the step the analytic strip of the rays
     allows (h is the step of the sum's own law; a partial sum's grid is
     finer, ``_PART_REFINE``).  Identical summands have tau_c = 0 and a
-    symmetric integrand: one side, doubled.
+    symmetric integrand: one side, doubled.  When they are also read off
+    a grid, every inner point sits at the same fractional position on it
+    at every node, since h is a whole number of the grid's steps: each
+    inner point then has one set of sinc taps (``_iid_weights``).
     """
 
     phi: float
@@ -325,14 +347,15 @@ class _SumRule:
     ln_dxi: np.ndarray  # ln(A cosh(xi) step), doubled off-centre if iid
 
     def _centre(self, r: np.ndarray) -> np.ndarray:
-        """tau_c(r): bisection on the log-normal match's d/dtau."""
+        """tau_c(r): bisection on the log-normal match's d/dtau, to a
+        bracket below 1e-6 (the sinh map's centre need not be exact)."""
         if self.iid:
             return np.zeros(r.shape)
         (l1, v1), (l2, v2) = ((q.u0, q.var) for q in self.parts)
         lr = np.log(r)
         lo = np.full(r.shape, l1 - l2 - 60.0)
         hi = np.full(r.shape, l1 - l2 + 60.0)
-        for _ in range(64):
+        for _ in range(_CENTRE_STEPS):
             t = 0.5 * (lo + hi)
             s = 0.5 * (1.0 + np.tanh(0.5 * t))
             slope = ((lr - np.logaddexp(0.0, t) - l2) * s / v2
@@ -342,11 +365,46 @@ class _SumRule:
             hi = np.where(up, hi, t)
         return 0.5 * (lo + hi)
 
+    def _iid_weights(self, j: np.ndarray):
+        """``weights`` of identical grid-read summands at consecutive
+        nodes j.  Each inner point, ln s and then ln(1 - s), has one
+        nearest grid index j0 at node 0 and one set of sinc taps; its
+        values are one strided window of the samples times its taps."""
+        samples = _part_grid(*self.parts[0].grid)
+        rule = samples.grid.rule
+        ratio = round(self.h / rule.h)
+        tau = self.amp * np.sinh(self.xi)
+        t = (np.concatenate([-np.logaddexp(0.0, -tau),
+                             -np.logaddexp(0.0, tau)]) + self.u0
+             - rule.u0) / rule.h
+        j0 = np.rint(t).astype(np.intp)
+        w, c = _sinc_window(t - j0)
+        taps = c[:, None] * w
+        n = j.size
+        lo = int(j0.min()) + ratio * int(j[0]) - _SINC_TAPS
+        hi = int(j0.max()) + ratio * int(j[-1]) + _SINC_TAPS
+        windows = _sinc_windows(samples.reaching(lo), lo, hi)
+        start = j0 + (ratio * int(j[0]) - _SINC_TAPS - lo)
+        stop = ratio * (n - 1) + 1
+        half = self.xi.size
+        # node k reads at j0_a + ratio k and j0_b + ratio k, so the signs
+        # (-1)^j of the two windows multiply to (-1)^(j0_a + j0_b) at every k
+        dxi = np.exp(self.ln_dxi) * (1 - 2 * ((j0[:half] + j0[half:]) & 1))
+        g = np.zeros(n, dtype=complex)
+        for i in range(half):
+            a, b = start[i], start[half + i]
+            # x_1 f_1(x_1) x_2 f_2(x_2) h_grid^2, x_1 = s z, x_2 = (1 - s) z
+            g += dxi[i] * ((windows[a:a + stop:ratio] @ taps[i])
+                           * (windows[b:b + stop:ratio] @ taps[half + i]))
+        return (np.exp(self.u0 + self.h * j + 1j * self.phi),
+                self.h / rule.h ** 2 * g)
+
     def weights(self, j: np.ndarray):
+        if self.iid and self.parts[0].grid is not None:
+            return self._iid_weights(j)
         lnz = self.u0 + self.h * j + 1j * self.phi
         f1, f2 = self.parts
-        width = max(q.width for q in self.parts)
-        chunk = max(1, _SUM_BLOCK // (width * self.xi.size))
+        chunk = max(1, _SUM_BLOCK // self.xi.size)
         g = np.empty(j.size, dtype=complex)
         for i in range(0, j.size, chunk):
             lz = lnz[i:i + chunk]
@@ -390,8 +448,15 @@ def _sum_rule(first: _Part, second: _Part, phi: float, iid: bool,
 
 
 def _summand(branches: tuple, p: float, phi: float) -> _Part:
-    return (_branch_part(branches[0], p) if len(branches) == 1
-            else _partial_sum(branches, p, phi))
+    """A summand of a sum on the ray at angle ``phi``: a partial sum or a
+    mixture branch read off its grid, else the branch itself."""
+    if len(branches) > 1:
+        return _partial_sum(branches, p, phi)
+    part = _branch_part(branches[0], p)
+    if branches[0].mixture()[0].size == 1:
+        return part
+    return replace(part, logpdf=partial(_sinc_logpdf, branches, p, phi),
+                   grid=(branches, p, phi))
 
 
 def _build_law(branches: tuple, p: float, phi: float,
@@ -408,51 +473,98 @@ def _build_law(branches: tuple, p: float, phi: float,
                           f"combiner ray measure for {branches!r}, p = {p}")
 
 
+class _PartSamples:
+    """The grid of a grid-read summand on the refined step: built at
+    level 0 on first use and deepened in place, level by level as
+    ``_law_grid`` is, as far as the reads reach; so the values at a node
+    do not depend on the order of the reads, and one grid is kept."""
+
+    def __init__(self, branches: tuple, p: float, phi: float):
+        if len(branches) > 1:
+            self.grid = _build_law(branches, p, phi, _PART_REFINE)
+        else:
+            # the branch's own rule moved onto the sum's ray and step
+            rule = ray_rule(branches[0], p)
+            rule = replace(rule, psi=phi / rule.a, phi=phi,
+                           h=math.pi * phi / (RAY_LOGTOL * _PART_REFINE))
+            self.grid = build_ray_grid(
+                rule, float(np.exp(rule.logw).sum()),
+                f"combiner branch grid for {branches[0]!r}, p = {p}")
+        # the grid ends exp(-RAY_LOGTOL) below its peak on the right; one
+        # window more keeps a read up to there relative to its own value
+        j = self.grid.j_first + self.grid.g.size + np.arange(_SINC_TAPS)
+        x, g = self.grid.rule.weights(j)
+        self.grid = replace(self.grid, x=np.concatenate([self.grid.x, x]),
+                            g=np.concatenate([self.grid.g, g]))
+        self.level = 0
+
+    def reaching(self, j: int) -> RayGrid:
+        """The grid deepened until its first node is j or before (at most
+        to level _MAX_LEVEL)."""
+        while self.grid.j_first > j and self.level < _MAX_LEVEL:
+            self.level += 1
+            self.grid = deepen_ray_grid(self.grid, self.level)
+        return self.grid
+
+
 @lru_cache(maxsize=256)
-def _part_grid(branches: tuple, p: float, phi: float, level: int) -> RayGrid:
-    """The grid of a partial sum of two or more branches on the refined
-    step, at ``level`` as in ``_law_grid``."""
-    if level > 0:
-        return deepen_ray_grid(_part_grid(branches, p, phi, level - 1), level)
-    return _build_law(branches, p, phi, _PART_REFINE)
+def _part_grid(branches: tuple, p: float, phi: float) -> _PartSamples:
+    return _PartSamples(branches, p, phi)
+
+
+def _sinc_windows(grid: RayGrid, lo: int, hi: int) -> np.ndarray:
+    """The 2 _SINC_TAPS + 1 wide windows of the signed samples (-1)^j g_j
+    of ``grid`` at j = lo .. hi, zero past its ends; window r starts at
+    j = lo + r.  A read at nearest index j0 is then (-1)^j0 c times its
+    window dotted with the unsigned taps w of ``_sinc_window``."""
+    out = np.zeros(hi - lo + 1, dtype=complex)
+    a, b = max(lo, grid.j_first), min(hi, grid.j_first + grid.g.size - 1)
+    if a <= b:
+        out[a - lo:b - lo + 1] = grid.g[a - grid.j_first:b - grid.j_first + 1]
+    out *= 1 - 2 * (np.arange(lo, hi + 1) & 1)
+    return sliding_window_view(out, 2 * _SINC_TAPS + 1)
+
+
+def _sinc_window(frac: np.ndarray):
+    """The windowed sinc weights of one read per fractional offset frac in
+    [-1/2, 1/2] from the nearest sample, as (w, c): sinc(frac - k) times
+    the Gaussian window is c (-1)^k w_k, k = -_SINC_TAPS .. _SINC_TAPS,
+    with c = sin(pi frac) / pi.  frac = 0 is moved off the pole, where the
+    weight is 1 at k = 0 and 0 beside."""
+    frac = np.where(frac == 0.0, 1e-300, frac)
+    d = frac[:, None] - _SINC_OFFSETS
+    w = d * d
+    w *= -0.5 / _SINC_VAR
+    np.exp(w, out=w)
+    w /= d
+    return w, np.sin(math.pi * frac) / math.pi
 
 
 def _sinc_logpdf(branches: tuple, p: float, phi: float, lnx) -> np.ndarray:
-    """ln f of the partial sum over ``branches`` at x = exp(lnx) on its ray.
+    """ln f of the grid-read summand over ``branches`` (a partial sum or a
+    mixture branch) at x = exp(lnx) on its ray.
 
     x f(x) is analytic in u = ln|x| about the ray, so its samples
     g_j / h on the refined grid determine it (Stenger, *Numerical Methods
     Based on Sinc and Analytic Functions*, 1993): the sinc series, with a
     Gaussian window that cuts it to 2 _SINC_TAPS + 1 terms whose error is
-    relative to the samples near x.  The grid is taken at the shallowest
-    level that reaches every window; samples past its ends are zero.
+    relative to the samples near x.  The grid is deepened until it reaches
+    every window; samples past its ends are zero.
     """
     lnx = np.asarray(lnx, dtype=complex)
-    grid = _part_grid(branches, p, phi, 0)
-    rule = grid.rule
+    samples = _part_grid(branches, p, phi)
+    rule = samples.grid.rule
     t = ((lnx.real - rule.u0) / rule.h).ravel()
-    j0 = np.rint(t)
-    lowest = j0.min() - _SINC_TAPS
-    for level in range(1, _MAX_LEVEL + 1):
-        if grid.j_first <= lowest:
-            break
-        grid = _part_grid(branches, p, phi, level)
-    # the samples padded with a zero at each end, where every index past
-    # the grid is clipped to
-    samples = np.concatenate([[0.0], grid.g, [0.0]])
-    at = j0 - (grid.j_first - 1)
-    # sinc(frac - k) = (-1)^k sin(pi frac) / (pi (frac - k)); frac = 0 is
-    # moved off the pole, where the product is 1 at k = 0 and 0 beside
-    frac = t - j0
-    frac[frac == 0.0] = 1e-300
+    j0 = np.rint(t).astype(np.intp)
+    lo, hi = int(j0.min()) - _SINC_TAPS, int(j0.max()) + _SINC_TAPS
+    windows = _sinc_windows(samples.reaching(lo), lo, hi)
+    start = j0 - j0.min()
     out = np.empty(t.size, dtype=complex)
     for i in range(0, t.size, _SINC_BLOCK):
-        d = frac[i:i + _SINC_BLOCK, None] - _SINC_OFFSETS
-        idx = np.clip(at[i:i + _SINC_BLOCK, None] + _SINC_OFFSETS, 0,
-                      samples.size - 1).astype(np.intp)
-        w = _SINC_SIGNS * np.exp(-0.5 / _SINC_VAR * d * d) / d
-        out[i:i + _SINC_BLOCK] = np.sin(math.pi * frac[i:i + _SINC_BLOCK]) \
-            / math.pi * np.einsum("ij,ij->i", w, samples[idx])
+        block = slice(i, i + _SINC_BLOCK)
+        w, c = _sinc_window(t[block] - j0[block])
+        out[block] = c * (1 - 2 * (j0[block] & 1)) * np.einsum(
+            "ij,ij->i", w, windows[start[block]])
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(out).reshape(lnx.shape) - math.log(rule.h) - lnx
 

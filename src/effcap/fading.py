@@ -611,6 +611,8 @@ def _inv_gamma_laplace(m: float, c: float, s: float, j: int) -> float:
 
 # ln of the cancellation factor sum|g_j| / |sum g_j| the ray angle aims at
 _RAY_LOSS = 2.5
+# mixture-component terms (nodes x components) per work array of a ray rule
+_RAY_BLOCK = 1 << 12
 
 
 def _component_logs(logw, unit: FadingModel, lw):
@@ -651,12 +653,17 @@ class RayRule:
     slope: float  # d ln|g| / du as u -> -inf: the origin power of f_X(x) x
 
     def weights(self, j: np.ndarray):
-        """Nodes x_j and weights g_j = h f_X(x_j) x_j."""
+        """Nodes x_j and weights g_j = h f_X(x_j) x_j, evaluated in blocks
+        of at most _RAY_BLOCK component terms."""
         u = self.u0 + self.h * j
-        lw = (u[None, :] - self.lnc[:, None]) / self.a + 1j * self.psi
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = np.exp(_component_logs(self.logw, self.unit, lw)).sum(
-                axis=0) * (self.h / self.a)
+        g = np.empty(j.size, dtype=complex)
+        step = max(1, _RAY_BLOCK // self.logw.size)
+        for i in range(0, j.size, step):
+            lw = (u[None, i:i + step] - self.lnc[:, None]) / self.a \
+                + 1j * self.psi
+            with np.errstate(over="ignore", invalid="ignore"):
+                g[i:i + step] = np.exp(_component_logs(
+                    self.logw, self.unit, lw)).sum(axis=0) * (self.h / self.a)
         return np.exp(u + 1j * self.phi), np.nan_to_num(g, nan=0.0)
 
 

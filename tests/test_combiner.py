@@ -33,7 +33,9 @@ from effcap.fading import (
     GeneralizedGamma,
     Gsnm,
     Nakagami,
+    logpdf_rp,
     ray_grid,
+    ray_rule,
     sample_envelope,
 )
 
@@ -41,6 +43,7 @@ RAYLEIGH2 = CombinerSpec.mrc([Nakagami(1.0, 1.0)] * 2, 1.0)
 NAK2 = CombinerSpec.mrc([Nakagami(1.5, 1.0)] * 2, 1.0)
 NAK2_EGC = CombinerSpec.egc([Nakagami(1.5, 1.0)] * 2, 1.0)
 GG3_EGC = CombinerSpec.egc([GeneralizedGamma(2.0, 1.5, 1.0)] * 3, 1.0)
+GSNM = Gsnm(2.0, 2.5, 3.0, 1.0)
 
 
 class TestSpec:
@@ -317,7 +320,8 @@ class TestLawRay:
             assert node == pytest.approx(prod, rel=1e-9)
 
     def test_measure_does_not_depend_on_history(self):
-        # L = 3 adds a pair whose own grid deepens as the sum needs
+        # L = 3 adds a pair whose own grid deepens as the sum needs; a GSNM
+        # branch is read off its own grid, deepened in place
         def values(spec):
             return (x_inverse_moment(spec, 1.5),
                     x_truncated_moment(spec, 1e-4, 2.0),
@@ -326,14 +330,16 @@ class TestLawRay:
         def clear():
             cb._law_grid.cache_clear()
             cb._part_grid.cache_clear()
+            ray_grid.cache_clear()
 
-        for L in (2, 3):
-            spec = CombinerSpec.egc([GeneralizedGamma(1.3, 1.7)] * L, 1.0)
-            clear()
-            first = values(spec)
-            clear()
-            cb._law_grid(spec.branches, spec.p, 6, 0)  # deeper levels first
-            assert values(spec)[::-1] == first[::-1]
+        for branch in (GeneralizedGamma(1.3, 1.7), GSNM):
+            for L in (2, 3):
+                spec = CombinerSpec.egc([branch] * L, 1.0)
+                clear()
+                first = values(spec)
+                clear()
+                cb._law_grid(spec.branches, spec.p, 6, 0)  # deeper first
+                assert values(spec)[::-1] == first[::-1]
 
     def test_underflowing_law_is_refused_by_name(self):
         spec = CombinerSpec.egc([AlphaEtaMu(2.0, 1.001, 300.0)] * 2, 1.0)
@@ -360,6 +366,70 @@ def _product_measure(*grids):
         x = (x[:, None] + grid.x).ravel()
         g = (g[:, None] * grid.g).ravel()
     return x, g
+
+
+class TestGsnmLawRay:
+    """Sums with GSNM branches, whose 32-component shadow mixture is read
+    off a grid of its own by windowed sinc."""
+
+    @pytest.mark.parametrize("branches, p", [
+        ((GSNM, GSNM), 1.0),
+        ((GSNM, GSNM), 2.0),
+        ((GSNM, Gsnm(1.6, 2.2, 2.0, 1.0)), 1.0),
+    ], ids=["iid-egc", "iid-mrc", "mixed-egc"])
+    def test_against_a_product_measure(self, branches, p):
+        # the product of the two branch rays shares no convolution and no
+        # sinc code with the law ray
+        spec = CombinerSpec(p, 2.0 / p, 1.0, branches, 1.0)
+        x, g = _product_measure(*(ray_grid(b, p, 1, 0) for b in branches))
+        mean = float(np.real(g @ x))
+        for ratio in (0.2, 0.6, 1.5):
+            delta = ratio * mean
+            want = float(np.imag(g @ cb._log1p(-delta / x))) / math.pi
+            assert cdf_x_gil_pelaez(spec, delta) == pytest.approx(want,
+                                                                  rel=1e-9)
+        # one T_nu point: the power Stieltjes transform of the 2e5-node
+        # product measure costs 0.2 s a point
+        delta = 0.6 * mean
+        want = float(np.imag(sf.stieltjes_power(1.5, x / delta) @ g)) \
+            / math.pi
+        assert x_truncated_moment(spec, delta, 1.5) == pytest.approx(
+            want, rel=1e-9)
+        for s_pow in (0.5, 1.0):
+            want = float(np.real(g @ np.exp(-s_pow * np.log(x))))
+            assert x_inverse_moment(spec, s_pow) == pytest.approx(want,
+                                                                  rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_sinc_read_matches_the_mixture(self, p):
+        # off-grid points on the sum's ray, down to e^-30 of the peak of
+        # |x f|: the read against the 32-component density itself
+        phi = ray_rule(GSNM, p, 2).phi
+        grid = cb._part_grid((GSNM,), p, phi).grid
+        rule = grid.rule
+        keep = np.log(np.abs(grid.g)) >= grid.peak_log - 30.0
+        j = grid.j_first + np.nonzero(keep)[0]
+        frac = np.random.default_rng(5).uniform(-0.5, 0.5, j.size)
+        lnx = rule.u0 + rule.h * (j + frac) + 1j * phi
+        got = cb._sinc_logpdf((GSNM,), p, phi, lnx)
+        want = logpdf_rp(GSNM, p, lnx)
+        assert np.max(np.abs(np.expm1(got - want))) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_iid_weights_match_the_direct_rule(self, p):
+        # the node-shared taps of an i.i.d. pair against the inner rule
+        # on the 32-component density at every point
+        phi = ray_rule(GSNM, p, 2).phi
+        direct = cb._branch_part(GSNM, p)
+        read = cb._summand((GSNM,), p, phi)
+        assert read.grid is not None and direct.grid is None
+        j = np.arange(-40, 40)
+        x_ref, g_ref = cb._sum_rule(direct, direct, phi, True, 1).weights(j)
+        x, g = cb._sum_rule(read, read, phi, True, 1).weights(j)
+        assert np.array_equal(x, x_ref)
+        big = np.abs(g_ref) >= np.abs(g_ref).max() * math.exp(-30.0)
+        assert big.sum() > 40
+        assert np.max(np.abs(g[big] / g_ref[big] - 1.0)) <= 1e-12
 
 
 class TestLawRayManyBranches:
