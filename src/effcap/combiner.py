@@ -180,11 +180,11 @@ def _grouped(branches):
     return groups.items()
 
 
-def joint_mgf_x(spec: CombinerSpec, u, tol: float = 1e-9):
+def joint_mgf_x(spec: CombinerSpec, u):
     """M_X(u) = prod_l E[exp(-u R_l^p)] (independent branches)."""
     out = None
     for b, mult in _grouped(spec.branches):
-        v = mgf_rp(b, spec.p, u, tol=tol)
+        v = mgf_rp(b, spec.p, u)
         if mult > 1:
             v = v ** mult
         out = v if out is None else out * v
@@ -202,15 +202,13 @@ def chf_x(spec: CombinerSpec, omega):
     return out
 
 
-def mgf_x_derivative(spec: CombinerSpec, u, tol: float = 1e-9):
+def mgf_x_derivative(spec: CombinerSpec, u):
     """dM_X/du via the product rule over branch derivatives (< 0)."""
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise DomainError("mgf_x_derivative requires u > 0")
-    vals = [np.atleast_1d(mgf_rp(b, spec.p, u, tol=tol))
-            for b in spec.branches]
-    ders = [np.atleast_1d(mgf_rp_deriv(b, spec.p, u, tol))
-            for b in spec.branches]
+    vals = [np.atleast_1d(mgf_rp(b, spec.p, u)) for b in spec.branches]
+    ders = [np.atleast_1d(mgf_rp_deriv(b, spec.p, u)) for b in spec.branches]
     prod = np.prod(np.vstack(vals), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = sum(d / v for d, v in zip(ders, vals))

@@ -11,7 +11,6 @@ with R^p = c W^a:
 * ``power_logpdf(lw)``: ln f_W(w) at w = exp(lw), one formula valid at
   complex lw (ln w enters the densities directly);
 * ``power_map(p)``: (c, a, k) with R^p = c W^a and f_W(w) ~ w^k at 0;
-* ``decay``: the rate lambda of the exponential decay of f_W;
 * ``w_mean_shape()``: E[W] and the Gamma shape E[W]^2 / Var W;
 * ``origin()``: (ln a0, c) with f_R(r) = a0 r^(c-1) (1 + o(1)) as
   r -> 0 (ln a0 is None where the model has no closed tail);
@@ -25,39 +24,44 @@ with R^p = c W^a:
   32-node Gauss rule.
 
 Closed forms are optional methods that return None where a model has
-none: ``closed_transform`` (Nakagami p in {2, -2}, and p = 1 on the real
-axis; alpha-eta-mu at p = alpha; the GSNM Mellin-Barnes contour on the
-real axis for p > 0), ``closed_transform_deriv`` (Nakagami
-p in {2, -2}) and ``power_gamma`` (Nakagami p = 2, an exact Gamma law).
-Nakagami is the generalized gamma with beta = 2 and inherits its methods.
+none: ``closed_transform`` (Nakagami at p = 2, and at p = -2 with
+m <= 60; alpha-eta-mu at p = alpha; the GSNM Mellin-Barnes contour on the
+real axis for p > 0), ``closed_transform_deriv`` (Nakagami at the same p)
+and ``power_gamma`` (Nakagami p = 2, an exact Gamma law).  Nakagami is
+the generalized gamma with beta = 2 and inherits its methods.
 
 Evaluation strategy
 -------------------
-Characteristic functions with p > 0 are trapezoid sums on a ray.
-Phi(w) = int f_X(x) exp(i w x) dx, X = R^p, is summed in u = ln|x| along
-the ray x = e^(u + i phi), phi = a min(pi/(2a), pi/4), where the W density
-and the kernel both decay (a concentrated density, whose modulus would
-grow off the real axis, gets a narrower ray).  The integrand is analytic
-in a strip about the ray, so the sum converges exponentially in the step
-(Trefethen & Weideman, SIAM Rev. 56, 2014); its density part is sampled
-once per (model, p) and cached (``ray_grid``), and every batch of
-frequencies costs one matrix product.  ``logpdf_rp`` continues the
-density of R^p off the real axis for the combiner's ray measure of a sum
-of branches, whose ray ``ray_rule`` narrows so that the branches share
-the cancellation budget.
+Every transform without a closed form is a trapezoid sum in u = ln|x|
+over X = R^p, whose density part g_j = h f_X(x_j) x_j is sampled once
+per (model, p) and cached.  The integrand is analytic in a strip about
+the line summed on, so the sum converges exponentially in the step
+(Trefethen & Weideman, SIAM Rev. 56, 2014).
 
-The moment generating function takes real arguments only, in real
-arithmetic, and the characteristic function the imaginary axis.  MGFs
-and moments without a closed form use a Gauss rule with weight exp(-t^2)
-under W = t^2/lambda, which absorbs the density's exponential decay, and
-adaptive quadrature on the real axis deep in the tail, where that rule
-cannot reach; a value outside [0, 1], NaN included, raises, and so does
-a rule whose total weight misses 1 by more than 1e-2, which a law too
-concentrated for its nodes leaves.  The GSNM
-moment generating function with p > 0 is a one-dimensional Mellin-Barnes
-contour integral with four gamma factors, evaluated on a cached uniform
-grid along the vertical contour; with p < 0 it is the Gauss rule mixed
-over the shadow components.
+* Characteristic functions with p > 0 sum on the ray
+  x = e^(u + i phi), phi = a min(pi/(2a), pi/4), where the W density and
+  the kernel both decay (a concentrated density, whose modulus would grow
+  off the real axis, gets a narrower ray); every batch of frequencies
+  costs one matrix product (``ray_grid``).  ``logpdf_rp`` continues the
+  density of R^p off the real axis for the combiner's ray measure of a
+  sum of branches, whose ray ``ray_rule`` narrows so that the branches
+  share the cancellation budget.
+* Moment generating functions, their derivative and moments without a
+  closed form sum the same rule laid on the real axis (``real_rule``),
+  for either sign of p: M(u) = sum_j g_j exp(-u x_j),
+  dM/du = -sum_j g_j x_j exp(-u x_j) and E[R^power] = sum_j g_j / y_j on
+  the rule of Y = R^-power.  Every term is positive, so nothing cancels.
+  The grid is deepened towards the origin until its first term lies
+  exp(-RAY_LOGTOL) below the largest, which keeps the sum relative to
+  its own size deep in the tail (M(u) ~ C u^-d for p > 0).  Its total
+  mass is checked against 1 when it is built, so a law too concentrated
+  for the rule, or a density that underflows, raises NumericError.
+
+The moment generating function takes real arguments only, and the
+characteristic function the imaginary axis.  The closed forms above stay
+as exact fast paths; the GSNM Mellin-Barnes form (p > 0) stays until the
+GSNM law has an exact shadow density, and with p < 0 GSNM takes the
+real-axis rule over its shadow mixture.
 
 All model values are immutable and hashable; evaluators are pure.
 """
@@ -65,7 +69,7 @@ All model values are immutable and hashable; evaluators are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -84,10 +88,7 @@ from .quadrature import (
     build_ray_grid,
     deepen_ray_grid,
     gauss_halfline_rule,
-    integrate_interval,
-    integrate_semi_infinite,
 )
-from .specfun import gaussian_laplace_moment_log
 
 __all__ = [
     "Nakagami",
@@ -104,6 +105,7 @@ __all__ = [
     "logpdf_rp",
     "ray_rule",
     "ray_grid",
+    "real_rule",
     "tail_expansion",
     "moment_rp",
     "sample_envelope",
@@ -148,8 +150,6 @@ class FadingModel:
 
 class _GammaPower(FadingModel):
     """R = sqrt(omega/b) W^(1/beta) with W ~ Gamma(m, 1)."""
-
-    decay = 1.0
 
     @property
     def b(self) -> float:
@@ -200,56 +200,31 @@ class Nakagami(_GammaPower):
         return (self.m, self.omega / self.m) if p == 2.0 else None
 
     def closed_transform(self, p: float, s: np.ndarray):
-        """p = 2 and p = -2 on both axes; p = 1 on the real axis only,
-        by the Gaussian-Laplace kernel (the ray grid serves the imaginary
-        axis)."""
+        """p = 2, and p = -2 with m <= 60 (the Bessel-K pair overflows at
+        larger order), on both axes."""
         m, omega = self.m, self.omega
         if p == 2.0:
             return np.exp(-m * np.log1p(s * omega / m))
-        if p == 1.0:
-            if np.iscomplexobj(s):
-                return None
-            scale = math.sqrt(omega / (2.0 * m))
-            pref = (1.0 - m) * math.log(2.0) - sp.gammaln(m)
-            out = np.empty(s.shape)
-            for i, sv in enumerate(s):
-                mant, logscale = gaussian_laplace_moment_log(2.0 * m,
-                                                             -sv * scale)
-                out[i] = mant * math.exp(min(pref + logscale, 705.0))
-            return out
-        if p != -2.0:
+        if p != -2.0 or m > 60.0:
             return None
         out = np.empty(s.shape, dtype=s.dtype)
         zero = s == 0
         out[zero] = 1.0
-        sv = s[~zero]
-        if m <= 60.0:
-            arg = sv * m / omega
-            out[~zero] = (2.0 / sp.gamma(m)) * arg ** (m / 2.0) \
-                * sp.kv(m, 2.0 * np.sqrt(arg))
-        else:
-            # the Bessel-K pair overflows at large order; integrate the
-            # inverse-gamma kernel directly (real arguments suffice there)
-            if np.iscomplexobj(sv):
-                raise MethodUnavailableError(
-                    "complex inverse-power transform needs m <= 60")
-            out[~zero] = [_inv_gamma_laplace(m, m / omega, float(x), 0)
-                          for x in sv]
+        arg = s[~zero] * m / omega
+        out[~zero] = (2.0 / sp.gamma(m)) * arg ** (m / 2.0) \
+            * sp.kv(m, 2.0 * np.sqrt(arg))
         return out
 
     def closed_transform_deriv(self, p: float, u: np.ndarray):
         m, om = self.m, self.omega
         if p == 2.0:
             return -om * (1.0 + u * om / m) ** (-m - 1.0)
-        if p != -2.0:
+        if p != -2.0 or m > 60.0:
             return None
-        if m <= 60.0:
-            # d/dz [z^(m/2) K_m(2 sqrt z)] = -z^((m-1)/2) K_{m-1}(2 sqrt z)
-            z = u * m / om
-            return (2.0 / sp.gamma(m)) * (m / om) * (
-                -(z ** ((m - 1.0) / 2.0)) * sp.kv(m - 1.0, 2.0 * np.sqrt(z)))
-        return -np.array([_inv_gamma_laplace(m, m / om, float(x), 1)
-                          for x in np.atleast_1d(u)])
+        # d/dz [z^(m/2) K_m(2 sqrt z)] = -z^((m-1)/2) K_{m-1}(2 sqrt z)
+        z = u * m / om
+        return (2.0 / sp.gamma(m)) * (m / om) * (
+            -(z ** ((m - 1.0) / 2.0)) * sp.kv(m - 1.0, 2.0 * np.sqrt(z)))
 
     def sample(self, rng, n):
         return np.sqrt(rng.gamma(self.m, self.omega / self.m, n))
@@ -326,8 +301,14 @@ class Gsnm(FadingModel):
 @lru_cache(maxsize=128)
 def _gsnm_mixture(model: Gsnm):
     # R = S^(1/2) R_unit, and the shadow amplitude S^(1/2) is a
-    # Nakagami(m_s, omega_s) envelope
-    logw, scales = _envelope_terms(Nakagami(model.m_s, model.omega_s), 32)
+    # Nakagami(m_s, omega_s) envelope: with S = omega_s t^2 / m_s the
+    # 32-node rule for the weight exp(-t^2) on [0, inf) takes
+    # E[g(S^(1/2))] = 2/Gamma(m_s) int t^(2 m_s - 1) exp(-t^2) g(.) dt
+    rule = gauss_halfline_rule(32)
+    t = rule.nodes
+    logw = (math.log(2.0) - float(sp.gammaln(model.m_s))
+            + np.log(rule.weights) + (2.0 * model.m_s - 1.0) * np.log(t))
+    scales = math.sqrt(model.omega_s / model.m_s) * t
     return logw, scales, GeneralizedGamma(model.m, model.beta, 1.0)
 
 
@@ -344,10 +325,6 @@ class AlphaKappaMu(FadingModel):
             raise ParameterError("AlphaKappaMu requires alpha > 0 and mu > 0")
         if self.kappa < 0:
             raise ParameterError("AlphaKappaMu requires kappa >= 0")
-
-    @property
-    def decay(self) -> float:
-        return self.mu * (1.0 + self.kappa)
 
     def power_logpdf(self, lw):
         k, mu = self.kappa, self.mu
@@ -423,10 +400,6 @@ class AlphaEtaMu(FadingModel):
         eta = self.eta
         return (1.0 + eta) ** 2 / (4.0 * eta), (eta * eta - 1.0) / (4.0 * eta)
 
-    @property
-    def decay(self) -> float:
-        return self.mu * (1.0 + self.eta) / self.eta  # 2 mu (h - H)
-
     def power_logpdf(self, lw):
         mu = self.mu
         w = np.exp(lw)
@@ -435,9 +408,11 @@ class AlphaEtaMu(FadingModel):
                 + (mu + 0.5) * math.log(mu) + mu * math.log(h)
                 - sp.gammaln(mu) - (mu - 0.5) * math.log(habs))
         arg = 2.0 * mu * habs * w
-        # exp(-2 mu h w) I(arg) = exp(-decay w) ive(arg) exp(|Re arg| - arg)
+        # exp(-2 mu h w) I(arg) = exp(-2 mu (h - H) w) ive(arg)
+        # exp(|Re arg| - arg), and 2 mu (h - H) = mu (1 + eta) / eta
         return (pref + (mu - 0.5) * lw + np.log(sp.ive(mu - 0.5, arg))
-                + (np.abs(np.real(arg)) - arg) - self.decay * w)
+                + (np.abs(np.real(arg)) - arg)
+                - mu * (1.0 + self.eta) / self.eta * w)
 
     def power_map(self, p: float):
         return 1.0, p / self.alpha, 2.0 * self.mu - 1.0
@@ -479,51 +454,6 @@ class TailExpansion:
             raise ParameterError("TailExpansion requires C > 0 and d > 0")
 
 
-# ---------------------------------------------------------------------------
-# Gauss-rule terms:  E[g(R)] ~= sum_k exp(logc_k) g(r_k)
-# ---------------------------------------------------------------------------
-
-def _gauss_terms(logpdf, decay: float, n: int):
-    """(log-weights, nodes) with E[g(W)] ~= sum_k exp(logc_k) g(w_k).
-
-    W = t^2/decay carries the half-line rule with weight exp(-t^2) onto a
-    W whose density exp(logpdf) decays like exp(-decay w).
-    """
-    rule = gauss_halfline_rule(n)
-    t = rule.nodes
-    w = t * t / decay
-    logc = (np.log(rule.weights) + t * t + logpdf(np.log(w))
-            + np.log(2.0 * t / decay))
-    return logc, w
-
-
-@lru_cache(maxsize=512)
-def _envelope_terms(model: FadingModel, n: int):
-    """(log-coefficients, envelope nodes) over every mixture component."""
-    logw, scales, unit = model.mixture()
-    logc, w = _gauss_terms(unit.power_logpdf, unit.decay, n)
-    c, a, _ = unit.power_map(1.0)
-    r = c * w ** a
-    return (logw[:, None] + logc).ravel(), (scales[:, None] * r).ravel()
-
-
-# largest distance from 1 of the total weight of a Gauss rule whose sum is
-# accepted; a law too concentrated for the rule falls between its nodes
-_RULE_MASS_TOL = 1e-2
-
-
-def _vouched(model: FadingModel, p: float, n: int, value):
-    """``value``, a sum over the n-node Gauss rule of ``model``, unless
-    that rule's total weight is more than _RULE_MASS_TOL away from 1."""
-    mass = float(np.exp(_envelope_terms(model, n)[0]).sum())
-    if not abs(mass - 1.0) <= _RULE_MASS_TOL:
-        raise NumericError(
-            f"the {n}-node Gauss rule for {model!r}, p = {p}, has total "
-            f"weight {mass:.3g}: the law is too concentrated for it",
-            best_estimate=value)
-    return value
-
-
 def pdf_envelope(model: FadingModel, r):
     """Density of the fading envelope at r > 0 (vectorized)."""
     r = np.asarray(r, dtype=float)
@@ -537,72 +467,6 @@ def pdf_envelope(model: FadingModel, r):
     logf = (unit.power_logpdf(np.log(w)) + np.log(w / (a * x))
             + logw - np.log(scales))
     return np.exp(logf).sum(axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Transforms M(u) = E[exp(-u R^p)]
-# ---------------------------------------------------------------------------
-
-def _plain_transform(model: FadingModel, p: float, s, n: int):
-    logc, r = _envelope_terms(model, n)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    ex = logc[None, :] - s[:, None] * (r ** p)[None, :]
-    return np.exp(ex).sum(axis=1)
-
-
-def _quad_transform(model, p: float, s: float, tol: float) -> float:
-    """E[exp(-s R^p)] for real s >= 0 and p > 0 by adaptive quadrature in
-    the power variable w on the real axis."""
-    c, a, orig = model.power_map(p)
-
-    def logmag(v):
-        with np.errstate(divide="ignore"):
-            lg = model.power_logpdf(np.log(v))
-        return lg - s * c * v ** a
-
-    # Locate where the mass per log-interval peaks, then rescale the
-    # variable so the feature is O(1) wide and O(1) tall; adaptive error
-    # control is then effectively relative however deep the tail is.
-    grid = np.geomspace(1e-12, 30.0 * (orig + 2.0), 240)
-    lm = logmag(grid) + np.log(grid)
-    k = int(np.argmax(lm))
-    w_peak = grid[k]
-    peaklog = float(lm[k])
-
-    def f(v):
-        w = w_peak * np.asarray(v, dtype=float)
-        with np.errstate(divide="ignore"):
-            lg = model.power_logpdf(np.log(w))
-        return np.exp(lg - s * c * w ** a - peaklog + math.log(w_peak))
-
-    est = integrate_semi_infinite(f, tol=tol, origin_power=orig, scale=3.0)
-    return float(est.value * math.exp(peaklog))
-
-
-def _inv_gamma_laplace(m: float, c: float, s: float, j: int) -> float:
-    """int f_G(g) (c/g)^j exp(-s c/g) dg for G ~ Gamma(m, 1), log-stable."""
-    def logint(g):
-        return ((m - 1.0 - j) * np.log(g) - g - s * c / g
-                + j * math.log(c) - sp.gammaln(m))
-
-    mj = m - 1.0 - j
-    gpk = 0.5 * (mj + math.sqrt(mj * mj + 4.0 * s * c))
-    peak = float(logint(gpk))
-    curv = mj / gpk ** 2 + 2.0 * s * c / gpk ** 3
-    sigma = 1.0 / math.sqrt(max(curv, 1e-300))
-
-    def f(g):
-        g = np.asarray(g, dtype=float)
-        return np.exp(logint(g) - peak)
-
-    if gpk / sigma > 8.0:
-        vlo = -min(40.0, 0.98 * gpk / sigma)
-        est = integrate_interval(lambda v: f(gpk + sigma * v) * sigma,
-                                 vlo, 40.0, tol=1e-10)
-    else:
-        est = integrate_semi_infinite(f, tol=1e-10, origin_power=0.0,
-                                      scale=gpk + sigma)
-    return float(est.value * math.exp(peak))
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +504,9 @@ class RayRule:
     is capped where that factor reaches e^_RAY_LOSS, with m the Gamma
     shape of W (exact for GG, Nakagami, GSNM and alpha-mu, a close match
     for kappa > 0 and alpha-eta-mu).
+
+    With psi = phi = 0 the rule lies on the real axis (``real_rule``),
+    where a < 0 serves p < 0.
     """
 
     logw: np.ndarray
@@ -654,17 +521,22 @@ class RayRule:
 
     def weights(self, j: np.ndarray):
         """Nodes x_j and weights g_j = h f_X(x_j) x_j, evaluated in blocks
-        of at most _RAY_BLOCK component terms."""
+        of at most _RAY_BLOCK component terms; real arrays on the real
+        axis (psi = 0)."""
         u = self.u0 + self.h * j
-        g = np.empty(j.size, dtype=complex)
+        real = self.psi == 0.0
+        g = np.empty(j.size, dtype=float if real else complex)
         step = max(1, _RAY_BLOCK // self.logw.size)
         for i in range(0, j.size, step):
-            lw = (u[None, i:i + step] - self.lnc[:, None]) / self.a \
-                + 1j * self.psi
+            lw = (u[None, i:i + step] - self.lnc[:, None]) / self.a
+            if not real:
+                lw = lw + 1j * self.psi
             with np.errstate(over="ignore", invalid="ignore"):
                 g[i:i + step] = np.exp(_component_logs(
-                    self.logw, self.unit, lw)).sum(axis=0) * (self.h / self.a)
-        return np.exp(u + 1j * self.phi), np.nan_to_num(g, nan=0.0)
+                    self.logw, self.unit, lw)).sum(axis=0) \
+                    * (self.h / abs(self.a))
+        x = np.exp(u) if real else np.exp(u + 1j * self.phi)
+        return x, np.nan_to_num(g, nan=0.0)
 
 
 def ray_rule(model: FadingModel, p: float, share: int = 1,
@@ -747,59 +619,97 @@ def _ray_chf(model: FadingModel, p: float, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mixture_mgf(model: FadingModel, p: float, s: np.ndarray, tol: float):
-    """E[exp(-s R^p)] for a real array s >= 0 without a closed form:
-    unit transforms mixed over the model's components, since scaling the
-    envelope by sigma scales the argument by sigma^p."""
-    logw, scales, unit = model.mixture()
-    flat = (s[:, None] * scales[None, :] ** p).ravel()
-    vals = _unit_mgf(unit, p, flat, tol).reshape(s.size, scales.size)
-    return vals @ np.exp(logw)
+# ---------------------------------------------------------------------------
+# Real-axis sums: one cached trapezoid rule per (model, p), both signs of p
+# ---------------------------------------------------------------------------
+
+# deepest level of a real-axis grid
+_MAX_REAL_LEVEL = 60
+# ln of the smallest normal double: terms below it cannot move a sum
+_LN_TINY = math.log(np.finfo(float).tiny)
 
 
-def _unit_mgf(model: FadingModel, p: float, s: np.ndarray, tol: float):
-    """The Gauss rule, escalated; for p > 0 deep in the tail, where the
-    kernel confines the mass near the origin and the fixed rule loses
-    relative accuracy, adaptive quadrature instead."""
-    if p > 0:
-        c_sc, a_pow, orig = model.power_map(p)
-        w_typ = 0.5 * (orig + 1.0)
-        deep = s * c_sc * w_typ ** a_pow > 18.0
+def real_rule(model: FadingModel, p: float) -> RayRule:
+    """The rule of X = R^p on the real axis, for either sign of p.
+
+    The CHF rule of R^|p| laid on the real axis (psi = 0): its integrand
+    in u = ln x is analytic within the CHF ray's angle phi of the axis,
+    twice the half-width that ray's step is sized for, so the step is
+    2 pi phi / RAY_LOGTOL.  All weights are positive.
+
+    For p < 0 the power map is that of |p| inverted, R^p = c^-1 W^-a,
+    with weights h/|a|.  The left tail is then the power variable's
+    exponential tail, which falls faster than RAY_LOGTOL/|a| per unit u
+    past the level-0 grid; that rate sets how far a deeper level reaches.
+    A large u moves the sum out along that tail, where the density and
+    the kernel both grow off the axis like exp(W (1 - cos)), so the step
+    counts on half the strip, the CHF ray's own step: M and dM/du then
+    keep 1e-12 relative to u = 1e3.
+    """
+    rule = ray_rule(model, abs(p))
+    if p < 0:
+        return replace(rule, lnc=-rule.lnc, a=-rule.a, u0=-rule.u0,
+                       slope=RAY_LOGTOL / rule.a, psi=0.0, phi=0.0)
+    return replace(rule, psi=0.0, phi=0.0, h=2.0 * rule.h)
+
+
+@lru_cache(maxsize=1024)
+def _real_grid(model: FadingModel, p: float, level: int) -> RayGrid:
+    """The real-axis grid of X = R^p: level 0 down to exp(-RAY_LOGTOL) of
+    its peak on both sides, mass-checked against 1 (the shadow rule's own
+    total for GSNM); each further level reaches ln(10) slope lower on the
+    left."""
+    if level > 0:
+        return deepen_ray_grid(_real_grid(model, p, level - 1), level)
+    rule = real_rule(model, p)
+    return build_ray_grid(rule, float(np.exp(rule.logw).sum()),
+                          f"real-axis grid for {model!r}, p = {p}")
+
+
+@lru_cache(maxsize=1024)
+def _log_nodes(grid: RayGrid):
+    """(ln x_j, ln g_j) of a real-axis grid."""
+    with np.errstate(divide="ignore"):
+        return np.log(grid.x), np.log(grid.g)
+
+
+def _real_sum(model: FadingModel, p: float, u: np.ndarray,
+              power: float) -> np.ndarray:
+    """E[X^power exp(-u X)], X = R^p, for a real array u >= 0: the positive
+    node sum sum_j g_j x_j^power exp(-u x_j).
+
+    The kernel must not grow to the right of the weights' peak, past which
+    the grid ends.  The grid is the shallowest level whose first term
+    lies exp(-RAY_LOGTOL) below the largest at the largest u: the terms
+    rise to one peak and fall on either side, so the first is then past
+    it on the left.  A grid whose g_0 x_0^power, which bounds every term
+    to its left for power >= 0, lies that far below the smallest normal
+    double also serves: the terms it drops cannot move the sum.
+    """
+    top = float(u.max()) if u.size else 0.0
+    for level in range(_MAX_REAL_LEVEL + 1):
+        grid = _real_grid(model, p, level)
+        lnx, lng = _log_nodes(grid)
+        lnm = lng + power * lnx - top * grid.x
+        if lnm[0] <= lnm.max() - RAY_LOGTOL \
+                or lng[0] + power * lnx[0] <= _LN_TINY - RAY_LOGTOL:
+            break
     else:
-        deep = np.zeros(s.shape, dtype=bool)
-    out = np.empty(s.shape)
-    if not np.all(deep):
-        out[~deep] = _plain_sum_escalating(model, p, s[~deep], tol)
-    for i in np.nonzero(deep)[0]:
-        out[i] = _quad_transform(model, p, float(s[i]), tol)
-    return out
+        raise NumericError(
+            f"the real-axis grid for {model!r}, p = {p}, does not reach the "
+            f"terms of E[X^{power} exp(-{top:.6g} X)] in {_MAX_REAL_LEVEL} "
+            "levels")
+    return np.exp(power * lnx - np.multiply.outer(u, grid.x)) @ grid.g
 
 
-def _plain_sum_escalating(model, p, s, tol):
-    # The rule's residual error for fractional-power integrands is an
-    # absolute plateau (~1e-7 at 32 nodes, ~2e-8 at 64), so acceptance
-    # mixes the caller's relative tolerance with that floor.
-    v1 = _plain_transform(model, p, s, 15)
-    v2 = _plain_transform(model, p, s, 32)
-    if np.all(np.abs(v1 - v2) <= np.maximum(10 * tol * np.abs(v2), 1e-7)):
-        return _vouched(model, p, 32, v2)
-    v3 = _plain_transform(model, p, s, 64)
-    excess = np.abs(v2 - v3) - np.maximum(100 * tol * np.abs(v3), 5e-7)
-    if np.all(excess <= 0):
-        return _vouched(model, p, 64, v3)
-    worst = float(s[np.argmax(excess)])
-    raise NumericError(
-        f"fading transform quadrature did not converge for {model!r}, "
-        f"p = {p}, worst at s = {worst:.6g}", best_estimate=v3)
-
-
-def mgf_rp(model: FadingModel, p: float, u, tol: float = 1e-9):
+def mgf_rp(model: FadingModel, p: float, u):
     """M(u) = E[exp(-u R^p)] for real u >= 0, vectorized in u.
 
-    The model's closed transform where it has one (for GSNM its
-    Mellin-Barnes contour form); else the change-of-variable Gauss rule
-    with escalation, and adaptive quadrature deep in the tail for p > 0.
-    Complex u raises DomainError: ``chf_rp`` serves the imaginary axis.
+    An exact closed form where the model has one (Nakagami at p = 2 and at
+    p = -2 with m <= 60, alpha-eta-mu at p = alpha, and for now GSNM's
+    Mellin-Barnes contour with p > 0); else the positive node sum over the
+    real-axis rule (``real_rule``), for either sign of p.  Complex u
+    raises DomainError: ``chf_rp`` serves the imaginary axis.
     """
     if p == 0:
         raise DomainError("p must be nonzero")
@@ -811,7 +721,7 @@ def mgf_rp(model: FadingModel, p: float, u, tol: float = 1e-9):
     s = uu.astype(float)
     out = model.closed_transform(p, s)
     if out is None:
-        out = _mixture_mgf(model, p, s, tol)
+        out = _real_sum(model, p, s, 0.0)
     outr = np.where(s == 0.0, 1.0, out)
     # underflow to 0 in deep tails is legitimate; a sign error or a
     # non-finite value is not
@@ -820,33 +730,21 @@ def mgf_rp(model: FadingModel, p: float, u, tol: float = 1e-9):
         i = int(np.argmax(bad))
         raise NumericError(
             f"branch MGF for {model!r}, p = {p}, at u = {s[i]:.6g} is "
-            f"{outr[i]:.6g}, outside [0, 1]: quadrature failure",
-            best_estimate=float(outr[i]))
+            f"{outr[i]:.6g}, outside [0, 1]", best_estimate=float(outr[i]))
     outr = np.clip(outr, 0.0, 1.0)
     return float(outr[0]) if scalar else outr
 
 
-def mgf_rp_deriv(model: FadingModel, p: float, u, tol: float = 1e-9):
-    """d/du E[exp(-u R^p)] for real u > 0, in closed or Gauss-rule form."""
+def mgf_rp_deriv(model: FadingModel, p: float, u):
+    """d/du E[exp(-u R^p)] = -E[R^p exp(-u R^p)] for real u > 0: the
+    model's closed form (Nakagami at p = 2, and p = -2 with m <= 60), else
+    the node sum over the real-axis rule."""
     u = np.asarray(u, dtype=float)
     closed = model.closed_transform_deriv(p, u)
     if closed is not None:
         return closed
-
-    def eval_at(n):
-        logc, r = _envelope_terms(model, n)
-        rp = r ** p
-        ex = logc[None, :] + np.log(rp)[None, :] \
-            - np.atleast_1d(u)[:, None] * rp[None, :]
-        return -np.exp(ex).sum(axis=1)
-
-    v2, v3 = eval_at(32), eval_at(64)
-    if np.any(np.abs(v2 - v3) > np.maximum(100 * tol * np.abs(v3), 5e-7)):
-        raise NumericError(
-            f"branch MGF derivative did not converge for {model!r}, "
-            f"p = {p}", best_estimate=v3)
-    _vouched(model, p, 64, v3)
-    return v3 if u.ndim else float(v3[0])
+    out = -_real_sum(model, p, np.atleast_1d(u), 1.0)
+    return out if u.ndim else float(out[0])
 
 
 def chf_rp(model: FadingModel, p: float, omega):
@@ -873,7 +771,8 @@ def chf_rp(model: FadingModel, p: float, omega):
         else:
             raise MethodUnavailableError(
                 f"no characteristic function of R^{p} for {model!r}: with "
-                "p < 0 it exists in closed form for Nakagami branches only")
+                "p < 0 it exists in closed form for Nakagami branches with "
+                "m <= 60 only")
     out[neg] = np.conj(out[neg])
     return complex(out[0]) if scalar else out
 
@@ -961,9 +860,10 @@ def tail_expansion(model: FadingModel, p: float = 1.0) -> TailExpansion:
     return TailExpansion(C=math.exp(lnc), d=d)
 
 
-def moment_rp(model: FadingModel, p: float, n: int, tol: float = 1e-9):
+def moment_rp(model: FadingModel, p: float, n: int):
     """E[R^(n p)]: exact where the model has a closed moment, otherwise
-    by Gauss quadrature against the envelope density."""
+    E[1/Y] over the real-axis rule of Y = R^(-n p), a node sum whose
+    kernel 1/y falls to the right."""
     if n < 0 or n != int(n):
         raise DomainError("moment order n must be a nonnegative integer")
     if n == 0:
@@ -976,21 +876,7 @@ def moment_rp(model: FadingModel, p: float, n: int, tol: float = 1e-9):
     exact = model.moment(power)
     if exact is not None:
         return exact
-
-    def eval_at(nn):
-        logc, r = _envelope_terms(model, nn)
-        return float(np.exp(logc + power * np.log(r)).sum())
-
-    v1, v2 = eval_at(15), eval_at(32)
-    if abs(v1 - v2) <= 10 * tol * abs(v2):
-        return _vouched(model, p, 32, v2)
-    v3 = eval_at(64)
-    if abs(v2 - v3) <= 100 * tol * abs(v3):
-        return _vouched(model, p, 64, v3)
-    raise NumericError(
-        f"moment quadrature did not converge for {model!r}: "
-        f"E[R^{power}] ~ {v3:.6g}, change {abs(v2 - v3):.2e}",
-        best_estimate=v3)
+    return float(_real_sum(model, -power, np.zeros(1), -1.0)[0])
 
 
 def sample_envelope(model: FadingModel, rng: np.random.Generator,

@@ -73,7 +73,12 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .quadrature import brentq, integrate_semi_infinite, minimize_bounded
+from .quadrature import (
+    SEMI_INFINITE_REACH,
+    brentq,
+    integrate_semi_infinite,
+    minimize_bounded,
+)
 from .specfun import kummer_1f1
 
 __all__ = [
@@ -329,10 +334,15 @@ class _OpraRefs:
         return math.exp(lam * math.log(gamma0) + math.log(self.e_lam))
 
 
-def _opra_refs(spec: CombinerSpec, a_eff: float, tol: float) -> _OpraRefs:
+def _opra_refs(spec: CombinerSpec, a_eff: float,
+               tol: float) -> _OpraRefs | None:
+    """The references, or None when E[1/gamma] diverges (q >= the tail
+    exponent; E[gamma^-lam] then may too)."""
     lam = a_eff / (a_eff + 1.0)
     k = spec.k
     q = spec.q
+    if q > 0 and q >= x_tail_exponent(spec):
+        return None
     if q > 0:
         e_inv = x_inverse_moment(spec, q, tol) / k
         e_lam = x_inverse_moment(spec, lam * q, tol) * k ** -lam
@@ -384,7 +394,8 @@ def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
     Root-find on the full constraint, bracketed by the no-outage closed
     form when the cutoff is tiny; when the outage mass at the estimated
     cutoff is beyond machine resolution (always the case for very large
-    QoS exponents) the closed form itself is the solution.
+    QoS exponents) the closed form itself is the solution.  Without the
+    references (a divergent E[1/gamma]) the generic bracket serves.
     """
     a_eff, _ = _effective_a(spec, qos)
     refs = _opra_refs(spec, a_eff, tol)
@@ -397,12 +408,14 @@ def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
             seen[g0] = _cutoff_lhs_scaled(spec, a_eff, g0, tol) - 1.0
         return seen[g0]
 
-    g0_est = math.exp(max(refs.lng0_est, -744.0))
-    if refs.lng0_est < math.log(1e-280) \
-            or _outage_mass_bound(spec, g0_est) < 1e-12:
-        return (CutoffSolution(gamma0=g0_est, residual=0.0, iterations=0),
-                refs, refs.lng0_est, True)
-    if refs.lng0_est < math.log(5e-3):
+    if refs is not None:
+        g0_est = math.exp(max(refs.lng0_est, -744.0))
+        if refs.lng0_est < math.log(1e-280) \
+                or _outage_mass_bound(spec, g0_est) < 1e-12:
+            return (CutoffSolution(gamma0=g0_est, residual=0.0,
+                                   iterations=0),
+                    refs, refs.lng0_est, True)
+    if refs is not None and refs.lng0_est < math.log(5e-3):
         # tight bracket around the closed-form estimate, verified on the
         # full residual
         lo = math.exp(refs.lng0_est - 2.0)
@@ -479,7 +492,8 @@ def ec_opra_chf(spec: CombinerSpec, qos: QosSpec,
     def terms(g0, lam, refs):
         delta = _delta_of(spec, g0)
         kterm = x_truncated_moment(spec, delta, lam * abs(spec.q), tol,
-                                   scale=refs.k_est(g0, lam))
+                                   scale=None if refs is None
+                                   else refs.k_est(g0, lam))
         fx = cdf_x_gil_pelaez(spec, delta, tol=tol)
         return kterm + (fx if spec.q > 0 else 1.0 - fx)
 
@@ -511,7 +525,8 @@ def ec_opra_mgf(spec: CombinerSpec, qos: QosSpec,
         # integrate in w = v/delta, where the incomplete MGF lives on the
         # combiner scale whatever the cutoff is; the delta^(lam q)
         # prefactor is carried in logs
-        ref = refs.e_lam * spec.k ** lam  # ~ E[X^-lam q]
+        # ~ E[X^-lam q], where finite
+        ref = 1.0 if refs is None else refs.e_lam * spec.k ** lam
 
         def f(w):
             w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -536,7 +551,14 @@ def ec_opra_mgf(spec: CombinerSpec, qos: QosSpec,
 
 def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
     """EC under total channel inversion; divergent E[1/gamma] yields a
-    flagged zero-capacity result rather than an exception."""
+    flagged zero-capacity result rather than an exception.
+
+    For q > 0, E[1/gamma] is the Mellin integral of M_X, whose map ends
+    near u = 1e14.  The tail it drops is estimated from M_X's algebraic
+    tail and added to ``err_estimate``; near a divergent E[1/gamma] it
+    exceeds 100 tol relative, and NumericError is raised with the
+    capacity corrected by it as the best estimate.
+    """
     q = spec.q
     k = spec.k
     div = float(spec.L) if q < 0 else 1.0
@@ -548,12 +570,27 @@ def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
                                          "route": "mgf"})
 
         est = _mellin_mgf_x(spec, q, tol)
-        inv_mean = float(est.value) / (k * math.gamma(q))
+        value = float(est.value)
+        inv_mean = value / (k * math.gamma(q))
         if not inv_mean > 0:
             raise NumericError(
                 f"cifr: E[1/gamma] = {inv_mean:.6g} for {spec.branches!r} "
                 "is not positive", best_estimate=inv_mean)
-        diag = {"err_estimate": est.error_estimate, "route": "mgf"}
+        # the map of the Mellin integral ends near u = U and drops
+        # int_U^inf u^(q-1) M_X(u) du, about U^q M_X(U) / (d - q) on the
+        # tail M_X ~ C u^-d
+        u_end = SEMI_INFINITE_REACH
+        dropped = u_end ** q * float(joint_mgf_x(spec, u_end)) / (d_tot - q)
+        err = est.error_estimate + dropped
+        if err > 100 * tol * abs(value):
+            best = (value + dropped) / (k * math.gamma(q))
+            raise NumericError(
+                f"cifr: the Mellin integral for {spec.branches!r} drops a "
+                f"tail of {dropped / value:.2e} relative beyond u = "
+                f"{u_end:.0e}: E[1/gamma] is too close to diverging "
+                f"(tail exponent {d_tot:.6g}, q = {q:g})",
+                best_estimate=math.log2(1.0 + 1.0 / best))
+        diag = {"err_estimate": err, "route": "mgf"}
     elif q == -1.0:
         inv_mean = x_mean(spec) / k
         diag = {"route": "mgf"}

@@ -5,16 +5,18 @@ Five pieces of machinery shared by every analytic path in the package:
 * a Gauss rule for half-line integrals with Gaussian weight,
   ``int_0^inf exp(-t^2) f(t) dt ~= sum w_k f(t_k)``, from tables that
   tools/gen_halfrange_tables.py generates by the Golub-Welsch procedure
-  from the moment problem mu_j = Gamma((j+1)/2)/2;
-* an adaptive Gauss-Kronrod integrator for finite and semi-infinite ranges;
+  from the moment problem mu_j = Gamma((j+1)/2)/2; its one use is the
+  32 shadow nodes of the GSNM mixture;
+* an adaptive Gauss-Kronrod integrator for finite and semi-infinite
+  ranges, which the policies' MGF pairings and the AF panels use;
 * Wynn's epsilon (Shanks) table, one numpy column at a time, which
   accelerates the panel sums of the Gil-Pelaez and Parseval integrals of
   the p < 0 (AF) combiner;
-* trapezoid rules in ln|x| along a ray in the upper half plane, built out
-  from their peak until their weights fall exp(-RAY_LOGTOL) below it,
-  which carry the characteristic-function grids of the fading models and
-  the ray measure of the p > 0 combiner output, whatever its number of
-  branches;
+* trapezoid rules in ln|x| along a ray in the upper half plane or on the
+  real axis, built out from their peak until their weights fall
+  exp(-RAY_LOGTOL) below it, which carry the characteristic-function and
+  real-axis grids of the fading models and the ray measure of the p > 0
+  combiner output, whatever its number of branches;
 * Brent's bracketing root finder and bounded scalar minimizer, step for
   step as SciPy has them (``brentq``, and ``minimize_scalar`` with method
   "bounded"), without the 0.2-0.3 s import of SciPy's optimize package.
@@ -44,6 +46,7 @@ __all__ = [
     "integrate_interval",
     "integrate_semi_infinite",
     "integrate_alternating",
+    "SEMI_INFINITE_REACH",
     "RayGrid",
     "build_ray_grid",
     "deepen_ray_grid",
@@ -245,6 +248,11 @@ def integrate_interval(f, a, b, tol=1e-10, max_depth=48, max_evals=200_000):
     return IntegralEstimate(total, max(toterr, 0.0), evals)
 
 
+# where the map of integrate_semi_infinite ends, in units of its scale: u
+# reaches about this far, and the integral drops what lies beyond
+SEMI_INFINITE_REACH = 1e14
+
+
 def integrate_semi_infinite(
     f,
     tol: float = 1e-10,
@@ -283,8 +291,8 @@ def integrate_semi_infinite(
         u = u0 + scale * x / (1.0 - x)
         return f(u) * scale / (1.0 - x) ** 2
 
-    body = integrate_interval(mapped, 0.0, 1.0 - 1e-14, tol=0.5 * tol,
-                              max_evals=max_evals)
+    body = integrate_interval(mapped, 0.0, 1.0 - 1.0 / SEMI_INFINITE_REACH,
+                              tol=0.5 * tol, max_evals=max_evals)
     evals += body.evaluations
     value = body.value + (head.value if head else 0.0)
     err = body.error_estimate + (head.error_estimate if head else 0.0)

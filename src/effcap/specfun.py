@@ -11,9 +11,6 @@ pieces scipy does not cover are implemented here with controlled accuracy:
   Gauss-Laguerre quadrature along the steepest-descent ray t = 1 - i s,
   on which the integrand decays as e^-s (Gil, Segura & Temme, Numerical
   Methods for Special Functions, 2007),
-* the Gaussian-Laplace moment G(nu, w) = int t^(nu-1) exp(-t^2/2 + w t) dt,
-  the integral behind the parabolic cylinder function D_-nu, at real
-  w <= 0,
 * the power Stieltjes transform J_nu(y) = int_1^inf t^-nu / (t - y) dt
   off the cut [1, inf), the kernel of the law-ray truncated moments
   (p > 0).
@@ -31,12 +28,10 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, NumericError
-from .quadrature import integrate_interval, integrate_semi_infinite
 
 __all__ = [
     "lower_kernel_iomega",
     "kummer_1f1",
-    "gaussian_laplace_moment_log",
     "stieltjes_power",
 ]
 
@@ -146,74 +141,6 @@ def _kummer_asymptotic(a: float, x: np.ndarray) -> np.ndarray:
         term = new
         acc += term
     return rg * np.power(u, -a) * acc
-
-
-# ---------------------------------------------------------------------------
-# The Gaussian-Laplace kernel (parabolic cylinder functions)
-# ---------------------------------------------------------------------------
-
-def gaussian_laplace_moment_log(nu: float, w: float, tol: float = 1e-10):
-    """(mantissa, logscale) with G(nu, w) = mantissa * exp(logscale).
-
-    G(nu, w) = int_0^inf t^(nu-1) exp(-t^2/2 + w t) dt for real w <= 0;
-    the split representation keeps huge orders (nu ~ 1e5 in
-    near-deterministic channels) inside double range.  The Watson
-    expansion G ~ sum_j (-1/2)^j/j! Gamma(nu+2j) (-w)^(-nu-2j) serves
-    w <= -10 where it reaches full accuracy before its terms grow;
-    adaptive quadrature on the real axis serves the rest.
-    """
-    if nu <= 0:
-        raise DomainError("gaussian_laplace_moment_log requires nu > 0")
-    if isinstance(w, complex) or not w <= 0.0:
-        raise DomainError("gaussian_laplace_moment_log requires real w <= 0")
-    if w <= -10.0:
-        out = _gaussian_laplace_watson(nu, -w)
-        if out is not None:
-            return out
-    # characteristic support of the integrand s^(nu-1) exp(-s^2/2 + w s)
-    s_char = (w + math.sqrt(w * w + 4.0 * nu)) / 2.0
-    if nu > 1.0:
-        speak = (w + math.sqrt(w * w + 4.0 * (nu - 1.0))) / 2.0
-    else:
-        speak = s_char
-    peaklog = (nu - 1.0) * math.log(speak) - 0.5 * speak ** 2 + w * speak
-
-    def f(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            logmag = (nu - 1.0) * np.log(s) - peaklog
-        return np.exp(logmag - 0.5 * s * s + w * s)
-
-    sigma = 1.0 / math.sqrt(1.0 + max(nu - 1.0, 0.0) / speak ** 2)
-    if speak / sigma > 8.0:
-        # sharply peaked (large order): integrate in peak-centered units
-        vlo = -min(40.0, 0.98 * speak / sigma)
-
-        def fshift(v):
-            return f(speak + sigma * np.asarray(v)) * sigma
-
-        est = integrate_interval(fshift, vlo, 40.0, tol=tol)
-    else:
-        est = integrate_semi_infinite(f, tol=tol, origin_power=nu - 1.0,
-                                      scale=1.5 * s_char)
-    return est.real, peaklog
-
-
-def _gaussian_laplace_watson(nu: float, mw: float):
-    """The Watson series at -w = mw >= 10, or None where it diverges
-    before reaching full accuracy."""
-    logscale = float(sp.loggamma(nu)) - nu * math.log(mw)
-    term = acc = 1.0
-    for j in range(1, 80):
-        new = term * (-0.5) * (nu + 2 * j - 2) * (nu + 2 * j - 1) \
-            / (j * mw * mw)
-        if abs(new) > abs(term):
-            return None
-        term = new
-        acc += term
-        if abs(term) < 1e-14 * abs(acc):
-            return acc, logscale
-    return None
 
 
 # ---------------------------------------------------------------------------

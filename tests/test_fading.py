@@ -18,6 +18,7 @@ from effcap.fading import (
     Nakagami,
     chf_rp,
     mgf_rp,
+    mgf_rp_deriv,
     moment_rp,
     pdf_envelope,
     sample_envelope,
@@ -300,20 +301,20 @@ class TestSampler:
 
 class TestGsnmTransform:
     def test_mellin_barnes_vs_compound_quadrature(self):
-        from effcap.fading import _mixture_mgf
+        # the contour form against the real-axis sum over the mixture
+        from effcap.fading import _real_sum
 
         g = Gsnm(1.25, 5 / 3, 2.3, 3.5)
         for p in (1.0, 2.0):
-            for u in (0.1, 1.0, 10.0, 100.0):
-                mb = mgf_rp(g, p, u)
-                comp = float(_mixture_mgf(g, p, np.array([u]), 1e-9)[0])
-                assert mb == pytest.approx(comp, rel=3e-6)
+            u = np.array([0.1, 1.0, 10.0, 100.0])
+            comp = _real_sum(g, p, u, 0.0)
+            assert np.allclose(mgf_rp(g, p, u), comp, rtol=3e-6, atol=0)
 
     @pytest.mark.parametrize("g", [Gsnm(2.0, 2.5, 1.5, 1.0),
                                    Gsnm(2.4, 2.35, 3.6, 1.0)])
     def test_negative_power_mixture_rule(self, g):
-        # p < 0 has no contour form: the Gauss rule mixed over the shadow
-        # components, against 4e6 draws of exp(-u R^-2)
+        # p < 0 has no contour form: the real-axis sum over the shadow
+        # mixture, against 4e6 draws of exp(-u R^-2)
         u = np.array([0.05, 0.5, 2.0])
         got = mgf_rp(g, -2.0, u)
         rng = np.random.default_rng(11)
@@ -480,28 +481,157 @@ class TestChfReference:
                                                           rel=1e-12)
 
 
-class TestErrorContext:
-    def test_transform_failure_names_model_and_argument(self):
-        # GG with m < 1 defeats the fixed Gauss rule on the real axis
-        model = GeneralizedGamma(0.7, 2.0)
-        with pytest.raises(NumericError) as info:
-            mgf_rp(model, 2.0, 0.01)
-        msg = str(info.value)
-        assert repr(model) in msg and "p = 2.0" in msg and "0.01" in msg
-        assert info.value.best_estimate is not None
+# ---------------------------------------------------------------------------
+# mpmath references for the real-axis transforms of R^p
+# ---------------------------------------------------------------------------
 
-    # the tail quadrature overflows on the way to NaN
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _mp_real(model, p, u, power=0, dps=20):
+    """E[X^power exp(-u X)] and -E[X^(power+1) exp(-u X)], X = R^p = c W^a
+    (so M(u) and dM/du at power 0), by mpmath.quad in t = ln W between
+    the points where the first integrand falls e^-100 below its peak."""
+    with mp.workdps(dps):
+        log_pdf, c, a, _ = _mp_power_law(model, p)
+        u = mp.mpf(u)
+
+        def lf(t):
+            x = c * mp.exp(a * t)
+            return log_pdf(mp.exp(t)) + t + power * mp.log(x) - u * x
+
+        # the peak, on a coarse and then a fine scan of t
+        t0 = max((mp.mpf(k) / 2 for k in range(-300, 20)), key=lf)
+        t0 = max((t0 + mp.mpf(k) / 32 for k in range(-32, 33)), key=lf)
+        top = lf(t0)
+        ends = []
+        for step in (-1, 1):
+            d = mp.mpf(step) / 32
+            while lf(t0 + d) > top - 100:
+                d *= 2
+            ends.append(t0 + d)
+        pts = [ends[0]] + [t0 + d for d in (-1, -0.25, 0, 0.25, 1)
+                           if ends[0] < t0 + d < ends[1]] + [ends[1]]
+        val = mp.quad(lambda t: mp.exp(lf(t) - top), pts) * mp.exp(top)
+        der = -mp.quad(lambda t: mp.exp(lf(t) - top) * c * mp.exp(a * t),
+                       pts) * mp.exp(top)
+        return float(val), float(der)
+
+
+def _assert_real_ref(model, p, u, got, got_der, rel=1e-12):
+    ref = np.array([_mp_real(model, p, v) for v in u])
+    assert np.all(_rel_err(got, ref[:, 0]) <= rel)
+    assert np.all(_rel_err(got_der, ref[:, 1]) <= rel)
+
+
+MGF_U = {1.0: np.array([1e-3, 1.0, 1e6, 1e12]),
+         2.0: np.array([1e-3, 1.0, 1e6, 1e12]),
+         -2.0: np.array([1e-3, 1.0, 30.0, 1e3])}
+# (M, dM/du) of GSNM_REF_MODEL at MGF_U[p], p > 0, and of Gsnm(2.4, 2.35,
+# 3.6, 1) at MGF_U[-2]: _mp_real over the 32-node shadow mixture, as
+# _gsnm_mixture_chf mixes the CHF (about 10 s per p to regenerate)
+GSNM_MGF_REF = {
+    1.0: [(0.9990801226866802, -0.9193777297153137),
+           (0.42693858710975807, -0.33656346844109003),
+           (3.016492535423213e-27, -1.5082462655014204e-32),
+           (3.0164925442639615e-57, -1.5082462721319809e-68)],
+    2.0: [(0.999000880865282, -0.9982390646269269),
+           (0.46853392628810026, -0.2802187580248103),
+           (8.325137826720397e-14, -2.0781218513321502e-19),
+           (8.354052852562111e-29, -2.088513213009925e-40)],
+    -2.0: [(0.9979712780086779, -2.0221820917535567),
+           (0.297817128293077, -0.2688338885760072),
+           (3.6547330936510645e-05, -6.575522993583217e-06),
+           (1.453585978838555e-23, -3.222803493365525e-25)],
+}
+
+
+class TestRealReference:
+    @pytest.mark.parametrize("model,p", [
+        (Nakagami(1.7), 1.0),
+        (GeneralizedGamma(2.6, 1.6), 1.0),
+        (GeneralizedGamma(0.7, 2.6), 2.0),  # m < 1
+        (AlphaKappaMu(2.5, 1.8, 2.0), 1.0),
+        (AlphaKappaMu(2.5, 1.8, 2.0), 2.0),
+        (AlphaKappaMu(2.0, 0.0, 0.8), 1.0),  # alpha-mu with mu < 1
+        (AlphaEtaMu(2.5, 3.0, 1.4), 1.0),
+        (AlphaEtaMu(2.5, 3.0, 1.4), 2.0),
+        (Nakagami(1.7), -2.0),
+        (Nakagami(300.0), -2.0),  # m > 60: past the Bessel-K pair
+        (GeneralizedGamma(2.6, 1.6), -2.0),
+        (AlphaKappaMu(2.5, 1.8, 2.0), -2.0),
+        (AlphaEtaMu(2.5, 3.0, 1.4), -2.0),
+    ])
+    def test_against_mpmath(self, model, p):
+        u = MGF_U[p]
+        if model == Nakagami(300.0):
+            # b = Gamma(m + 1)/Gamma(m) from lgamma differences carries
+            # 3e-13, and the scale of R^-2 with it, into M(u) ~ 1 - u E[X]
+            u = u[:2]
+        _assert_real_ref(model, p, u, mgf_rp(model, p, u),
+                         mgf_rp_deriv(model, p, u))
+
+    @pytest.mark.parametrize("model,p", [(GSNM_REF_MODEL, 1.0),
+                                         (GSNM_REF_MODEL, 2.0),
+                                         (Gsnm(2.4, 2.35, 3.6, 1.0), -2.0)])
+    def test_gsnm_against_mpmath_mixture(self, model, p):
+        from effcap.fading import _real_sum
+
+        u = MGF_U[p]
+        ref = np.array(GSNM_MGF_REF[p])
+        # with p > 0 mgf_rp takes the Mellin-Barnes form; the real-axis
+        # sum is checked directly
+        got = _real_sum(model, p, u, 0.0) if p > 0 else mgf_rp(model, p, u)
+        assert np.all(_rel_err(got, ref[:, 0]) <= 1e-12)
+        assert np.all(_rel_err(mgf_rp_deriv(model, p, u), ref[:, 1]) <= 1e-12)
+
+    def test_gg_small_m(self):
+        # GG with m < 1 defeated the fixed Gauss rule at this argument
+        model, u = GeneralizedGamma(0.7, 2.0), np.array([0.01])
+        _assert_real_ref(model, 2.0, u, mgf_rp(model, 2.0, u),
+                         mgf_rp_deriv(model, 2.0, u))
+
     @pytest.mark.parametrize("model, u", [
         (GeneralizedGamma(0.8, 1.5), 1e14),
         (AlphaKappaMu(2.0, 0.0, 0.8), 1e10),
         (AlphaEtaMu(2.5, 3.0, 1.2), 1e10),
     ])
-    def test_non_finite_transform_refused(self, model, u):
+    def test_deep_tail(self, model, u):
+        # where the tail quadrature overflowed to NaN
+        u = np.array([u])
+        _assert_real_ref(model, 1.0, u, mgf_rp(model, 1.0, u),
+                         mgf_rp_deriv(model, 1.0, u))
+
+    # sp.ive underflows in the alpha-eta-mu density far from its peak
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model", [AlphaKappaMu(2.0, 0.0, 300.0),
+                                       AlphaEtaMu(2.0, 1.5, 100.0)])
+    def test_concentrated_law(self, model):
+        # both laws sit at R = 1, so M(u) is near exp(-u); the Gauss rule's
+        # nodes missed them
+        u = np.array([0.5, 1.0])
+        for p in (1.0, -2.0):
+            _assert_real_ref(model, p, u, mgf_rp(model, p, u),
+                             mgf_rp_deriv(model, p, u))
+
+    def test_moment_near_divergence(self):
+        # alpha-kappa-mu has no closed moments; E[R^-1] lies close to the
+        # origin exponent alpha mu = 1.6, where the Gauss rule failed
+        model = AlphaKappaMu(2.0, 1.0, 0.8)
+        want = _mp_real(model, -1.0, 0.0, power=1)[0]
+        assert moment_rp(model, -1.0, 1) == pytest.approx(want, rel=1e-12)
+        assert moment_rp(model, 2.0, 2) == pytest.approx(
+            _mp_real(model, 4.0, 0.0, power=1)[0], rel=1e-12)
+
+
+class TestErrorContext:
+    def test_transform_failure_names_model_and_argument(self):
+        # sp.ive underflows in this alpha-eta-mu density (mu = 300, eta
+        # near 1), so every node of the real-axis grid is zero; its total
+        # mass must be M(0) = 1
+        model = AlphaEtaMu(2.0, 1.001, 300.0)
         with pytest.raises(NumericError) as info:
-            mgf_rp(model, 1.0, u)
+            mgf_rp(model, 1.0, np.array([0.5, 1.0]))
         msg = str(info.value)
-        assert repr(model) in msg and "p = 1.0" in msg and f"{u:.6g}" in msg
+        assert repr(model) in msg and "p = 1.0" in msg
+        assert info.value.best_estimate is not None
 
     def test_chf_grid_failure_names_model(self):
         # sp.ive underflows in this alpha-eta-mu density (mu = 300, eta
@@ -511,26 +641,3 @@ class TestErrorContext:
         with pytest.raises(NumericError) as info:
             chf_rp(model, 1.0, 1.0)
         assert repr(model) in str(info.value) and "p = 1.0" in str(info.value)
-
-    # sp.ive underflows in the alpha-eta-mu density at some rule nodes
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("model", [AlphaKappaMu(2.0, 0.0, 300.0),
-                                       AlphaEtaMu(2.0, 1.5, 100.0)])
-    def test_concentrated_law_refused_by_the_gauss_rule(self, model):
-        # both laws sit at R = 1, so M(u) is near exp(-u); the rule's
-        # nodes miss them, and its total weight is 3e-88 and 5e-24
-        with pytest.raises(NumericError, match="total weight") as info:
-            mgf_rp(model, 1.0, np.array([0.5, 1.0]))
-        msg = str(info.value)
-        assert repr(model) in msg and "p = 1.0" in msg
-        assert np.all(np.asarray(info.value.best_estimate) < 1e-20)
-
-    def test_moment_failure_names_model_and_power(self):
-        # alpha-kappa-mu has no closed moments, and the Gauss rule does not
-        # converge on E[R^-1] close to the origin exponent alpha mu = 1.6
-        model = AlphaKappaMu(2.0, 1.0, 0.8)
-        with pytest.raises(NumericError) as info:
-            moment_rp(model, -1.0, 1)
-        msg = str(info.value)
-        assert repr(model) in msg and "R^-1.0" in msg
-        assert math.isfinite(info.value.best_estimate)

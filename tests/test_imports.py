@@ -11,12 +11,16 @@ import effcap
 _RUN = """
 import sys
 from effcap.combiner import CombinerSpec
-from effcap.fading import Nakagami
-from effcap.policies import QosSpec, ec_opra_chf, ec_opra_mgf, ec_ora, ec_tifr
+from effcap.fading import GeneralizedGamma, Nakagami
+from effcap.policies import (QosSpec, ec_cifr, ec_opra_chf, ec_opra_mgf,
+                             ec_ora, ec_tifr)
 
 qos = QosSpec(0.01)
 ec_ora(CombinerSpec.egc([Nakagami(1.5)] * 2, 1.0), qos)
 ec_ora(CombinerSpec.egc([Nakagami(1.5)] * 3, 1.0), qos)
+# real-axis branch MGFs and their derivative
+ec_cifr(CombinerSpec.egc([GeneralizedGamma(2.2, 1.5)] * 2, 1.0), qos)
+ec_ora(CombinerSpec.af([GeneralizedGamma(2.6, 1.6)] * 2, 1.0), qos)
 mrc = CombinerSpec.mrc([Nakagami(1.5)] * 2, 1.0)
 assert ec_opra_chf(mrc, qos).diagnostics["cutoff_iterations"] > 0
 ec_opra_mgf(mrc, qos)

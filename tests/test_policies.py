@@ -323,6 +323,16 @@ class TestOpra:
             g0s.append(optimal_cutoff(spec, QosSpec.from_a(4.0)).gamma0)
         assert g0s[0] >= g0s[1] >= g0s[2]
 
+    def test_divergent_inverse_moment(self):
+        # E[1/gamma] diverges (tail exponent 0.6 < q = 1), so the
+        # no-outage references do not exist; the generic bracket serves
+        spec = CombinerSpec.mrc([GeneralizedGamma(0.6, 1.0)] * 2, 10 ** 0.5)
+        qos = QosSpec(1e-2)
+        got = ec_opra_chf(spec, qos)
+        assert got.value >= ec_ora(spec, qos).value
+        mc = mc_ec_opra(spec, qos, McConfig(samples=400_000, seed=7))
+        assert got.value == pytest.approx(mc.value, abs=5e-3)
+
     def test_converges_to_cifr_at_large_exponent(self):
         qos = QosSpec.from_a(1000.0)
         for spec in (NAK2_MRC, NAK2_EGC, NAK2_AF):
@@ -362,6 +372,22 @@ class TestCifr:
         res = ec_cifr(spec, QosSpec(0.01))
         assert res.value == 0.0
         assert res.diagnostics.get("flag") == "divergent-inverse-moment"
+
+    @pytest.mark.parametrize("m", [0.55, 0.6, 0.7, 1.5])
+    def test_dropped_tail_near_divergence(self, m):
+        # X ~ Gamma(2m, 1/m): E[1/X] = m/(2m - 1), finite but heavy-tailed
+        # near m = 1/2, where the Mellin map's end at u ~ 1e14 drops a
+        # tail C u^(1 - 2m)/(2m - 1) of 3.6e-2 to 1.8e-6
+        spec = CombinerSpec.mrc([Nakagami(m)] * 2, 1.0)
+        want = math.log2(1.0 + (2.0 * m - 1.0) / m)
+        if m > 1.0:
+            res = ec_cifr(spec, QosSpec(0.01))
+            assert res.value == pytest.approx(want, rel=1e-12)
+            assert res.diagnostics["err_estimate"] < 1e-10
+            return
+        with pytest.raises(NumericError, match="tail") as err:
+            ec_cifr(spec, QosSpec(0.01))
+        assert err.value.best_estimate == pytest.approx(want, rel=1e-5)
 
 
 class TestTifr:
