@@ -56,6 +56,8 @@ the line summed on, so the sum converges exponentially in the step
   its own size deep in the tail (M(u) ~ C u^-d for p > 0).  Its total
   mass is checked against 1 when it is built, so a law too concentrated
   for the rule, or a density that underflows, raises NumericError.
+  The same cached grids (``real_grid``) serve the combiner's ORA sum over
+  one or two branches, a double sum over the grids of R^|p|.
 
 The moment generating function takes real arguments only, and the
 characteristic function the imaginary axis.  The closed forms above stay
@@ -106,6 +108,7 @@ __all__ = [
     "ray_rule",
     "ray_grid",
     "real_rule",
+    "real_grid",
     "tail_expansion",
     "moment_rp",
     "sample_envelope",
@@ -154,8 +157,7 @@ class _GammaPower(FadingModel):
     @property
     def b(self) -> float:
         """Gamma(m + 2/beta)/Gamma(m); normalizes E[R^2] to omega."""
-        return math.exp(sp.gammaln(self.m + 2.0 / self.beta)
-                        - sp.gammaln(self.m))
+        return float(sp.poch(self.m, 2.0 / self.beta))
 
     def power_logpdf(self, lw):
         return (self.m - 1.0) * lw - np.exp(lw) - sp.gammaln(self.m)
@@ -174,8 +176,8 @@ class _GammaPower(FadingModel):
         return ln_a0, beta * m
 
     def moment(self, power: float):
-        return (self.omega / self.b) ** (power / 2.0) * math.exp(
-            sp.gammaln(self.m + power / self.beta) - sp.gammaln(self.m))
+        return (self.omega / self.b) ** (power / 2.0) * float(
+            sp.poch(self.m, power / self.beta))
 
     def sample(self, rng, n):
         w = rng.gamma(self.m, 1.0, n)
@@ -268,8 +270,7 @@ class Gsnm(FadingModel):
 
     @property
     def b(self) -> float:
-        return math.exp(sp.gammaln(self.m + 2.0 / self.beta)
-                        - sp.gammaln(self.m))
+        return float(sp.poch(self.m, 2.0 / self.beta))
 
     def mixture(self):
         return _gsnm_mixture(self)
@@ -287,10 +288,8 @@ class Gsnm(FadingModel):
 
     def moment(self, power: float):
         return ((self.omega_s / (self.m_s * self.b)) ** (power / 2.0)
-                * math.exp(sp.gammaln(self.m_s + power / 2.0)
-                           - sp.gammaln(self.m_s))
-                * math.exp(sp.gammaln(self.m + power / self.beta)
-                           - sp.gammaln(self.m)))
+                * float(sp.poch(self.m_s, power / 2.0))
+                * float(sp.poch(self.m, power / self.beta)))
 
     def sample(self, rng, n):
         s = rng.gamma(self.m_s, self.omega_s / self.m_s, n)
@@ -654,13 +653,14 @@ def real_rule(model: FadingModel, p: float) -> RayRule:
 
 
 @lru_cache(maxsize=1024)
-def _real_grid(model: FadingModel, p: float, level: int) -> RayGrid:
+def real_grid(model: FadingModel, p: float, level: int) -> RayGrid:
     """The real-axis grid of X = R^p: level 0 down to exp(-RAY_LOGTOL) of
     its peak on both sides, mass-checked against 1 (the shadow rule's own
     total for GSNM); each further level reaches ln(10) slope lower on the
-    left."""
+    left.  A deeper level only prepends nodes to the one before.  It
+    serves the MGF sums here and the combiner's ORA sum for L <= 2."""
     if level > 0:
-        return deepen_ray_grid(_real_grid(model, p, level - 1), level)
+        return deepen_ray_grid(real_grid(model, p, level - 1), level)
     rule = real_rule(model, p)
     return build_ray_grid(rule, float(np.exp(rule.logw).sum()),
                           f"real-axis grid for {model!r}, p = {p}")
@@ -688,7 +688,7 @@ def _real_sum(model: FadingModel, p: float, u: np.ndarray,
     """
     top = float(u.max()) if u.size else 0.0
     for level in range(_MAX_REAL_LEVEL + 1):
-        grid = _real_grid(model, p, level)
+        grid = real_grid(model, p, level)
         lnx, lng = _log_nodes(grid)
         lnm = lng + power * lnx - top * grid.x
         if lnm[0] <= lnm.max() - RAY_LOGTOL \

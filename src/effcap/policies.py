@@ -1,17 +1,21 @@
 """Effective capacity under the four adaptive transmission policies.
 
-ORA needs E[(1 + gamma)^-A], found on one of three routes, which its
+ORA needs E[(1 + gamma)^-A], found on one of four routes, which its
 diagnostics report as ``route``:
 
-* ``"law-ray"`` (p > 0): the node sum Re sum_k G_k (1 + k z_k^q)^-A over
-  the cached ray measure of the combiner output (``combiner.x_ora_mean``),
-  for any number of branches.  It serves every EGC law and every MRC law
-  with a branch that has no closed real-axis transform.
 * ``"laguerre"`` (q = 1): the paper's pairing of the combiner MGF with
   the kernel C_1(u) = u^(A-1) e^-u / Gamma(A), for MRC laws whose every
   branch has a closed real-axis transform (Nakagami p = 2, alpha-eta-mu
   p = alpha, GSNM's Mellin-Barnes form), with any number of branches.
-* ``"kummer"`` (AF, q = -1): the pairing of 1F1(A; 1; -u) with -dM/du.
+* ``"product"`` (L <= 2, every other law: EGC, MRC without closed branch
+  transforms, AF): the positive double sum of (1 + k x^q)^-A over the
+  branches' cached real-axis grids (``combiner.x_ora_product``), with no
+  law of the combiner output built.
+* ``"law-ray"`` (p > 0, L >= 3): the node sum Re sum_k G_k (1 + k z_k^q)^-A
+  over the cached ray measure of the combiner output
+  (``combiner.x_ora_mean``).
+* ``"kummer"`` (AF, q = -1, L >= 3): the pairing of 1F1(A; 1; -u) with
+  -dM/du.
 
 In both pairings C_q(u) = L^-1{(1+x^q)^-A}; ``kernel_cq`` also gives the
 Bessel kernel C_2 of EGC.  OPRA needs the cutoff of the power constraint,
@@ -63,6 +67,7 @@ from .combiner import (
     x_moment,
     x_tail_exponent,
     x_ora_mean,
+    x_ora_product,
     x_truncated_moment,
     _gamma_sum_params,
     _mellin_mgf_x,
@@ -163,8 +168,9 @@ def kernel_cq(q: float, a_exp: float, u):
 
     q = 1: u^(A-1) e^-u / Gamma(A);  q = 2: the normalized Bessel kernel
     sqrt(pi)/Gamma(A) (u/2)^(A-1/2) J_{A-1/2}(u);  q = -1: 1F1(A, 1, -u)
-    (which pairs with -dM/du rather than M).  ORA pairs q = 1 and q = -1;
-    EGC (q = 2) takes the law-ray node sum.
+    (which pairs with -dM/du rather than M).  ORA pairs q = 1 for MRC
+    laws with closed branch transforms, and q = -1 for AF with L >= 3 only;
+    the other laws take node sums (see the module docstring).
     """
     if a_exp <= 0:
         raise DomainError("A must be positive")
@@ -255,11 +261,18 @@ def _probe_scale(f, scale: float) -> float:
     return probe if probe > 0 else 1.0
 
 
-def _finish(policy, method, spec, qos, lnarg, a_eff, div, gamma0=None,
+def _ln(policy: str, arg: float) -> float:
+    """ln of the expectation a policy's capacity is the log of."""
+    if not (arg > 0) or not math.isfinite(arg):
+        raise NumericError(f"{policy}: ln argument {arg} is not positive")
+    return math.log(arg)
+
+
+def _finish(policy, method, spec, qos, ln_arg, a_eff, div, gamma0=None,
             diag=None):
-    if not (lnarg > 0) or not math.isfinite(lnarg):
-        raise NumericError(f"{policy}: ln argument {lnarg} is not positive")
-    value = -math.log(lnarg) / (a_eff * _LN2) / div
+    if not math.isfinite(ln_arg):
+        raise NumericError(f"{policy}: ln argument is {ln_arg}")
+    value = -ln_arg / (a_eff * _LN2) / div
     return EcResult(policy, method, _snr_db(spec), qos.theta,
                     max(value, 0.0), cutoff_gamma0=gamma0,
                     diagnostics=diag or {})
@@ -267,13 +280,15 @@ def _finish(policy, method, spec, qos, lnarg, a_eff, div, gamma0=None,
 
 def _ora_route(spec: CombinerSpec) -> str:
     """``"laguerre"`` for MRC-type (q = 1) laws whose every branch has a
-    closed real-axis transform, else ``"law-ray"`` for p > 0 and
-    ``"kummer"`` for AF (q = -1)."""
+    closed real-axis transform, else ``"product"`` for L <= 2, and for
+    L >= 3 ``"law-ray"`` for p > 0 and ``"kummer"`` for AF (q = -1)."""
     closed = spec.q == 1 and all(
         b.closed_transform(spec.p, _PROBE_S) is not None
         for b in set(spec.branches))
     if closed:
         return "laguerre"
+    if spec.L <= 2:
+        return "product"
     if integral_route(spec) == "law-ray":
         return "law-ray"
     if spec.q != -1:
@@ -285,25 +300,34 @@ def ec_ora(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
     """EC under constant power and optimal rate adaptation.
 
     ``route`` in the diagnostics names how E[(1 + gamma)^-A] was found
-    (see the module docstring); ``a_clamped`` is set when A was raised to
-    the smallest exponent evaluated, 1e-6 (the ergodic limit).
+    (see the module docstring): the Laguerre pairing where it applies,
+    else the double sum over the branch grids for L <= 2, else the law-ray
+    node sum (p > 0) or the Kummer pairing (AF).  ``err_estimate`` is on
+    E[(1 + gamma)^-A]; ``a_clamped`` is set when A was raised to the
+    smallest exponent evaluated, 1e-6 (the ergodic limit).
     """
     a_eff, div = _effective_a(spec, qos)
     clamped = a_eff < _A_MIN
     if clamped:
         a_eff = _A_MIN
     route = _ora_route(spec)
-    if route == "law-ray":
-        est = x_ora_mean(spec, a_eff)
-        val, diag = est.value, {"err_estimate": est.error_estimate,
-                                "evaluations": est.evaluations}
-    else:
+    if route == "laguerre" or route == "kummer":
         val, diag = _ora_integral(spec, a_eff, tol)
+        ln_mean = _ln("ora", float(val))
+    else:
+        if route == "product":
+            # the double sum returns ln E itself, exact to the ergodic limit
+            est = x_ora_product(spec, a_eff)
+            ln_mean = est.value
+        else:
+            est = x_ora_mean(spec, a_eff)
+            ln_mean = _ln("ora", est.value)
+        diag = {"err_estimate": est.error_estimate,
+                "evaluations": est.evaluations}
     diag["route"] = route
     if clamped:
         diag["a_clamped"] = True
-    return _finish("ora", "mgf", spec, qos, float(val), a_eff, div,
-                   diag=diag)
+    return _finish("ora", "mgf", spec, qos, ln_mean, a_eff, div, diag=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +502,8 @@ def _opra(spec: CombinerSpec, qos: QosSpec, tol: float, method: str,
                         diagnostics={"regime": "no-outage-asymptotic",
                                      "route": integral_route(spec)})
     g0 = math.exp(lng0)
-    return _finish("opra", method, spec, qos, outage_terms(g0, lam, refs),
+    return _finish("opra", method, spec, qos,
+                   _ln("opra", outage_terms(g0, lam, refs)),
                    a_eff, div, gamma0=g0,
                    diag={"cutoff_residual": cut.residual,
                          "cutoff_iterations": cut.iterations,

@@ -561,12 +561,24 @@ class TestRealReference:
     ])
     def test_against_mpmath(self, model, p):
         u = MGF_U[p]
-        if model == Nakagami(300.0):
-            # b = Gamma(m + 1)/Gamma(m) from lgamma differences carries
-            # 3e-13, and the scale of R^-2 with it, into M(u) ~ 1 - u E[X]
-            u = u[:2]
         _assert_real_ref(model, p, u, mgf_rp(model, p, u),
                          mgf_rp_deriv(model, p, u))
+
+    @pytest.mark.parametrize("m", [0.7, 60.0, 300.0, 1e5])
+    def test_nakagami_b_is_m(self, m):
+        # b = Gamma(m + 1)/Gamma(m) from lgamma differences was 1.9e-13
+        # off at m = 300 and 7.7e-11 at m = 1e5
+        assert abs(Nakagami(m).b - m) <= math.ulp(m)
+
+    @pytest.mark.parametrize("u, rel", [(10.0, 1e-13), (1e3, 2.5e-13)])
+    def test_large_m_inverse_power_keeps_its_scale(self, u, rel):
+        # the scale of R^-2 carries b, and M(u) carries it times about
+        # u x at the integrand's peak: 1.9e-12 and 8e-11 off with the
+        # lgamma b.  At u = 1e3 that factor is about 570, so the half-ulp
+        # rounding of ln c alone moves M by 1.1e-13 (1.8e-13 measured)
+        model, u = Nakagami(300.0), np.array([u])
+        _assert_real_ref(model, -2.0, u, mgf_rp(model, -2.0, u),
+                         mgf_rp_deriv(model, -2.0, u), rel=rel)
 
     @pytest.mark.parametrize("model,p", [(GSNM_REF_MODEL, 1.0),
                                          (GSNM_REF_MODEL, 2.0),

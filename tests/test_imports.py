@@ -16,11 +16,15 @@ from effcap.policies import (QosSpec, ec_cifr, ec_opra_chf, ec_opra_mgf,
                              ec_ora, ec_tifr)
 
 qos = QosSpec(0.01)
-ec_ora(CombinerSpec.egc([Nakagami(1.5)] * 2, 1.0), qos)
-ec_ora(CombinerSpec.egc([Nakagami(1.5)] * 3, 1.0), qos)
-# real-axis branch MGFs and their derivative
+for spec, route in (
+        (CombinerSpec.egc([Nakagami(1.5)] * 2, 1.0), "product"),
+        (CombinerSpec.egc([Nakagami(1.5)] * 3, 1.0), "law-ray"),
+        (CombinerSpec.af([GeneralizedGamma(2.6, 1.6)] * 2, 1.0), "product"),
+        # the Kummer pairing reads the branch MGFs' derivative
+        (CombinerSpec.af([GeneralizedGamma(2.6, 1.6)] * 3, 1.0), "kummer")):
+    assert ec_ora(spec, qos).diagnostics["route"] == route
+# real-axis branch MGFs
 ec_cifr(CombinerSpec.egc([GeneralizedGamma(2.2, 1.5)] * 2, 1.0), qos)
-ec_ora(CombinerSpec.af([GeneralizedGamma(2.6, 1.6)] * 2, 1.0), qos)
 mrc = CombinerSpec.mrc([Nakagami(1.5)] * 2, 1.0)
 assert ec_opra_chf(mrc, qos).diagnostics["cutoff_iterations"] > 0
 ec_opra_mgf(mrc, qos)

@@ -129,7 +129,7 @@ class TestOraRoutes:
         snr, qos = 10 ** (snr_db / 10), QosSpec(theta)
         egc = ec_ora(CombinerSpec.egc([Nakagami(1.5)], snr), qos)
         mrc = ec_ora(CombinerSpec.mrc([Nakagami(1.5)], snr), qos)
-        assert egc.diagnostics["route"] == "law-ray"
+        assert egc.diagnostics["route"] == "product"
         assert mrc.diagnostics["route"] == "laguerre"
         assert egc.value == pytest.approx(mrc.value, rel=1e-10)
 
@@ -196,9 +196,10 @@ class TestOraRoutes:
         qos = QosSpec(0.01)
         gg = CombinerSpec.mrc([GeneralizedGamma(2.6, 1.2)] * 2, 1.0)
         egc3 = CombinerSpec.egc([Nakagami(1.5)] * 3, 1.0)
-        for spec, route in ((NAK2_EGC, "law-ray"), (gg, "law-ray"),
+        af3 = CombinerSpec.af([Nakagami(1.5)] * 3, 1.0)
+        for spec, route in ((NAK2_EGC, "product"), (gg, "product"),
                             (NAK2_MRC, "laguerre"), (egc3, "law-ray"),
-                            (NAK2_AF, "kummer")):
+                            (NAK2_AF, "product"), (af3, "kummer")):
             assert ec_ora(spec, qos).diagnostics["route"] == route
             assert ec_cifr(spec, qos).diagnostics["route"] == "mgf"
 
@@ -221,6 +222,165 @@ class TestOraRoutes:
         assert mean.error_estimate <= 1e-12 * mean.value
         assert res.value == pytest.approx(
             -math.log2(mean.value) / 14.4, rel=1e-14)
+
+
+# tanh-sinh rule in t on (0, 1), t = 1/(1 + exp(-pi sinh tau)), with the
+# weights h dt/dtau and the nodes' 1 - t formed without cancellation
+_TS_TAU = np.arange(-4.0, 4.0 + 1e-9, 1.0 / 32)
+_TS_T = 1.0 / (1.0 + np.exp(-math.pi * np.sinh(_TS_TAU)))
+_TS_U = 1.0 / (1.0 + np.exp(math.pi * np.sinh(_TS_TAU)))
+_TS_W = math.pi * np.cosh(_TS_TAU) * _TS_T * _TS_U / 32
+
+
+def _af_nakagami_ora(ms, k, a_exp):
+    """E[(1 + k/X)^-A] for X = R_1^-2 + R_2^-2, R_l ~ Nakagami(m_l, 1),
+    with scipy alone: R^-2 is inverse gamma (m, scale m), the density of X
+    is x int_0^1 f_1(t x) f_2((1 - t) x) dt by tanh-sinh in t = y_1/x, and
+    the expectation is scipy quad over ln x."""
+    from scipy import integrate, stats
+
+    d1, d2 = (stats.invgamma(m, scale=m) for m in ms)
+
+    def integrand(lx):
+        x = math.exp(lx)
+        f = np.exp(d1.logpdf(_TS_T * x) + d2.logpdf(_TS_U * x)) @ _TS_W
+        return x * x * f * math.exp(-a_exp * math.log1p(k / x))
+
+    # the kernel moves the mass out to x ~ A k
+    peak = math.log(max(1.0, 0.5 * a_exp * k))
+    val, _ = integrate.quad(integrand, math.log(0.02), 60.0, points=[peak],
+                            epsabs=0.0, epsrel=1e-13, limit=400)
+    return val
+
+
+class TestOraProduct:
+    """The L <= 2 route: a double sum over the branches' real-axis grids."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0])
+    @pytest.mark.parametrize("a_exp", [1e-6, 0.05, 0.3, 29.0, 289.0])
+    def test_against_mpmath(self, snr_db, a_exp):
+        # X ~ Gamma(3, 1/1.5): E[(1 + k X)^-A] = (k/1.5)^-3 U(3, 4 - A,
+        # 1.5/k); at A = 1e-6, ln E ~ -A E[ln(1 + gamma)] keeps its digits
+        import mpmath as mp
+
+        k = 10 ** (snr_db / 10)
+        spec = CombinerSpec.mrc([Nakagami(1.5)] * 2, k)
+        with mp.workdps(30):
+            kt = mp.mpf(k) / mp.mpf(1.5)
+            mean = kt ** -3 * mp.hyperu(3, 4 - mp.mpf(a_exp), 1 / kt)
+            want, ln_want = float(mean), float(mp.log(mean))
+        got = combiner.x_ora_product(spec, a_exp)
+        assert math.exp(got.value) == pytest.approx(want, rel=1e-12)
+        assert got.value == pytest.approx(ln_want, rel=1e-12)
+        assert got.error_estimate <= 1e-12 * want
+
+    @pytest.mark.parametrize("n_branches", [1, 2])
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0])
+    @pytest.mark.parametrize("a_exp", [29.0, 100.0, 289.0])
+    def test_gg_mrc_against_laguerre(self, n_branches, snr_db, a_exp):
+        # the law ray needs a narrower angle here; the real axis does not
+        spec = CombinerSpec.mrc([GeneralizedGamma(2.6, 1.2)] * n_branches,
+                                10 ** (snr_db / 10))
+        want, _ = _ora_integral(spec, a_exp, 1e-12)
+        got = combiner.x_ora_product(spec, a_exp)
+        assert math.exp(got.value) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("branches", [
+        (Nakagami(1.5),) * 2, (GeneralizedGamma(0.7, 2.6),) * 2,
+        (Nakagami(0.6), Nakagami(3.0)), (GeneralizedGamma(2.2, 1.5),)])
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0])
+    @pytest.mark.parametrize("a_exp", [0.05, 29.0, 289.0])
+    def test_egc_against_law_ray(self, branches, snr_db, a_exp):
+        spec = CombinerSpec.egc(branches, 10 ** (snr_db / 10))
+        want = combiner.x_ora_mean(spec, a_exp).value
+        got = combiner.x_ora_product(spec, a_exp)
+        assert math.exp(got.value) == pytest.approx(want, rel=1e-12)
+        res = ec_ora(spec, QosSpec.from_a(a_exp))
+        assert res.diagnostics["route"] == "product"
+        assert res.value == pytest.approx(-got.value / (a_exp * math.log(2)),
+                                          rel=1e-14)
+
+    @pytest.mark.parametrize("ms", [(1.5, 1.5), (1.5, 2.5)])
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0])
+    @pytest.mark.parametrize("a_exp", [0.05, 14.4, 289.0])
+    def test_af_against_inverse_gamma_convolution(self, ms, snr_db, a_exp):
+        k = 10 ** (snr_db / 10)
+        spec = CombinerSpec.af([Nakagami(m) for m in ms], k)
+        want = _af_nakagami_ora(ms, k, a_exp)
+        got = combiner.x_ora_product(spec, a_exp)
+        assert math.exp(got.value) == pytest.approx(want, rel=1e-12)
+
+    def test_af_capacity_takes_the_time_sharing(self):
+        # A -> A/L inside the expectation, the capacity divided by L
+        qos = QosSpec.from_a(14.4)
+        res = ec_ora(NAK2_AF, qos)
+        want = _af_nakagami_ora((1.5, 1.5), 1.0, 7.2)
+        assert res.diagnostics["route"] == "product"
+        assert res.value == pytest.approx(
+            -math.log(want) / (7.2 * math.log(2)) / 2, rel=1e-12)
+
+    def test_three_branches_are_refused(self):
+        with pytest.raises(DomainError):
+            combiner.x_ora_product(
+                CombinerSpec.egc([Nakagami(1.5)] * 3, 1.0), 1.0)
+
+
+def _af3_nakagami_ora(ms, k, a_exp):
+    """E[(1 + k/X)^-A] for X = R_1^-2 + R_2^-2 + R_3^-2, R_l ~
+    Nakagami(m_l, 1), with scipy alone: the density of X is x^2 times the
+    integral over the simplex t_1 + t_2 + t_3 = 1 of prod_l f_l(t_l x),
+    f_l inverse gamma (m_l, scale m_l), by tanh-sinh in s and u with
+    t = (s u, s (1 - u), 1 - s); the expectation is scipy quad over ln x."""
+    from scipy import integrate, special
+
+    s, u = _TS_T[:, None], _TS_T[None, :]
+    parts = (s * u, s * _TS_U[None, :], _TS_U[:, None] + 0.0 * u)
+    w = np.outer(_TS_W, _TS_W) * s
+
+    def logpdf(m, y):
+        return (m * math.log(m) - special.gammaln(m) - (m + 1) * np.log(y)
+                - m / y)
+
+    def integrand(lx):
+        x = math.exp(lx)
+        f = np.exp(sum(logpdf(m, t * x) for m, t in zip(ms, parts)))
+        return x ** 3 * float((f * w).sum()) * math.exp(
+            -a_exp * math.log1p(k / x))
+
+    peak = math.log(max(1.0, 0.5 * a_exp * k))
+    val, _ = integrate.quad(integrand, math.log(0.02), 60.0, points=[peak],
+                            epsabs=0.0, epsrel=1e-13, limit=400)
+    return val
+
+
+class TestOraKummer:
+    """AF ORA for L >= 3: the Kummer pairing (q = -1)."""
+
+    @pytest.mark.parametrize("snr_db, a_exp", [(0.0, 14.4), (10.0, 43.2)])
+    def test_triple_against_inverse_gamma_convolution(self, snr_db, a_exp):
+        ms, k = (1.5, 2.5, 1.5), 10 ** (snr_db / 10)
+        spec = CombinerSpec.af([Nakagami(m) for m in ms], k)
+        # A -> A/L inside the expectation, the capacity divided by L
+        qos = QosSpec.from_a(a_exp)
+        a_eff = qos.A / 3
+        want = _af3_nakagami_ora(ms, k, a_eff)
+        got, _ = _ora_integral(spec, a_eff, 1e-12)
+        assert got == pytest.approx(want, rel=1e-11)
+        res = ec_ora(spec, qos)
+        assert res.diagnostics["route"] == "kummer"
+        assert res.value == pytest.approx(
+            -math.log(want) / (a_eff * math.log(2)) / 3, rel=1e-8)
+
+    @pytest.mark.xfail(strict=True,
+                       reason="scipy.special.hyp1f1(a, 1, x) loses its "
+                              "digits within ~1e-5 of an integer a")
+    def test_kernel_at_near_integer_exponent(self):
+        # QosSpec.from_a(15).A / 3 is 5 + 1 ulp; there the kernel is 6x
+        # off at u ~ 1 and ec_ora on an AF triple raises NumericError
+        a_exp = QosSpec.from_a(15.0).A / 3
+        u = np.geomspace(0.1, 100.0, 31)
+        assert np.allclose(kernel_cq(-1, a_exp, u), kernel_cq(-1, 5.0, u),
+                           rtol=0.0, atol=1e-12)
 
 
 class TestBrentPorts:
