@@ -8,9 +8,10 @@ function inversion, the upper incomplete MGF of a Gamma-sum X, raw
 moments up to order four, inverse and truncated inverse moments, and the
 SNR map itself.
 
-Two routes serve the Gil-Pelaez CDF, the inverse moments E[X^-s] and the
-truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
-``integral_route`` picks one from the sign of p alone.
+Two routes serve the Gil-Pelaez CDF and the truncated moments
+E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need; ``integral_route``
+picks one from the sign of p alone.  The inverse moments E[X^-s], finite
+for p > 0 only, take the first.
 
 * ``"law-ray"`` (p > 0, any L).  X gets its own ray measure: complex
   nodes z_k on one ray in the upper half plane and weights G_k with
@@ -35,7 +36,8 @@ truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
   Swapping the finite sum with the frequency integral turns every
   Gil-Pelaez and Parseval integral into a closed-form node sum:
   F(delta) = (1/pi) Im sum G_k Log(1 - delta/z_k) by Frullani's identity,
-  E[X^-s] = Re sum G_k z_k^-s, and the truncated moment is
+  E[X^-s] = Re sum G_k z_k^-s (its left tail extrapolated at its known
+  power rate, ``x_inverse_moment``), and the truncated moment is
   (1/pi) Im sum G_k J_nu(z_k/delta) with J_nu the power Stieltjes
   transform.  For L >= 3 the ORA expectation is the node sum
   E[(1 + k X^q)^-A] = Re sum G_k (1 + k z_k^q)^-A, on a narrower ray
@@ -44,9 +46,10 @@ truncated moments E[(X/delta)^-nu; X >= delta] that OPRA and TIFR need;
 * ``"panels"`` (p < 0: AF).  The Gil-Pelaez and Parseval integrals over w
   are summed panel by panel between phase zeros and epsilon accelerated
   to ``tol``; the Parseval kernel is int_0^1 t^nu exp(-i w t) dt from
-  ``specfun``.  E[X^-s] is the Mellin integral
-  int u^(s-1) M_X(u) du / Gamma(s), the one CIFR takes E[1/gamma] from
-  (``_mellin_mgf_x``) for every p.
+  ``specfun``.
+
+CIFR takes E[1/gamma] for every p from the Mellin integral
+int u^(s-1) M_X(u) du / Gamma(s) (``_mellin_mgf_x``).
 
 ORA over one or two branches, of either sign of p, is a positive double
 sum over the branches' own cached real-axis grids (``x_ora_product``),
@@ -65,7 +68,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sp
 
-from .errors import DomainError, MethodUnavailableError, ParameterError
+from .errors import (
+    DomainError,
+    MethodUnavailableError,
+    NumericError,
+    ParameterError,
+)
 from .fading import (
     FadingModel,
     chf_rp,
@@ -838,7 +846,7 @@ def _mellin_mgf_x(spec: CombinerSpec, s: float,
                   tol: float = 1e-9) -> IntegralEstimate:
     """int_0^inf u^(s-1) M_X(u) du = Gamma(s) E[X^-s], s > 0, by adaptive
     quadrature on [0, inf) with the u^(s-1) origin power substituted away
-    for s < 1.  The panel route's inverse moments and CIFR share it."""
+    for s < 1: CIFR's E[1/gamma]."""
 
     def f(u):
         u = np.asarray(u, dtype=float)
@@ -851,21 +859,50 @@ def _mellin_mgf_x(spec: CombinerSpec, s: float,
         max_evals=800_000)
 
 
-def x_inverse_moment(spec: CombinerSpec, s: float, tol: float = 1e-9) -> float:
-    """E[X^-s] for 0 < s below the tail exponent.
+def x_inverse_moment(spec: CombinerSpec, s: float,
+                     tol: float = 1e-12) -> float:
+    """E[X^-s] for 0 < s below the tail exponent d of a p > 0 law (for
+    p < 0, d < 0 and every order raises DomainError).
 
-    On the law-ray route Re sum_k G_k z_k^-s over a grid deep enough for
-    the z^-s weight; on the panel route the Mellin integral
-    ``_mellin_mgf_x`` over Gamma(s).
+    The node sum S = Re sum_k G_k z_k^-s over the law grid, level by
+    level.  A level whose first term lies exp(-RAY_LOGTOL) below the
+    largest returns S itself.  Otherwise the terms left of the first node
+    u = ln|z_0| fall like exp(rho u), rho = d - s, so the sum misses
+    C exp(rho u), and levels l - 2 and l extrapolate it out (Richardson
+    at a known rate): E_l = S_l + (S_l - S_(l-2)) r/(1 - r),
+    r = exp(rho (u_l - u_(l-2))).  E_l is returned once it agrees with
+    E_(l-1) within ``tol`` relative; the next-order terms of the tail fall
+    faster, so E_l is then closer still.  Where the tail is no pure power
+    (a log factor at the origin) the estimates settle no faster than the
+    plain sums, and where rho is so small that r/(1 - r) swamps the sums
+    in rounding they need not settle at all: NumericError is raised with
+    the last estimate when no two agree by _MAX_LEVEL.
     """
     if s <= 0:
         raise DomainError("x_inverse_moment requires s > 0")
-    if s >= x_tail_exponent(spec):
+    d = x_tail_exponent(spec)
+    if s >= d:
         raise DomainError("inverse moment diverges: s >= tail exponent")
-    if integral_route(spec) == "law-ray":
-        grid = _law_grid_for(spec, lambda u, x: -s * u)
-        return float(np.real(grid.g @ np.exp(-s * np.log(grid.x))))
-    return float(_mellin_mgf_x(spec, s, tol).value) / math.gamma(s)
+    sums, firsts, est = [], [], None
+    for level in range(_MAX_LEVEL + 1):
+        grid = _law_grid(spec.branches, spec.p, level, 0)
+        u, lng = _log_moduli(grid)
+        total = float(np.real(grid.g @ np.exp(-s * np.log(grid.x))))
+        lnm = lng - s * u
+        if lnm[0] <= lnm.max() - RAY_LOGTOL:
+            return total
+        sums.append(total)
+        firsts.append(u[0])
+        if level < 2:
+            continue
+        r = math.exp((d - s) * (firsts[-1] - firsts[-3]))
+        prev, est = est, total + (total - sums[-3]) * r / (1.0 - r)
+        if prev is not None and abs(est - prev) <= tol * abs(est):
+            return est
+    raise NumericError(
+        f"E[X^-{s:g}] for {spec.branches!r}: the tail-extrapolated node "
+        f"sums do not settle by level {_MAX_LEVEL} (tail exponent {d:.6g})",
+        best_estimate=est)
 
 
 def x_fractional_moment(spec: CombinerSpec, s: float,
@@ -1043,6 +1080,20 @@ def _parseval(spec: CombinerSpec, delta: float, kern, tol: float,
     return (head.value + tail) * scale
 
 
+def _ray_truncated_moments(spec: CombinerSpec, delta: float,
+                           nus: tuple) -> np.ndarray:
+    """pi T_nu(delta) for each order in ``nus`` on the law-ray route:
+    Im sum_k G_k J_nu(z_k/delta), one Stieltjes call shared by the
+    orders, over a grid deep enough for the largest."""
+    top, ln_delta = max(nus), math.log(delta)
+    # past delta the kernel weighs |z/delta|^-nu, before it about 1
+    grid = _law_grid_for(
+        spec, lambda u, x: -top * np.maximum(u - ln_delta, 0.0),
+        lambda grid: (top < grid.rule.slope
+                      or _log_moduli(grid)[0][0] <= ln_delta))
+    return np.imag(stieltjes_power(nus, grid.x / delta) @ grid.g)
+
+
 def x_truncated_moment(spec: CombinerSpec, delta: float, nu: float,
                        tol: float = 1e-8, scale: float | None = None,
                        nu_sub: float | None = None) -> float:
@@ -1058,15 +1109,9 @@ def x_truncated_moment(spec: CombinerSpec, delta: float, nu: float,
     K(w) = (i w)^-(1+nu) gamma(1 + nu, i w), to ``tol`` relative to
     ``scale`` (the expected magnitude of the result; absolute when None).
     """
-    nus = (nu,) if nu_sub is None else (nu, nu_sub)
     if integral_route(spec) == "law-ray":
-        top, ln_delta = max(nus), math.log(delta)
-        # past delta the kernel weighs |z/delta|^-nu, before it about 1
-        grid = _law_grid_for(
-            spec, lambda u, x: -top * np.maximum(u - ln_delta, 0.0),
-            lambda grid: (top < grid.rule.slope
-                          or _log_moduli(grid)[0][0] <= ln_delta))
-        vals = np.imag(stieltjes_power(nus, grid.x / delta) @ grid.g)
+        vals = _ray_truncated_moments(
+            spec, delta, (nu,) if nu_sub is None else (nu, nu_sub))
         return float(vals[0] - vals[1:].sum()) / math.pi
 
     def kern(w):

@@ -35,6 +35,15 @@ measure of the combiner output (``"law-ray"``, p > 0) or
 epsilon-accelerated Gil-Pelaez and Parseval panels (``"panels"``, AF).
 The OPRA and TIFR diagnostics report it as ``route``.
 
+The OPRA cutoff solves the power constraint V(gamma0) = gamma0 unless the
+no-outage closed form from the inverse moments is exact to machine level.
+On the law ray each trial cutoff is one node sum that also gives the
+residual's derivative in ln gamma0, so Newton, started at the closed
+form, takes one to a few of them; on the panel route (AF) each is a
+Parseval integral, and brentq brackets the root.  The OPRA diagnostics
+report the solver as ``cutoff_solver`` (``"newton"`` or ``"brent"``) and
+its residual evaluations as ``cutoff_iterations``.
+
 Conventions
 -----------
 * A = theta*T*B/ln2 is the normalized QoS exponent; all capacities are in
@@ -71,6 +80,7 @@ from .combiner import (
     x_truncated_moment,
     _gamma_sum_params,
     _mellin_mgf_x,
+    _ray_truncated_moments,
 )
 from .errors import (
     DomainError,
@@ -143,9 +153,15 @@ class EcResult:
 
 @dataclass(frozen=True)
 class CutoffSolution:
+    """The OPRA cutoff: ``residual`` is |V(gamma0)/gamma0 - 1| at the last
+    evaluated cutoff (for Newton the iterate one step before ``gamma0``),
+    ``iterations`` the residual evaluations and ``solver`` the method
+    (``optimal_cutoff``)."""
+
     gamma0: float
     residual: float
     iterations: int
+    solver: str
 
 
 def _snr_db(spec: CombinerSpec) -> float:
@@ -345,8 +361,9 @@ class _OpraRefs:
 
     e_inv = E[1/gamma], e_lam = E[gamma^-lam]; lng0_est is the cutoff from
     the no-outage power constraint gamma0^(-1/(A+1)) e_lam - e_inv = 1,
-    exact whenever the outage region carries negligible mass.  These set
-    the bracket for the full root-find and normalize its integrals.
+    exact whenever the outage region carries negligible mass.  These start
+    the law-ray Newton iteration, set the panel route's brentq bracket and
+    normalize its integrals.
     """
 
     e_inv: float
@@ -395,11 +412,10 @@ def _outage_mass_bound(spec: CombinerSpec, gamma0: float) -> float:
     no-outage closed form is exact to machine level."""
     if spec.q > 0:
         delta = _delta_of(spec, gamma0)
-        # P(X < delta) <= (delta-origin mass); use the smallest branch
-        # origin exponent through Markov on X^-s
+        # P(X < delta) <= delta E[1/X] (Markov on 1/X); a bound needs few
+        # digits of the moment
         try:
-            s = 1.0
-            return x_inverse_moment(spec, s) * delta
+            return x_inverse_moment(spec, 1.0, 1e-6) * delta
         except (DomainError, NumericError):
             return 1.0
     delta = _delta_of(spec, gamma0)  # transmission is X <= delta
@@ -412,19 +428,73 @@ def _outage_mass_bound(spec: CombinerSpec, gamma0: float) -> float:
     return x_mean(spec) / delta  # Markov fallback
 
 
-def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
-    """(CutoffSolution, refs, lng0, closed_form).
+def _cutoff_newton_terms(spec: CombinerSpec, a_eff: float,
+                         gamma0: float):
+    """(r, dr/dt) of the law-ray cutoff residual r = V(gamma0)/gamma0 - 1
+    at t = ln gamma0, from one Stieltjes call for both orders.
 
-    Root-find on the full constraint, bracketed by the no-outage closed
-    form when the cutoff is tiny; when the outage mass at the estimated
-    cutoff is beyond machine resolution (always the case for very large
-    QoS exponents) the closed form itself is the solution.  Without the
-    references (a divergent E[1/gamma]) the generic bracket serves.
+    V/gamma0 = (T_lam q - T_q)/gamma0 with T_nu the truncated moment
+    E[(X/delta)^-nu; X >= delta], and dr/dt = -(1 - lam) T_lam q/gamma0:
+    the boundary terms cancel, since the integrand
+    (gamma/gamma0)^-lam - gamma0/gamma is 0 at gamma = gamma0.  So r falls
+    strictly in t.
     """
-    a_eff, _ = _effective_a(spec, qos)
-    refs = _opra_refs(spec, a_eff, tol)
-    # each residual is a Parseval integral or a node sum; brentq asks
-    # again for the bracket ends, and the closing check for its last root
+    lam = a_eff / (a_eff + 1.0)
+    t_lam, t_one = _ray_truncated_moments(
+        spec, _delta_of(spec, gamma0), (lam * spec.q, spec.q)) / math.pi
+    return (float((t_lam - t_one) / gamma0 - 1.0),
+            float(-(1.0 - lam) * t_lam / gamma0))
+
+
+# the cutoff's Newton iteration in t = ln gamma0: the largest step, and
+# the steps after which it gives up
+_NEWTON_STEP = 2.0
+_NEWTON_MAXITER = 100
+
+
+def _newton_cutoff(spec: CombinerSpec, a_eff: float, t: float):
+    """(ln gamma0, |r| at the last iterate, evaluations) on the law ray.
+
+    Safeguarded Newton on the decreasing residual from t = ln gamma0:
+    each evaluation narrows the sign bracket (lo, hi), a step is capped
+    at _NEWTON_STEP and bisects the bracket when it would leave it, and
+    the iteration stops once a step moves t by at most 1e-10 max(1, |t|),
+    returning the point it moved to.
+    """
+    lo, hi = -math.inf, math.inf
+    for n in range(1, _NEWTON_MAXITER + 1):
+        r, dr = _cutoff_newton_terms(spec, a_eff, math.exp(t))
+        if math.isnan(r):
+            raise NumericError(f"opra cutoff: the residual at ln gamma0 = "
+                               f"{t:.6g} is nan", best_estimate=math.exp(t))
+        if r == 0.0:
+            return t, 0.0, n
+        if r > 0.0:
+            lo = t
+        else:
+            hi = t
+        size = abs(r / dr) if dr < 0.0 else _NEWTON_STEP
+        if not size <= _NEWTON_STEP:
+            size = _NEWTON_STEP
+        new = t + math.copysign(size, r)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - t) <= 1e-10 * max(1.0, abs(t)):
+            return new, abs(r), n
+        t = new
+    raise NumericError(
+        f"opra cutoff: Newton did not settle in {_NEWTON_MAXITER} steps "
+        f"(bracket ln gamma0 in [{lo:.6g}, {hi:.6g}])",
+        best_estimate=math.exp(t))
+
+
+def _brent_cutoff(spec: CombinerSpec, a_eff: float,
+                  refs: _OpraRefs | None, tol: float):
+    """(gamma0, |residual|, evaluations) on the panel route: brentq on
+    V(gamma0)/gamma0 - 1 in a bracket set by the no-outage estimate where
+    it is small, else walked out from gamma0 = 1."""
+    # each residual is a Parseval integral; brentq asks again for the
+    # bracket ends, and the closing check for its last root
     seen: dict = {}
 
     def resid(g0):
@@ -432,13 +502,6 @@ def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
             seen[g0] = _cutoff_lhs_scaled(spec, a_eff, g0, tol) - 1.0
         return seen[g0]
 
-    if refs is not None:
-        g0_est = math.exp(max(refs.lng0_est, -744.0))
-        if refs.lng0_est < math.log(1e-280) \
-                or _outage_mass_bound(spec, g0_est) < 1e-12:
-            return (CutoffSolution(gamma0=g0_est, residual=0.0,
-                                   iterations=0),
-                    refs, refs.lng0_est, True)
     if refs is not None and refs.lng0_est < math.log(5e-3):
         # tight bracket around the closed-form estimate, verified on the
         # full residual
@@ -466,15 +529,50 @@ def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
             f"cutoff bracket failed: resid({lo:.3g})={flo:.3g}, "
             f"resid({hi:.3g})={fhi:.3g}")
     g0 = brentq(resid, lo, hi, xtol=1e-300, rtol=1e-10, maxiter=300)
-    res = abs(resid(g0))
-    return (CutoffSolution(gamma0=float(g0), residual=float(res),
-                           iterations=len(seen)),
+    return float(g0), float(abs(resid(g0))), len(seen)
+
+
+def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
+    """(CutoffSolution, refs, lng0, closed_form).
+
+    When the outage mass at the no-outage estimate of the cutoff is beyond
+    machine resolution (always the case for very large QoS exponents) the
+    closed form itself is the solution.  Otherwise the full constraint is
+    solved: on the law ray by Newton in ln gamma0 (``_newton_cutoff``),
+    started at the estimate, or at gamma0 = 1 without the references (a
+    divergent E[1/gamma]); on the panel route (AF) by brentq
+    (``_brent_cutoff``).
+    """
+    a_eff, _ = _effective_a(spec, qos)
+    refs = _opra_refs(spec, a_eff, tol)
+    if refs is not None:
+        g0_est = math.exp(max(refs.lng0_est, -744.0))
+        if refs.lng0_est < math.log(1e-280) \
+                or _outage_mass_bound(spec, g0_est) < 1e-12:
+            return (CutoffSolution(gamma0=g0_est, residual=0.0,
+                                   iterations=0, solver="no-outage"),
+                    refs, refs.lng0_est, True)
+    if integral_route(spec) == "law-ray":
+        lng0, res, n = _newton_cutoff(
+            spec, a_eff, 0.0 if refs is None else refs.lng0_est)
+        return (CutoffSolution(gamma0=math.exp(lng0), residual=res,
+                               iterations=n, solver="newton"),
+                refs, lng0, False)
+    g0, res, n = _brent_cutoff(spec, a_eff, refs, tol)
+    return (CutoffSolution(gamma0=g0, residual=res, iterations=n,
+                           solver="brent"),
             refs, math.log(g0), False)
 
 
 def optimal_cutoff(spec: CombinerSpec, qos: QosSpec,
                    tol: float = 1e-8) -> CutoffSolution:
-    """Solve the average-power constraint for the OPRA cutoff gamma0."""
+    """Solve the average-power constraint for the OPRA cutoff gamma0.
+
+    ``solver`` in the result names how: ``"no-outage"`` (the closed form,
+    exact when the outage mass is beyond machine resolution),
+    ``"newton"`` (every p > 0 law) or ``"brent"`` (AF); see
+    ``_solve_cutoff``.
+    """
     cut, _, _, _ = _solve_cutoff(spec, qos, tol)
     return cut
 
@@ -507,6 +605,7 @@ def _opra(spec: CombinerSpec, qos: QosSpec, tol: float, method: str,
                    a_eff, div, gamma0=g0,
                    diag={"cutoff_residual": cut.residual,
                          "cutoff_iterations": cut.iterations,
+                         "cutoff_solver": cut.solver,
                          "route": integral_route(spec)})
 
 

@@ -497,3 +497,45 @@ class TestPanelInverseMoment:
                                     rel=1e-14)
         want = math.log2(1.0 + spec.k / x_inverse_moment(spec, 2.0))
         assert got == pytest.approx(want, rel=1e-9)
+
+
+class TestInverseMomentExtrapolation:
+    """E[X^-s] near divergence: the law-ray node sums extrapolated at the
+    tail's known rate d - s, against exact Gamma-sum values."""
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("m", [0.55, 0.6, 0.7, 1.5, 3.0])
+    def test_gamma_sum_near_divergence(self, L, m):
+        # X ~ Gamma(L m, 1/m): E[X^-s] = m^s Gamma(L m - s) / Gamma(L m)
+        spec = CombinerSpec.mrc([Nakagami(m)] * L, 1.0)
+        for frac in (0.5, 0.8, 0.95):
+            s = frac * L * m
+            want = m ** s * math.exp(sp.gammaln(L * m - s)
+                                     - sp.gammaln(L * m))
+            for tol, bound in ((1e-13, 1e-13), (1e-8, 1e-7)):
+                cb._law_grid.cache_clear()
+                got = x_inverse_moment(spec, s, tol)
+                assert got == pytest.approx(want, rel=bound, abs=0.0)
+                # levels 0 .. 12 at most
+                assert cb._law_grid.cache_info().currsize <= 13
+
+    def test_gg_edge_egc(self):
+        # the reference is the plain node sum at level 33, where the first
+        # row falls exp(-36) below the largest
+        spec = CombinerSpec.egc(
+            [GeneralizedGamma(0.8006236692625118, 1.503221078203484)] * 2,
+            1.0)
+        cb._law_grid.cache_clear()
+        got = x_inverse_moment(spec, 2.0)
+        assert got == pytest.approx(2.434965681234019, rel=1e-13, abs=0.0)
+        assert cb._law_grid.cache_info().currsize <= 5
+
+    def test_no_agreement_raises_with_the_last_estimate(self, monkeypatch):
+        # at s = 0.95 d two estimates agree to 1e-13 only from level 10
+        spec = CombinerSpec.mrc([Nakagami(3.0)] * 2, 1.0)
+        s = 5.7
+        want = 3.0 ** s * math.exp(sp.gammaln(6.0 - s) - sp.gammaln(6.0))
+        monkeypatch.setattr(cb, "_MAX_LEVEL", 4)
+        with pytest.raises(NumericError, match="do not settle") as err:
+            x_inverse_moment(spec, s, 1e-13)
+        assert err.value.best_estimate == pytest.approx(want, rel=1e-6)

@@ -26,7 +26,11 @@ for spec, route in (
 # real-axis branch MGFs
 ec_cifr(CombinerSpec.egc([GeneralizedGamma(2.2, 1.5)] * 2, 1.0), qos)
 mrc = CombinerSpec.mrc([Nakagami(1.5)] * 2, 1.0)
-assert ec_opra_chf(mrc, qos).diagnostics["cutoff_iterations"] > 0
+diag = ec_opra_chf(mrc, qos).diagnostics
+assert diag["cutoff_iterations"] > 0 and diag["cutoff_solver"] == "newton"
+# the panel route's cutoff takes the package's own brentq
+af = CombinerSpec.af([Nakagami(1.5)] * 2, 1.0)
+assert ec_opra_chf(af, qos).diagnostics["cutoff_solver"] == "brent"
 ec_opra_mgf(mrc, qos)
 ec_tifr(mrc, qos)
 print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))

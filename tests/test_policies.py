@@ -389,14 +389,17 @@ class TestBrentPorts:
 
     SPEC = CombinerSpec.mrc([GeneralizedGamma(1.5, 1.2)] * 2,
                             10 ** 0.5)
+    # AF, the one route whose OPRA cutoff brentq still finds
+    AF_SPEC = CombinerSpec.af([Nakagami(1.5)] * 2, 1.0)
 
     def test_opra_cutoff(self, monkeypatch):
         from scipy.optimize import brentq
 
         qos = QosSpec(1e-2)
-        mine = optimal_cutoff(self.SPEC, qos)
+        mine = optimal_cutoff(self.AF_SPEC, qos)
         monkeypatch.setattr(policies, "brentq", brentq)
-        theirs = optimal_cutoff(self.SPEC, qos)
+        theirs = optimal_cutoff(self.AF_SPEC, qos)
+        assert mine.solver == "brent"
         assert mine.iterations > 3
         assert mine.iterations == theirs.iterations
         assert mine.gamma0 == pytest.approx(theirs.gamma0, rel=1e-15)
@@ -472,8 +475,54 @@ class TestOpra:
             return lhs(spec, a_eff, gamma0, tol)
 
         monkeypatch.setattr(policies, "_cutoff_lhs_scaled", counted)
-        cut = optimal_cutoff(TestBrentPorts.SPEC, QosSpec(1e-2))
+        cut = optimal_cutoff(TestBrentPorts.AF_SPEC, QosSpec(1e-2))
         assert len(calls) == len(set(calls)) == cut.iterations > 3
+
+    @pytest.mark.parametrize("spec, theta", [
+        (NAK2_MRC, 1e-3), (NAK2_MRC, 1e-2),
+        (CombinerSpec.egc([GeneralizedGamma(0.8, 1.5)] * 2, 10 ** 0.5),
+         1e-2),
+        (CombinerSpec.mrc([AlphaEtaMu(2.0, 3.0, 1.2)] * 2, 10 ** 0.5),
+         1.5e-2),
+        (CombinerSpec.mrc([Gsnm(2.0, 2.5, 3.0, 1.0)] * 2, 10 ** 0.3),
+         1e-2)])
+    def test_newton_cutoff_matches_brentq(self, spec, theta, monkeypatch):
+        # on the law ray Newton in ln gamma0 finds the root brentq finds
+        # on the same residual, in a few residuals, each formed once
+        from scipy.optimize import brentq
+
+        calls = []
+        terms = policies._cutoff_newton_terms
+
+        def counted(spec, a_eff, gamma0):
+            calls.append(gamma0)
+            return terms(spec, a_eff, gamma0)
+
+        qos = QosSpec(theta)
+        monkeypatch.setattr(policies, "_cutoff_newton_terms", counted)
+        cut = optimal_cutoff(spec, qos)
+        assert cut.solver == "newton"
+        assert len(calls) == len(set(calls)) == cut.iterations <= 6
+        a_eff = qos.A
+        want = brentq(lambda t: terms(spec, a_eff, math.exp(t))[0],
+                      math.log(cut.gamma0) - 1.0, math.log(cut.gamma0) + 1.0,
+                      xtol=1e-300, rtol=1e-14)
+        assert cut.gamma0 == pytest.approx(math.exp(want), rel=1e-10)
+
+    def test_newton_cutoff_without_references(self):
+        # E[1/gamma] diverges, so Newton starts at gamma0 = 1
+        spec = CombinerSpec.mrc([GeneralizedGamma(0.6, 1.0)] * 2, 10 ** 0.5)
+        cut = optimal_cutoff(spec, QosSpec(1e-2))
+        assert cut.solver == "newton" and cut.residual < 1e-9
+
+    def test_newton_cutoff_raises_with_best_estimate(self, monkeypatch):
+        # a residual that never changes sign: the steps walk off capped at
+        # 2 in ln gamma0 until the step budget is spent
+        monkeypatch.setattr(policies, "_cutoff_newton_terms",
+                            lambda spec, a_eff, gamma0: (1.0, -1e-3))
+        with pytest.raises(NumericError, match="Newton") as err:
+            optimal_cutoff(NAK2_MRC, QosSpec(1e-2))
+        assert err.value.best_estimate > 0.0
 
     def test_cutoff_monotone_in_snr(self):
         g0s = []
@@ -516,6 +565,24 @@ class TestCifr:
         want = math.log2(1.0 + 1.0 / 6.0) / 2.0
         got = ec_cifr(NAK2_AF, QosSpec(0.01)).value
         assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("m1, m2, snr_db, theta", [
+        (1.303552394241444, 2.199976630138305, 3.003624605365133,
+         0.0200607498300535),
+        (1.300722076017112, 2.196606779135417, 5.981834693904141,
+         0.0014981563343008718)])
+    def test_nakagami_af_closed_form(self, m1, m2, snr_db, theta):
+        # E[1/gamma] = E[X]/k = sum_l m_l/(m_l - 1)/k.  The benchmark's
+        # Monte-Carlo gate rejects these two closed-l1 nak-af points: its
+        # estimates lie 1.5e-2 and 2.1e-2 above these values, because
+        # E[R^-4] diverges for m <= 2 and the batch standard error then
+        # understates the estimate's error.
+        spec = CombinerSpec.af([Nakagami(m1), Nakagami(m2)],
+                               10 ** (snr_db / 10))
+        want = math.log2(1.0 + spec.k / (m1 / (m1 - 1.0)
+                                         + m2 / (m2 - 1.0))) / 2.0
+        got = ec_cifr(spec, QosSpec(theta)).value
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_non_positive_inverse_moment_refused(self, monkeypatch):
         # a Mellin integral that comes out negative must not reach log2
@@ -677,14 +744,14 @@ def _aem2_mrc_opra_reference(eta, mu, snr_db, theta):
 
 class TestOutageMassBound:
     def test_numeric_failure_gives_trivial_bound(self, monkeypatch):
-        def fail(spec, s):
+        def fail(spec, s, tol):
             raise NumericError("moment quadrature did not converge")
 
         monkeypatch.setattr(policies, "x_inverse_moment", fail)
         assert _outage_mass_bound(NAK2_MRC, 1e-3) == 1.0
 
     def test_other_exceptions_propagate(self, monkeypatch):
-        def fail(spec, s):
+        def fail(spec, s, tol):
             raise ZeroDivisionError("a bug, not a numeric failure")
 
         monkeypatch.setattr(policies, "x_inverse_moment", fail)
