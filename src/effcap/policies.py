@@ -35,14 +35,18 @@ measure of the combiner output (``"law-ray"``, p > 0) or
 epsilon-accelerated Gil-Pelaez and Parseval panels (``"panels"``, AF).
 The OPRA and TIFR diagnostics report it as ``route``.
 
-The OPRA cutoff solves the power constraint V(gamma0) = gamma0 unless the
+Each policy cutoff is the root of a one-dimensional condition.  The OPRA
+cutoff solves the power constraint V(gamma0) = gamma0 unless the
 no-outage closed form from the inverse moments is exact to machine level.
-On the law ray each trial cutoff is one node sum that also gives the
-residual's derivative in ln gamma0, so Newton, started at the closed
-form, takes one to a few of them; on the panel route (AF) each is a
-Parseval integral, and brentq brackets the root.  The OPRA diagnostics
-report the solver as ``cutoff_solver`` (``"newton"`` or ``"brent"``) and
-its residual evaluations as ``cutoff_iterations``.
+Its residual's derivative in ln gamma0, -(1 - lam) T_lam/gamma0, is the
+same on every route, so Newton, started at the closed form, solves it on
+both: on the law ray one node sum gives the residual and the derivative;
+on the panel route (AF) the residual is one Parseval integral and the
+derivative one more, to a few digits.  The OPRA diagnostics report the
+solver as ``cutoff_solver`` (``"no-outage"`` or ``"newton"``) and its
+residual evaluations as ``cutoff_iterations``.  The TIFR cutoff that
+maximizes the rate is the root of the rate's stationarity condition, from
+which the density of gamma cancels, found by brentq in ln gamma0.
 
 Conventions
 -----------
@@ -88,12 +92,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .quadrature import (
-    SEMI_INFINITE_REACH,
-    brentq,
-    integrate_semi_infinite,
-    minimize_bounded,
-)
+from .quadrature import SEMI_INFINITE_REACH, brentq, integrate_semi_infinite
 from .specfun import kummer_1f1
 
 __all__ = [
@@ -154,7 +153,7 @@ class EcResult:
 @dataclass(frozen=True)
 class CutoffSolution:
     """The OPRA cutoff: ``residual`` is |V(gamma0)/gamma0 - 1| at the last
-    evaluated cutoff (for Newton the iterate one step before ``gamma0``),
+    evaluated cutoff (the Newton iterate one step before ``gamma0``),
     ``iterations`` the residual evaluations and ``solver`` the method
     (``optimal_cutoff``)."""
 
@@ -362,8 +361,8 @@ class _OpraRefs:
     e_inv = E[1/gamma], e_lam = E[gamma^-lam]; lng0_est is the cutoff from
     the no-outage power constraint gamma0^(-1/(A+1)) e_lam - e_inv = 1,
     exact whenever the outage region carries negligible mass.  These start
-    the law-ray Newton iteration, set the panel route's brentq bracket and
-    normalize its integrals.
+    the cutoff's Newton iteration on every route and normalize the panel
+    route's integrals.
     """
 
     e_inv: float
@@ -373,6 +372,17 @@ class _OpraRefs:
     def k_est(self, gamma0: float, lam: float) -> float:
         """No-outage estimate of E[(gamma/gamma0)^-lam; gamma >= gamma0]."""
         return math.exp(lam * math.log(gamma0) + math.log(self.e_lam))
+
+
+def _positive_moment(spec: CombinerSpec, s: float, tol: float) -> float:
+    """E[X^s], s > 0, which for q < 0 is k^(s/|q|) E[gamma^(-s/|q|)]:
+    exact for integer s <= 4, the MGF integral for s in (0, 1)."""
+    if s == int(s) and s <= 4:
+        return x_moment(spec, int(s))
+    if 0.0 < s < 1.0:
+        return x_fractional_moment(spec, s, tol)
+    raise DomainError(f"E[X^{s:g}] for p < 0: only integer orders up to 4 "
+                      "and orders in (0, 1) are available")
 
 
 def _opra_refs(spec: CombinerSpec, a_eff: float,
@@ -388,11 +398,8 @@ def _opra_refs(spec: CombinerSpec, a_eff: float,
         e_inv = x_inverse_moment(spec, q, tol) / k
         e_lam = x_inverse_moment(spec, lam * q, tol) * k ** -lam
     else:
-        aq, s = abs(q), lam * abs(q)
-        e_inv = (x_moment(spec, int(aq)) if aq == int(aq)
-                 else x_fractional_moment(spec, aq)) / k
-        e_lam = (x_moment(spec, int(s)) if s == int(s)
-                 else x_fractional_moment(spec, s, tol)) * k ** -lam
+        e_inv = _positive_moment(spec, -q, tol) / k
+        e_lam = _positive_moment(spec, -lam * q, tol) * k ** -lam
     lng0 = -(a_eff + 1.0) * math.log((1.0 + e_inv) / e_lam)
     return _OpraRefs(e_inv=e_inv, e_lam=e_lam, lng0_est=lng0)
 
@@ -428,22 +435,38 @@ def _outage_mass_bound(spec: CombinerSpec, gamma0: float) -> float:
     return x_mean(spec) / delta  # Markov fallback
 
 
-def _cutoff_newton_terms(spec: CombinerSpec, a_eff: float,
-                         gamma0: float):
-    """(r, dr/dt) of the law-ray cutoff residual r = V(gamma0)/gamma0 - 1
-    at t = ln gamma0, from one Stieltjes call for both orders.
+# the panel route's derivative integral: the derivative only steers
+# Newton's steps, which converge on the residual whatever its last digits,
+# and each digit of a Parseval integral costs panels
+_DERIV_TOL = 1e-4
+
+
+def _cutoff_newton_terms(spec: CombinerSpec, a_eff: float, gamma0: float,
+                         refs: _OpraRefs | None, tol: float):
+    """(r, dr/dt) of the cutoff residual r = V(gamma0)/gamma0 - 1 at
+    t = ln gamma0.
 
     V/gamma0 = (T_lam q - T_q)/gamma0 with T_nu the truncated moment
-    E[(X/delta)^-nu; X >= delta], and dr/dt = -(1 - lam) T_lam q/gamma0:
-    the boundary terms cancel, since the integrand
+    E[(X/delta)^-nu; X >= delta], and dr/dt = -(1 - lam) T_lam q/gamma0 on
+    every route: the boundary terms cancel, since the integrand
     (gamma/gamma0)^-lam - gamma0/gamma is 0 at gamma = gamma0.  So r falls
-    strictly in t.
+    strictly in t.  On the law ray one Stieltjes call gives both orders.
+    On the panel route r is the combined kernel's Parseval integral, since
+    T_lam and T_q formed apart would cancel up to T_lam/gamma0's digits,
+    and T_lam is one more integral, to _DERIV_TOL.
     """
     lam = a_eff / (a_eff + 1.0)
-    t_lam, t_one = _ray_truncated_moments(
-        spec, _delta_of(spec, gamma0), (lam * spec.q, spec.q)) / math.pi
-    return (float((t_lam - t_one) / gamma0 - 1.0),
-            float(-(1.0 - lam) * t_lam / gamma0))
+    delta = _delta_of(spec, gamma0)
+    if integral_route(spec) == "law-ray":
+        t_lam, t_one = _ray_truncated_moments(
+            spec, delta, (lam * spec.q, spec.q)) / math.pi
+        return (float((t_lam - t_one) / gamma0 - 1.0),
+                float(-(1.0 - lam) * t_lam / gamma0))
+    r = _cutoff_lhs_scaled(spec, a_eff, gamma0, tol) - 1.0
+    t_lam = x_truncated_moment(spec, delta, lam * abs(spec.q), _DERIV_TOL,
+                               scale=None if refs is None
+                               else refs.k_est(gamma0, lam))
+    return r, -(1.0 - lam) * t_lam / gamma0
 
 
 # the cutoff's Newton iteration in t = ln gamma0: the largest step, and
@@ -452,18 +475,21 @@ _NEWTON_STEP = 2.0
 _NEWTON_MAXITER = 100
 
 
-def _newton_cutoff(spec: CombinerSpec, a_eff: float, t: float):
-    """(ln gamma0, |r| at the last iterate, evaluations) on the law ray.
+def _newton_cutoff(spec: CombinerSpec, a_eff: float,
+                   refs: _OpraRefs | None, tol: float):
+    """(ln gamma0, |r| at the last iterate, evaluations).
 
-    Safeguarded Newton on the decreasing residual from t = ln gamma0:
-    each evaluation narrows the sign bracket (lo, hi), a step is capped
-    at _NEWTON_STEP and bisects the bracket when it would leave it, and
-    the iteration stops once a step moves t by at most 1e-10 max(1, |t|),
-    returning the point it moved to.
+    Safeguarded Newton on the decreasing residual from the no-outage
+    estimate, or from gamma0 = 1 without the references (a divergent
+    E[1/gamma]): each evaluation narrows the sign bracket (lo, hi), a step
+    is capped at _NEWTON_STEP and bisects the bracket when it would leave
+    it, and the iteration stops once a step moves t by at most
+    1e-10 max(1, |t|), returning the point it moved to.
     """
+    t = 0.0 if refs is None else refs.lng0_est
     lo, hi = -math.inf, math.inf
     for n in range(1, _NEWTON_MAXITER + 1):
-        r, dr = _cutoff_newton_terms(spec, a_eff, math.exp(t))
+        r, dr = _cutoff_newton_terms(spec, a_eff, math.exp(t), refs, tol)
         if math.isnan(r):
             raise NumericError(f"opra cutoff: the residual at ln gamma0 = "
                                f"{t:.6g} is nan", best_estimate=math.exp(t))
@@ -488,60 +514,13 @@ def _newton_cutoff(spec: CombinerSpec, a_eff: float, t: float):
         best_estimate=math.exp(t))
 
 
-def _brent_cutoff(spec: CombinerSpec, a_eff: float,
-                  refs: _OpraRefs | None, tol: float):
-    """(gamma0, |residual|, evaluations) on the panel route: brentq on
-    V(gamma0)/gamma0 - 1 in a bracket set by the no-outage estimate where
-    it is small, else walked out from gamma0 = 1."""
-    # each residual is a Parseval integral; brentq asks again for the
-    # bracket ends, and the closing check for its last root
-    seen: dict = {}
-
-    def resid(g0):
-        if g0 not in seen:
-            seen[g0] = _cutoff_lhs_scaled(spec, a_eff, g0, tol) - 1.0
-        return seen[g0]
-
-    if refs is not None and refs.lng0_est < math.log(5e-3):
-        # tight bracket around the closed-form estimate, verified on the
-        # full residual
-        lo = math.exp(refs.lng0_est - 2.0)
-        hi = math.exp(min(refs.lng0_est + 2.0, 0.0))
-        flo, fhi = resid(lo), resid(hi)
-        tries = 0
-        while flo * fhi > 0 and tries < 6:
-            lo *= 0.1
-            hi = min(hi * 10.0, 20.0)
-            flo, fhi = resid(lo), resid(hi)
-            tries += 1
-    else:
-        hi = 1.0
-        fhi = resid(hi)
-        while fhi > 0 and hi < 20.0:
-            hi *= 2.0
-            fhi = resid(hi)
-        lo, flo = hi, fhi
-        while flo <= 0 and lo > 1e-10:
-            lo *= 0.2
-            flo = resid(lo)
-    if flo * fhi > 0 or flo <= 0:
-        raise NumericError(
-            f"cutoff bracket failed: resid({lo:.3g})={flo:.3g}, "
-            f"resid({hi:.3g})={fhi:.3g}")
-    g0 = brentq(resid, lo, hi, xtol=1e-300, rtol=1e-10, maxiter=300)
-    return float(g0), float(abs(resid(g0))), len(seen)
-
-
 def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
     """(CutoffSolution, refs, lng0, closed_form).
 
     When the outage mass at the no-outage estimate of the cutoff is beyond
     machine resolution (always the case for very large QoS exponents) the
-    closed form itself is the solution.  Otherwise the full constraint is
-    solved: on the law ray by Newton in ln gamma0 (``_newton_cutoff``),
-    started at the estimate, or at gamma0 = 1 without the references (a
-    divergent E[1/gamma]); on the panel route (AF) by brentq
-    (``_brent_cutoff``).
+    closed form itself is the solution.  Otherwise Newton in ln gamma0
+    (``_newton_cutoff``) solves the full constraint, on every route.
     """
     a_eff, _ = _effective_a(spec, qos)
     refs = _opra_refs(spec, a_eff, tol)
@@ -552,16 +531,10 @@ def _solve_cutoff(spec: CombinerSpec, qos: QosSpec, tol: float):
             return (CutoffSolution(gamma0=g0_est, residual=0.0,
                                    iterations=0, solver="no-outage"),
                     refs, refs.lng0_est, True)
-    if integral_route(spec) == "law-ray":
-        lng0, res, n = _newton_cutoff(
-            spec, a_eff, 0.0 if refs is None else refs.lng0_est)
-        return (CutoffSolution(gamma0=math.exp(lng0), residual=res,
-                               iterations=n, solver="newton"),
-                refs, lng0, False)
-    g0, res, n = _brent_cutoff(spec, a_eff, refs, tol)
-    return (CutoffSolution(gamma0=g0, residual=res, iterations=n,
-                           solver="brent"),
-            refs, math.log(g0), False)
+    lng0, res, n = _newton_cutoff(spec, a_eff, refs, tol)
+    return (CutoffSolution(gamma0=math.exp(lng0), residual=res,
+                           iterations=n, solver="newton"),
+            refs, lng0, False)
 
 
 def optimal_cutoff(spec: CombinerSpec, qos: QosSpec,
@@ -570,8 +543,7 @@ def optimal_cutoff(spec: CombinerSpec, qos: QosSpec,
 
     ``solver`` in the result names how: ``"no-outage"`` (the closed form,
     exact when the outage mass is beyond machine resolution),
-    ``"newton"`` (every p > 0 law) or ``"brent"`` (AF); see
-    ``_solve_cutoff``.
+    otherwise ``"newton"``; see ``_solve_cutoff``.
     """
     cut, _, _, _ = _solve_cutoff(spec, qos, tol)
     return cut
@@ -681,7 +653,8 @@ def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
     near u = 1e14.  The tail it drops is estimated from M_X's algebraic
     tail and added to ``err_estimate``; near a divergent E[1/gamma] it
     exceeds 100 tol relative, and NumericError is raised with the
-    capacity corrected by it as the best estimate.
+    capacity corrected by it as the best estimate.  For q < 0,
+    E[1/gamma] = E[X^|q|]/k is a positive moment of X.
     """
     q = spec.q
     k = spec.k
@@ -715,11 +688,9 @@ def ec_cifr(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
                 f"(tail exponent {d_tot:.6g}, q = {q:g})",
                 best_estimate=math.log2(1.0 + 1.0 / best))
         diag = {"err_estimate": err, "route": "mgf"}
-    elif q == -1.0:
-        inv_mean = x_mean(spec) / k
-        diag = {"route": "mgf"}
     else:
-        raise DomainError("CIFR supports q in {1, 2, -1}")
+        inv_mean = _positive_moment(spec, -q, tol) / k
+        diag = {"route": "mgf"}
     value = math.log2(1.0 + 1.0 / inv_mean) / div
     return EcResult("cifr", "mgf", _snr_db(spec), qos.theta, value,
                     diagnostics=diag)
@@ -732,49 +703,82 @@ def _tifr_inverse_moment(spec: CombinerSpec, gamma0: float,
                               abs(float(spec.q)), tol) / gamma0
 
 
+# the optimized TIFR cutoff: its domain [_TIFR_LO gbar, _TIFR_HI gbar],
+# the step of the walk down from gbar in ln gamma0 and brentq's xtol
+# there, ample since the rate is flat to second order at its maximum
+_TIFR_LO, _TIFR_HI = 1e-3, 8.0
+_TIFR_STEP = 2.0
+_TIFR_XTOL = 1e-4
+
+
 def ec_tifr(spec: CombinerSpec, qos: QosSpec,
             gamma0: float | None = None, tol: float = 1e-8) -> EcResult:
     """EC under truncated channel inversion, at the cutoff ``gamma0``.
 
-    With ``gamma0=None`` the cutoff maximizing the capacity is located by
-    bounded Brent minimization (golden section with parabolic steps) of
-    the negated rate on ln gamma0 over
-    [ln(1e-3 gbar), ln(8 gbar)], stopped at 1e-3 in ln gamma0: the rate is
-    flat to second order at its maximum.  The diagnostics report the rate
-    evaluations (``iterations``) and ``bracket_width``, the width in
-    ln gamma0 between the evaluated points next to the returned cutoff,
-    which holds the maximizer of a unimodal rate.
+    The rate is (1 - P_out) log2(1 + 1/I) with I = E[1/gamma; gamma >=
+    gamma0].  With ``gamma0=None`` the cutoff maximizing it over
+    [_TIFR_LO gbar, _TIFR_HI gbar] is located as a root: the rate's slope
+    in gamma0 is f_gamma(gamma0) g(gamma0)/ln 2 with
+    g = (1 - P_out)/(gamma0 I (1 + I)) - ln(1 + 1/I), so the density
+    cancels and the maximum is the root of g, which falls through it.
+    From ln gbar the sign bracket is taken up to the domain's upper end
+    or walked down in steps of _TIFR_STEP (the lower end, where the
+    panel route's integrals cost most, is evaluated last), and brentq
+    closes it to _TIFR_XTOL in ln gamma0; an end is returned when the
+    maximum lies past it.  The diagnostics report which as
+    ``cutoff_solver`` (``"root"``, ``"upper-end"`` or ``"lower-end"``),
+    the evaluations of (P_out, I) as ``iterations``, and
+    ``bracket_width``, the width in ln gamma0 of the final sign bracket
+    of g (0 at an end).
     """
     div = float(spec.L) if spec.q < 0 else 1.0
 
-    def rate(g0):
+    def terms(g0):
+        """(P_out, I) at the cutoff g0."""
         inv = _tifr_inverse_moment(spec, g0, tol)
-        delta = _delta_of(spec, g0)
-        fx = cdf_x_gil_pelaez(spec, delta, tol=tol)
-        p_out = fx if spec.q > 0 else 1.0 - fx
+        fx = cdf_x_gil_pelaez(spec, _delta_of(spec, g0), tol=tol)
+        return fx if spec.q > 0 else 1.0 - fx, inv
+
+    def rate(p_out, inv):
         if inv <= 0:
             return 0.0
         return (1.0 - p_out) * math.log2(1.0 + 1.0 / inv) / div
 
     if gamma0 is None:
+        seen: dict = {}  # (P_out, I) at each trial ln gamma0
+
+        def g(lng0):
+            if lng0 not in seen:
+                seen[lng0] = terms(math.exp(lng0))
+            p_out, inv = seen[lng0]
+            if inv <= 0:
+                return -math.inf  # past the maximum the rate is zero
+            return (1.0 - p_out) / (math.exp(lng0) * inv * (1.0 + inv)) \
+                - math.log1p(1.0 / inv)
+
         gbar = spec.k * x_mean(spec) ** spec.q
-        lo, hi = math.log(1e-3 * gbar), math.log(8.0 * gbar)
-        seen = []
-
-        def neg_rate(lng0):
-            seen.append(lng0)
-            return -rate(math.exp(lng0))
-
-        lng0, neg = minimize_bounded(neg_rate, lo, hi, xatol=1e-3)
-        left = max((x for x in seen if x < lng0), default=lo)
-        right = min((x for x in seen if x > lng0), default=hi)
-        g0, value = math.exp(lng0), -neg
+        lo = hi = math.log(gbar)
+        if g(lo) > 0:
+            hi = math.log(_TIFR_HI * gbar)
+        else:
+            end = math.log(_TIFR_LO * gbar)
+            while g(lo) <= 0 and lo > end:
+                hi, lo = lo, max(lo - _TIFR_STEP, end)
+        if g(hi) > 0:
+            lng0, solver = hi, "upper-end"
+        elif g(lo) <= 0:
+            lng0, solver = lo, "lower-end"
+        else:
+            lng0, solver = brentq(g, lo, hi, xtol=_TIFR_XTOL), "root"
+        left = max((x for x in seen if g(x) > 0), default=lng0)
+        right = min((x for x in seen if g(x) <= 0), default=lng0)
+        g0, value = math.exp(lng0), rate(*seen[lng0])
         method = "chf-optimized"
-        diag = {"iterations": len(seen), "bracket_width": float(right - left),
-                "route": integral_route(spec)}
+        diag = {"iterations": len(seen), "bracket_width": right - left,
+                "cutoff_solver": solver, "route": integral_route(spec)}
     else:
         g0 = float(gamma0)
-        value = rate(g0)
+        value = rate(*terms(g0))
         method = "chf"
         diag = {"route": integral_route(spec)}
     return EcResult("tifr", method, _snr_db(spec), qos.theta, value,

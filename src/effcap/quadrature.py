@@ -17,9 +17,9 @@ Five pieces of machinery shared by every analytic path in the package:
   exp(-RAY_LOGTOL) below it, which carry the characteristic-function and
   real-axis grids of the fading models and the ray measure of the p > 0
   combiner output, whatever its number of branches;
-* Brent's bracketing root finder and bounded scalar minimizer, step for
-  step as SciPy has them (``brentq``, and ``minimize_scalar`` with method
-  "bounded"), without the 0.2-0.3 s import of SciPy's optimize package.
+* Brent's bracketing root finder, step for step as SciPy has it
+  (``brentq``), without the 0.2-0.3 s import of SciPy's optimize package;
+  the TIFR cutoff and the Monte-Carlo OPRA cutoff use it.
 
 All integrand callables must accept numpy arrays and be reentrant; rules
 and estimates are immutable values.
@@ -51,7 +51,6 @@ __all__ = [
     "build_ray_grid",
     "deepen_ray_grid",
     "brentq",
-    "minimize_bounded",
 ]
 
 
@@ -394,13 +393,11 @@ def deepen_ray_grid(base: RayGrid, level: int) -> RayGrid:
 
 
 # ---------------------------------------------------------------------------
-# Brent's methods: root in a bracket, minimum on an interval
+# Brent's method: root in a bracket
 # ---------------------------------------------------------------------------
 
 # the smallest relative tolerance brentq accepts, 4 machine epsilons
 _BRENT_RTOL = 4.0 * 2.0 ** -52
-# the function calls after which minimize_bounded returns its best point
-_BOUNDED_MAXFUN = 500
 
 
 def _finite_value(f, x: float) -> float:
@@ -471,85 +468,3 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
         fcur = _finite_value(f, xcur)
     raise NumericError(f"brentq did not converge in {maxiter} iterations",
                        best_estimate=xcur)
-
-
-def minimize_bounded(f, lo: float, hi: float, xatol: float):
-    """(x, f(x)) at a minimum of f on [lo, hi].
-
-    Brent's golden-section search with parabolic steps (Brent, 1973,
-    ch. 5), step for step as SciPy's minimize_scalar with method
-    "bounded": the same iterates, the same function calls and the same
-    stop once the bracket about x is within xatol plus sqrt(eps) |x|.
-    After 500 calls it returns the best point so far.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("bounds must be finite")
-    if lo > hi:
-        raise DomainError("the lower bound exceeds the upper bound")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BOUNDED_MAXFUN:
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        raise NumericError("bounded minimization met a nan",
-                           best_estimate=xf)
-    return xf, fx

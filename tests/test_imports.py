@@ -28,11 +28,12 @@ ec_cifr(CombinerSpec.egc([GeneralizedGamma(2.2, 1.5)] * 2, 1.0), qos)
 mrc = CombinerSpec.mrc([Nakagami(1.5)] * 2, 1.0)
 diag = ec_opra_chf(mrc, qos).diagnostics
 assert diag["cutoff_iterations"] > 0 and diag["cutoff_solver"] == "newton"
-# the panel route's cutoff takes the package's own brentq
 af = CombinerSpec.af([Nakagami(1.5)] * 2, 1.0)
-assert ec_opra_chf(af, qos).diagnostics["cutoff_solver"] == "brent"
+assert ec_opra_chf(af, qos).diagnostics["cutoff_solver"] == "newton"
 ec_opra_mgf(mrc, qos)
-ec_tifr(mrc, qos)
+# the TIFR cutoff takes the package's own brentq, on either route
+for spec in (mrc, af):
+    assert ec_tifr(spec, qos).diagnostics["cutoff_solver"] == "root"
 print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
 """
 

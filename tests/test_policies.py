@@ -13,7 +13,7 @@ from effcap.fading import (
     Nakagami,
     sample_envelope,
 )
-from effcap.montecarlo import McConfig, mc_ec_opra
+from effcap.montecarlo import McConfig, mc_ec_cifr, mc_ec_opra
 from effcap.policies import (
     QosSpec,
     ec_cifr,
@@ -384,39 +384,21 @@ class TestOraKummer:
 
 
 class TestBrentPorts:
-    """The package's Brent ports take the steps SciPy's take on the
-    OPRA residual and the TIFR rate (tests may import its optimize)."""
+    """The package's brentq port takes the steps SciPy's takes on the TIFR
+    stationarity condition (tests may import its optimize)."""
 
     SPEC = CombinerSpec.mrc([GeneralizedGamma(1.5, 1.2)] * 2,
                             10 ** 0.5)
-    # AF, the one route whose OPRA cutoff brentq still finds
-    AF_SPEC = CombinerSpec.af([Nakagami(1.5)] * 2, 1.0)
 
-    def test_opra_cutoff(self, monkeypatch):
+    def test_tifr_search(self, monkeypatch):
         from scipy.optimize import brentq
 
         qos = QosSpec(1e-2)
-        mine = optimal_cutoff(self.AF_SPEC, qos)
-        monkeypatch.setattr(policies, "brentq", brentq)
-        theirs = optimal_cutoff(self.AF_SPEC, qos)
-        assert mine.solver == "brent"
-        assert mine.iterations > 3
-        assert mine.iterations == theirs.iterations
-        assert mine.gamma0 == pytest.approx(theirs.gamma0, rel=1e-15)
-
-    def test_tifr_search(self, monkeypatch):
-        from scipy.optimize import minimize_scalar
-
-        def scipy_bounded(f, lo, hi, xatol):
-            res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": xatol})
-            return float(res.x), float(res.fun)
-
-        qos = QosSpec(1e-2)
         mine = ec_tifr(self.SPEC, qos)
-        monkeypatch.setattr(policies, "minimize_bounded", scipy_bounded)
+        monkeypatch.setattr(policies, "brentq", brentq)
         theirs = ec_tifr(self.SPEC, qos)
-        assert mine.diagnostics["iterations"] > 5
+        assert mine.diagnostics["cutoff_solver"] == "root"
+        assert mine.diagnostics["iterations"] > 3
         assert mine.diagnostics == theirs.diagnostics
         assert mine.cutoff_gamma0 == pytest.approx(theirs.cutoff_gamma0,
                                                    rel=1e-15)
@@ -465,8 +447,7 @@ class TestOpra:
                 assert opra >= ec_cifr(spec, qos).value - 1e-8
 
     def test_cutoff_residual_evaluated_once_per_point(self, monkeypatch):
-        # brentq asks again for the bracket ends, and the closing check
-        # for its root; each residual is computed once
+        # on the panel route (AF) too each Newton step forms one residual
         calls = []
         lhs = policies._cutoff_lhs_scaled
 
@@ -475,7 +456,8 @@ class TestOpra:
             return lhs(spec, a_eff, gamma0, tol)
 
         monkeypatch.setattr(policies, "_cutoff_lhs_scaled", counted)
-        cut = optimal_cutoff(TestBrentPorts.AF_SPEC, QosSpec(1e-2))
+        cut = optimal_cutoff(NAK2_AF, QosSpec(1e-2))
+        assert cut.solver == "newton"
         assert len(calls) == len(set(calls)) == cut.iterations > 3
 
     @pytest.mark.parametrize("spec, theta", [
@@ -485,26 +467,28 @@ class TestOpra:
         (CombinerSpec.mrc([AlphaEtaMu(2.0, 3.0, 1.2)] * 2, 10 ** 0.5),
          1.5e-2),
         (CombinerSpec.mrc([Gsnm(2.0, 2.5, 3.0, 1.0)] * 2, 10 ** 0.3),
-         1e-2)])
+         1e-2),
+        (CombinerSpec.af([Nakagami(1.5)] * 2, 10 ** 0.5), 1e-3)])
     def test_newton_cutoff_matches_brentq(self, spec, theta, monkeypatch):
-        # on the law ray Newton in ln gamma0 finds the root brentq finds
+        # on either route Newton in ln gamma0 finds the root brentq finds
         # on the same residual, in a few residuals, each formed once
         from scipy.optimize import brentq
 
         calls = []
         terms = policies._cutoff_newton_terms
 
-        def counted(spec, a_eff, gamma0):
+        def counted(spec, a_eff, gamma0, *rest):
             calls.append(gamma0)
-            return terms(spec, a_eff, gamma0)
+            return terms(spec, a_eff, gamma0, *rest)
 
         qos = QosSpec(theta)
         monkeypatch.setattr(policies, "_cutoff_newton_terms", counted)
         cut = optimal_cutoff(spec, qos)
         assert cut.solver == "newton"
         assert len(calls) == len(set(calls)) == cut.iterations <= 6
-        a_eff = qos.A
-        want = brentq(lambda t: terms(spec, a_eff, math.exp(t))[0],
+        a_eff, _ = policies._effective_a(spec, qos)
+        want = brentq(lambda t: terms(spec, a_eff, math.exp(t), None,
+                                      1e-8)[0],
                       math.log(cut.gamma0) - 1.0, math.log(cut.gamma0) + 1.0,
                       xtol=1e-300, rtol=1e-14)
         assert cut.gamma0 == pytest.approx(math.exp(want), rel=1e-10)
@@ -519,7 +503,7 @@ class TestOpra:
         # a residual that never changes sign: the steps walk off capped at
         # 2 in ln gamma0 until the step budget is spent
         monkeypatch.setattr(policies, "_cutoff_newton_terms",
-                            lambda spec, a_eff, gamma0: (1.0, -1e-3))
+                            lambda *args: (1.0, -1e-3))
         with pytest.raises(NumericError, match="Newton") as err:
             optimal_cutoff(NAK2_MRC, QosSpec(1e-2))
         assert err.value.best_estimate > 0.0
@@ -594,6 +578,51 @@ class TestCifr:
             ec_cifr(NAK2_MRC, QosSpec(0.01))
         assert err.value.best_estimate == -0.5
 
+    @pytest.mark.parametrize("p", [-1.0, -4.0])
+    def test_negative_p_positive_moment(self, p):
+        # q = 2/p < 0: E[1/gamma] = E[X^|q|]/k, here E[X^2] (exact from
+        # the branch moments) and E[X^(1/2)] (the MGF integral) of
+        # X = R_1^p + R_2^p, against E[(Y_1^2 + Y_2^2)^(1/2)] with
+        # Y = R^-2 ~ InvGamma(m, m) by quad.  The MGF integral's analytic
+        # head leaves 2.2e-5 of E[X^(1/2)] here.
+        from scipy import integrate, special
+
+        m1, m2, snr = 2.5, 3.2, 10 ** 0.5
+        spec = CombinerSpec(p, 2.0 / p, 1.0, (Nakagami(m1), Nakagami(m2)),
+                            snr)
+
+        def inv_moment(m, s):  # E[R^-s]
+            return math.exp(special.gammaln(m - 0.5 * s)
+                            - special.gammaln(m) + 0.5 * s * math.log(m))
+
+        if p == -1.0:
+            moment = (inv_moment(m1, 2) + inv_moment(m2, 2)
+                      + 2.0 * inv_moment(m1, 1) * inv_moment(m2, 1))
+            rel = 1e-14
+        else:
+            def pdf(m, y):
+                return math.exp(m * math.log(m) - special.gammaln(m)
+                                - (m + 1.0) * math.log(y) - m / y)
+
+            kw = {"epsabs": 0.0, "epsrel": 1e-12, "limit": 200}
+            moment = integrate.quad(
+                lambda y1: pdf(m1, y1) * integrate.quad(
+                    lambda y2: pdf(m2, y2) * math.hypot(y1, y2),
+                    0.0, math.inf, **kw)[0], 0.0, math.inf, **kw)[0]
+            rel = 5e-5
+        res = ec_cifr(spec, QosSpec(0.01))
+        assert res.value == pytest.approx(math.log2(1.0 + snr / moment) / 2,
+                                          rel=rel)
+        mc = mc_ec_cifr(spec, McConfig(samples=400_000, seed=3))
+        assert abs(res.value - mc.value) <= 4.0 * mc.std_error
+
+    def test_negative_p_order_out_of_reach(self):
+        # q = -4/3 asks for E[X^(4/3)], neither an integer order nor one
+        # in (0, 1)
+        spec = CombinerSpec(-1.5, -4.0 / 3.0, 1.0, (Nakagami(2.5),) * 2, 1.0)
+        with pytest.raises(DomainError, match=r"E\[X\^1\.33333\]"):
+            ec_cifr(spec, QosSpec(0.01))
+
     def test_rayleigh_divergence_flagged(self):
         spec = CombinerSpec.mrc([Nakagami(1.0, 1.0)], 1.0)
         res = ec_cifr(spec, QosSpec(0.01))
@@ -651,6 +680,54 @@ class TestTifr:
         assert res.value >= max(grid) * (1.0 - 1e-7)
 
 
+    @pytest.mark.parametrize("spec, end, factor, solver, step", [
+        # the maxima lie at 0.57 gbar and 1.24 gbar
+        (NAK2_MRC, "_TIFR_LO", 0.7, "lower-end", 0.01),
+        (CombinerSpec.mrc([Nakagami(0.8)] * 2, 0.1), "_TIFR_HI", 1.1,
+         "upper-end", -0.01)])
+    def test_search_returns_an_end_past_the_maximum(
+            self, spec, end, factor, solver, step, monkeypatch):
+        # with the domain's end moved short of the maximum, the rate rises
+        # towards that end, which is returned
+        monkeypatch.setattr(policies, end, factor)
+        qos = QosSpec(0.01)
+        res = ec_tifr(spec, qos)
+        diag = res.diagnostics
+        assert diag["cutoff_solver"] == solver
+        assert diag["iterations"] == 2 and diag["bracket_width"] == 0.0
+        assert res.value == ec_tifr(spec, qos, gamma0=res.cutoff_gamma0).value
+        inside = ec_tifr(spec, qos,
+                         gamma0=res.cutoff_gamma0 * math.exp(step)).value
+        assert res.value > inside
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_nakagami_mrc_closed_form(self, L, snr_db):
+        # X ~ Gamma(L m, 1/m): P_out = P(L m, m delta) and
+        # E[1/X; X >= delta] = m Q(L m - 1, m delta)/(L m - 1); SciPy
+        # maximizes that rate over the search domain (tests may import
+        # its optimize)
+        from scipy import optimize, special
+
+        m, k = 1.5, 10 ** (snr_db / 10)
+        a = L * m
+
+        def neg_rate(lng0):
+            md = m * math.exp(lng0) / k
+            inv = m * special.gammaincc(a - 1.0, md) / ((a - 1.0) * k)
+            return -(1.0 - special.gammainc(a, md)) \
+                * math.log2(1.0 + 1.0 / inv)
+
+        gbar = k * L
+        best = optimize.minimize_scalar(
+            neg_rate, method="bounded", options={"xatol": 1e-10},
+            bounds=(math.log(1e-3 * gbar), math.log(8.0 * gbar)))
+        res = ec_tifr(CombinerSpec.mrc([Nakagami(m)] * L, k), QosSpec(1e-2))
+        assert res.diagnostics["cutoff_solver"] == "root"
+        assert res.value == pytest.approx(-best.fun, rel=1e-9)
+        assert math.log(res.cutoff_gamma0) == pytest.approx(best.x, abs=1e-3)
+
+
 class TestRegressionValues:
     """Frozen values of cells whose every CHF sample is a quadrature."""
 
@@ -661,8 +738,10 @@ class TestRegressionValues:
         assert got == pytest.approx(1.24831902193, rel=1e-9)
 
     def test_dual_nakagami_egc_tifr(self):
+        # the rate's maximum; _nakagami_egc_tifr_reference regenerates it
+        # (1.3658134448997, about 2 s)
         got = ec_tifr(NAK2_EGC, QosSpec(1e-2)).value
-        assert got == pytest.approx(1.3658134424, rel=1e-9)
+        assert got == pytest.approx(1.3658134449, rel=1e-9)
 
     def test_dual_gsnm_egc_tifr_finishes(self):
         # two shadowed branches, 5 dB: each rate evaluation needs GSNM CHF
@@ -740,6 +819,43 @@ def _aem2_mrc_opra_reference(eta, mu, snr_db, theta):
     d = g0 / k
     lnarg = trunc(lam, d) + mp.quad(pdf, [0, d])
     return float(-mp.log(lnarg) / (big_a * mp.log(2)))
+
+
+def _nakagami_egc_tifr_reference():
+    """The largest TIFR rate of dual Nakagami(1.5) EGC at 0 dB, where
+    gamma = (R_1 + R_2)^2/2: P_out and E[1/gamma; gamma >= gamma0] by
+    nested quad over the branch densities, maximized by SciPy to 1e-10
+    in ln gamma0."""
+    from scipy import integrate, optimize, special
+
+    m, k = 1.5, 0.5
+    kw = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+
+    def pdf(r):
+        return math.exp(math.log(2.0) + m * math.log(m) - special.gammaln(m)
+                        + (2.0 * m - 1.0) * math.log(r) - m * r * r)
+
+    def neg_rate(lng0):
+        d = math.sqrt(math.exp(lng0) / k)
+        p_out = integrate.quad(
+            lambda r: pdf(r) * special.gammainc(m, m * (d - r) ** 2),
+            0.0, d, **kw)[0]
+
+        def inner(r1):
+            return integrate.quad(lambda r2: pdf(r2) / (r1 + r2) ** 2,
+                                  max(0.0, d - r1), math.inf, **kw)[0]
+
+        inv = sum(integrate.quad(lambda r1: pdf(r1) * inner(r1), lo, hi,
+                                 **kw)[0]
+                  for lo, hi in ((0.0, d), (d, math.inf))) / k
+        return -(1.0 - p_out) * math.log2(1.0 + 1.0 / inv)
+
+    gbar = k * (2.0 * math.exp(special.gammaln(m + 0.5) - special.gammaln(m))
+                / math.sqrt(m)) ** 2
+    best = optimize.minimize_scalar(
+        neg_rate, method="bounded", options={"xatol": 1e-10},
+        bounds=(math.log(1e-3 * gbar), math.log(8.0 * gbar)))
+    return -float(best.fun)
 
 
 class TestOutageMassBound:

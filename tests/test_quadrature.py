@@ -10,7 +10,6 @@ from effcap.quadrature import (
     gauss_halfline_rule,
     integrate_interval,
     integrate_semi_infinite,
-    minimize_bounded,
 )
 
 
@@ -175,25 +174,6 @@ class TestBrent:
         assert root == pytest.approx(want, rel=1e-15, abs=1e-300)
         assert calls == sp_calls
 
-    @pytest.mark.parametrize("f, lo, hi, xatol", [
-        (lambda x: (x - 0.7) ** 2, -3.0, 5.0, 1e-5),
-        (lambda x: -math.sin(x) * math.exp(-0.1 * x), 0.0, 6.0, 1e-3),
-        (lambda x: abs(x - 1.0), -2.0, 4.0, 1e-8),
-        (lambda x: x ** 4 - 3.0 * x, -1.0, 3.0, 1e-3),
-        (lambda x: x, 0.0, 1.0, 1e-5),  # minimum at the bound
-    ])
-    def test_minimize_bounded_matches_scipy(self, f, lo, hi, xatol):
-        from scipy.optimize import minimize_scalar
-
-        mine, calls = _counted(f)
-        theirs, sp_calls = _counted(f)
-        x, fx = minimize_bounded(mine, lo, hi, xatol=xatol)
-        res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
-        assert x == pytest.approx(float(res.x), rel=1e-15, abs=1e-300)
-        assert fx == float(res.fun)
-        assert calls == sp_calls
-
     def test_brentq_refusals(self):
         with pytest.raises(DomainError):
             brentq(lambda x: x * x + 1.0, -1.0, 1.0)
@@ -204,11 +184,3 @@ class TestBrent:
         with pytest.raises(NumericError) as err:
             brentq(lambda x: x - 0.3, -1.0, 1.0, maxiter=1)
         assert err.value.best_estimate is not None
-
-    def test_minimize_bounded_refusals(self):
-        with pytest.raises(DomainError):
-            minimize_bounded(lambda x: x, 1.0, 0.0, 1e-5)
-        with pytest.raises(DomainError):
-            minimize_bounded(lambda x: x, 0.0, math.inf, 1e-5)
-        with pytest.raises(NumericError):
-            minimize_bounded(lambda x: math.nan, 0.0, 1.0, 1e-5)

@@ -1,4 +1,5 @@
-"""Time every OPRA point of the benchmark workloads, cold, on two trees.
+"""Time every OPRA and TIFR point of the benchmark workloads, cold, on two
+trees.
 
 Run from the repository root, with a checkout of the commit to compare
 against (for example one made by ``git archive``):
@@ -6,23 +7,26 @@ against (for example one made by ``git archive``):
     python tools/bench_opra.py --base-src /path/to/parent/src \
         --out BENCH_opra.json
 
-The points are every OPRA point of ``closed-l1`` and ``numeric-l1`` at
-seeds 1-3 (``perfbench/workloads.py``), called as the benchmark's worker
-calls them (``ec_opra_mgf`` for exact Gamma sums, else ``ec_opra_chf``).
-Every call is cold: each (tree, workload, seed) runs in a fresh
-interpreter with one BLAS/OpenMP thread, every cache of the package is
-emptied before each call, and a call past the workload's per-point
-budget is stopped and recorded as over budget.  Each child runs
-``_REPEAT`` times and a point's time is the median.
+The points are every OPRA and TIFR point of ``closed-l1`` and
+``numeric-l1`` at seeds 1-3 (``perfbench/workloads.py``), called as the
+benchmark's worker calls them (``ec_opra_mgf`` for exact Gamma sums, else
+``ec_opra_chf``; ``ec_tifr`` with its optimized cutoff).  Every call is
+cold: each (tree, workload, seed) runs in a fresh interpreter with one
+BLAS/OpenMP thread, every cache of the package is emptied before each
+call, and a call past the workload's per-point budget is stopped and
+recorded as over budget.  Each child runs ``_REPEAT`` times and a point's
+time is the median.
 
 Per point the JSON keeps, for each tree, the route (``law-ray`` or
-``panels``), the seconds, the cutoff's residual evaluations
-(``cutoff_iterations``), the deepest level of the law grid that any call
-built (``combiner._law_grid``), the cutoff solver the diagnostics report
-(absent before it was reported) and the capacity and cutoff.  Per
-workload it sums each tree's seconds over the points that finish in
-both, and compares the values: the largest relative gap on the law ray,
-and whether every panel-route (AF) point is bit-identical.
+``panels``), the seconds, the cutoff's evaluations (``evaluations``: the
+OPRA residuals, ``cutoff_iterations``, or the TIFR rate terms,
+``iterations``), the deepest level of the law grid that any call built
+(``combiner._law_grid``), the cutoff solver the diagnostics report
+(absent where a tree does not report it) and the capacity and cutoff.
+Per workload it sums each tree's seconds per policy over the points that
+finish in both, and compares the values per policy and route: the
+largest relative gap, and the lowest relative change (negative where the
+change's value is below the base's).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("closed-l1", "numeric-l1")
 SEEDS = (1, 2, 3)
+POLICIES = ("opra", "tifr")
 # fresh children per (tree, workload, seed); a point's time is their median
 _REPEAT = 3
 
@@ -75,16 +80,18 @@ def clear():
 signal.signal(signal.SIGALRM, alarm)
 workload, budget = sys.argv[3], workloads.BUDGET_S[sys.argv[3]]
 for i, pt in enumerate(workloads.points(workload, int(sys.argv[4]))):
-    if pt["policy"] != "opra":
+    if pt["policy"] not in ("opra", "tifr"):
         continue
     spec = build_spec(pt["combiner"], pt["branches"], pt["snr_db"])
     qos = policies.QosSpec(pt["theta"])
-    if combiner._gamma_sum_params(spec) is not None:
-        call, fn = "mgf", policies.ec_opra_mgf
+    if pt["policy"] == "tifr":
+        call, fn, evals = "chf", policies.ec_tifr, "iterations"
+    elif combiner._gamma_sum_params(spec) is not None:
+        call, fn, evals = "mgf", policies.ec_opra_mgf, "cutoff_iterations"
     else:
-        call, fn = "chf", policies.ec_opra_chf
-    out = {"index": i, "cell": pt["cell"], "snr_db": pt["snr_db"],
-           "theta": pt["theta"], "call": call,
+        call, fn, evals = "chf", policies.ec_opra_chf, "cutoff_iterations"
+    out = {"index": i, "cell": pt["cell"], "policy": pt["policy"],
+           "snr_db": pt["snr_db"], "theta": pt["theta"], "call": call,
            "route": combiner.integral_route(spec)}
     clear()
     levels.clear()
@@ -96,7 +103,7 @@ for i, pt in enumerate(workloads.points(workload, int(sys.argv[4]))):
         diag = res.diagnostics
         out.update(status="ok", value=res.value, gamma0=res.cutoff_gamma0,
                    regime=diag.get("regime"),
-                   cutoff_iterations=diag.get("cutoff_iterations", 0),
+                   evaluations=diag.get(evals, 0),
                    cutoff_solver=diag.get("cutoff_solver"))
     except OverBudget:
         out.update(status="over-budget")
@@ -130,37 +137,38 @@ def timed_points(src: str, workload: str, seed: int) -> list:
 
 
 def summary(trees: dict, points: list) -> dict:
-    """Per tree: seconds over the points every tree finishes, and the
-    largest cutoff evaluations and law level on the law ray; across the
-    trees: the value gaps."""
+    """Per tree and policy: seconds over the points every tree finishes,
+    and the largest cutoff evaluations and law level on each route;
+    across the trees: the value changes per policy and route."""
     done = [p for p in points
             if all(p[t]["status"] == "ok" for t in trees)]
-    law = [p for p in done if p["route"] == "law-ray"]
+    groups = {(policy, route): [p for p in done if p["policy"] == policy
+                                and p["route"] == route]
+              for policy in POLICIES for route in ("law-ray", "panels")}
+    groups = {key: pts for key, pts in groups.items() if pts}
     out = {"points": len(points), "finished_in_every_tree": len(done)}
     for tree in trees:
-        times = [p[tree]["seconds"] for p in done]
-        law_times = [p[tree]["seconds"] for p in law]
         out[tree] = {
-            "total_s": sum(times),
-            "law_ray_total_s": sum(law_times),
-            "law_ray_median_s": statistics.median(law_times)
-            if law_times else None,
-            "law_ray_max_cutoff_iterations": max(
-                (p[tree]["cutoff_iterations"] for p in law), default=None),
-            "law_ray_max_law_level": max(
-                (p[tree]["max_law_level"] for p in law
-                 if p[tree]["max_law_level"] is not None), default=None),
             "statuses": {s: sum(p[tree]["status"] == s for p in points)
-                         for s in ("ok", "error", "over-budget")},
-        }
+                         for s in ("ok", "error", "over-budget")}}
+        for (policy, route), pts in groups.items():
+            times = [p[tree]["seconds"] for p in pts]
+            levels = [p[tree]["max_law_level"] for p in pts
+                      if p[tree]["max_law_level"] is not None]
+            out[tree][f"{policy} {route}"] = {
+                "total_s": sum(times),
+                "median_s": statistics.median(times),
+                "max_evaluations": max(p[tree]["evaluations"] for p in pts),
+                "max_law_level": max(levels, default=None),
+            }
     if "base" in trees:
-        gaps = [abs(p["change"]["value"] / p["base"]["value"] - 1.0)
-                for p in law if p["base"]["value"]]
-        panels = [p for p in done if p["route"] == "panels"]
-        keys = ("value", "gamma0", "cutoff_iterations")
-        out["law_ray_max_rel_value_gap"] = max(gaps, default=None)
-        out["panels_bit_identical"] = all(
-            p["change"][k] == p["base"][k] for p in panels for k in keys)
+        out["value_change"] = {}
+        for (policy, route), pts in groups.items():
+            rel = [p["change"]["value"] / p["base"]["value"] - 1.0
+                   for p in pts if p["base"]["value"]]
+            out["value_change"][f"{policy} {route}"] = {
+                "largest_gap": max(map(abs, rel), default=None),
+                "lowest": min(rel, default=None)}
         out["same_statuses"] = all(
             p["change"]["status"] == p["base"]["status"] for p in points)
     return out
@@ -178,8 +186,8 @@ def main(argv=None) -> int:
     if args.base_src:
         trees["base"] = args.base_src
     report = {
-        "what": "cold seconds, cutoff residual evaluations and deepest law "
-                "level per OPRA point of the benchmark workloads; every "
+        "what": "cold seconds, cutoff evaluations and deepest law level "
+                "per OPRA and TIFR point of the benchmark workloads; every "
                 "cache emptied before each call, one single-thread process "
                 "per (tree, workload, seed), the workload's per-point "
                 "budget",
@@ -198,8 +206,8 @@ def main(argv=None) -> int:
                     for tree in order}
             for k, point in enumerate(runs["change"]):
                 merged = {key: point[key] for key in
-                          ("index", "cell", "snr_db", "theta", "call",
-                           "route")}
+                          ("index", "cell", "policy", "snr_db", "theta",
+                           "call", "route")}
                 merged["seed"] = seed
                 for tree in trees:
                     merged[tree] = {key: val for key, val in
@@ -209,11 +217,12 @@ def main(argv=None) -> int:
         summ = summary(trees, points)
         report["workloads"][workload] = {"summary": summ, "points": points}
         for tree in trees:
-            s = summ[tree]
-            print(workload, tree, f"total {s['total_s']:.3f} s,",
-                  f"law-ray {s['law_ray_total_s']:.3f} s,",
-                  "max evaluations", s["law_ray_max_cutoff_iterations"],
-                  "max level", s["law_ray_max_law_level"], flush=True)
+            for group, s in summ[tree].items():
+                if group != "statuses":
+                    print(workload, tree, group,
+                          f"total {s['total_s']:.3f} s,", "max evaluations",
+                          s["max_evaluations"], "max level",
+                          s["max_law_level"], flush=True)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
