@@ -39,10 +39,12 @@ for p > 0 only, take the first.
   E[X^-s] = Re sum G_k z_k^-s (its left tail extrapolated at its known
   power rate, ``x_inverse_moment``), and the truncated moment is
   (1/pi) Im sum G_k J_nu(z_k/delta) with J_nu the power Stieltjes
-  transform.  For L >= 3 the ORA expectation is the node sum
-  E[(1 + k X^q)^-A] = Re sum G_k (1 + k z_k^q)^-A, on a narrower ray
-  (the measure is also cached per angle) when A is large; with one or two
-  branches ORA needs no law of X (below).  ``tol`` does not enter.
+  transform.  For L >= 3 and q != 1 (EGC) the ORA expectation is the
+  node sum E[(1 + k X^q)^-A] = Re sum G_k (1 + k z_k^q)^-A, on a narrower
+  ray (the measure is also cached per angle) when A is large.  ORA needs
+  no law of X with one or two branches (below), nor with q = 1, where it
+  pairs the product of the branch MGFs with a Laguerre kernel
+  (``policies``).  ``tol`` does not enter.
 * ``"panels"`` (p < 0: AF).  The Gil-Pelaez and Parseval integrals over w
   are summed panel by panel between phase zeros and epsilon accelerated
   to ``tol``; the Parseval kernel is int_0^1 t^nu exp(-i w t) dt from
@@ -54,7 +56,9 @@ int u^(s-1) M_X(u) du / Gamma(s) (``_mellin_mgf_x``).
 ORA over one or two branches, of either sign of p, is a positive double
 sum over the branches' own cached real-axis grids (``x_ora_product``),
 with no law of X built: E[(1 + k X^q)^-A] needs only the pairs of branch
-values, not the distribution of their sum.
+values, not the distribution of their sum.  The one exception is q = 1
+with a mixture branch (GSNM), whose 32-node shadow mixture the double sum
+would read; ORA pairs its exact MGF instead.
 """
 
 from __future__ import annotations
@@ -642,8 +646,9 @@ def _ora_halvings(spec: CombinerSpec, a_exp: float) -> int:
 
 def x_ora_mean(spec: CombinerSpec, a_exp: float) -> IntegralEstimate:
     """E[(1 + gamma)^-A], gamma = k X^q, on the law-ray route (q > 0); ORA
-    takes it for L >= 3 (``x_ora_product`` serves L <= 2), and it stays
-    callable at any L.
+    takes it for L >= 3 with q != 1 (EGC), while ``x_ora_product`` serves
+    L <= 2 and the Laguerre pairing q = 1 at L >= 3; it stays callable at
+    any L and q > 0.
 
     The node sum Re sum_k G_k (1 + k z_k^q)^-A over the shallowest level
     of the law grid whose first term lies exp(-RAY_LOGTOL) below the
@@ -785,7 +790,9 @@ def x_ora_product(spec: CombinerSpec, a_exp: float) -> IntegralEstimate:
     deepen, holds the heavy right tail of R^-2.  The kernel is analytic
     wherever the weights are, so the product of two trapezoid rules
     converges as fast as either (Trefethen & Weideman, SIAM Rev. 56,
-    2014).  L = 1 is the single sum.
+    2014).  L = 1 is the single sum.  ORA takes it for every L <= 2 law,
+    closed branch transforms included, except q = 1 with a mixture branch
+    (GSNM), whose shadow mixture is not exact.
 
     Each grid is deepened until its first row's (column's) sum lies
     exp(-RAY_LOGTOL) below the total and the rows keep falling to the left

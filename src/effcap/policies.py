@@ -1,19 +1,22 @@
 """Effective capacity under the four adaptive transmission policies.
 
 ORA needs E[(1 + gamma)^-A], found on one of four routes, which its
-diagnostics report as ``route``:
+diagnostics report as ``route``.  The route depends on L, q and whether a
+branch is a mixture only; a branch's closed transform is a fast path
+inside ``fading.mgf_rp``, not a reason to change route.
 
-* ``"laguerre"`` (q = 1): the paper's pairing of the combiner MGF with
-  the kernel C_1(u) = u^(A-1) e^-u / Gamma(A), for MRC laws whose every
-  branch has a closed real-axis transform (Nakagami p = 2, alpha-eta-mu
-  p = alpha, GSNM's Mellin-Barnes form), with any number of branches.
-* ``"product"`` (L <= 2, every other law: EGC, MRC without closed branch
-  transforms, AF): the positive double sum of (1 + k x^q)^-A over the
-  branches' cached real-axis grids (``combiner.x_ora_product``), with no
-  law of the combiner output built.
-* ``"law-ray"`` (p > 0, L >= 3): the node sum Re sum_k G_k (1 + k z_k^q)^-A
-  over the cached ray measure of the combiner output
-  (``combiner.x_ora_mean``).
+* ``"product"`` (L <= 2): the positive double sum of (1 + k x^q)^-A over
+  the branches' cached real-axis grids (``combiner.x_ora_product``), with
+  no law of the combiner output built; every law of either sign of p,
+  except the mixture pairs below.
+* ``"laguerre"`` (q = 1: L >= 3, and L <= 2 with a mixture branch, GSNM):
+  the paper's pairing of the combiner MGF, a product of ``mgf_rp``, with
+  the kernel C_1(u) = u^(A-1) e^-u / Gamma(A).  GSNM's MGF is its
+  Mellin-Barnes form, which the 32-node shadow mixture that the double
+  sum reads does not match on shadow-limited laws.
+* ``"law-ray"`` (p > 0 with q != 1, L >= 3: EGC): the node sum
+  Re sum_k G_k (1 + k z_k^q)^-A over the cached ray measure of the
+  combiner output (``combiner.x_ora_mean``).
 * ``"kummer"`` (AF, q = -1, L >= 3): the pairing of 1F1(A; 1; -u) with
   -dM/du.
 
@@ -183,9 +186,9 @@ def kernel_cq(q: float, a_exp: float, u):
 
     q = 1: u^(A-1) e^-u / Gamma(A);  q = 2: the normalized Bessel kernel
     sqrt(pi)/Gamma(A) (u/2)^(A-1/2) J_{A-1/2}(u);  q = -1: 1F1(A, 1, -u)
-    (which pairs with -dM/du rather than M).  ORA pairs q = 1 for MRC
-    laws with closed branch transforms, and q = -1 for AF with L >= 3 only;
-    the other laws take node sums (see the module docstring).
+    (which pairs with -dM/du rather than M).  ORA pairs q = 1 for MRC-type
+    laws at L >= 3 and for mixture (GSNM) pairs, and q = -1 for AF at
+    L >= 3; the other laws take node sums (see the module docstring).
     """
     if a_exp <= 0:
         raise DomainError("A must be positive")
@@ -206,8 +209,10 @@ def kernel_cq(q: float, a_exp: float, u):
 
 # the smallest QoS exponent ORA evaluates; below it the ergodic limit
 _A_MIN = 1e-6
-# a real argument at which a branch's closed transform is looked for
-_PROBE_S = np.ones(1)
+# E[(1 + gamma)^-A] lies in (0, 1]: ORA refuses a value above 1 by more
+# than this, or one whose error estimate exceeds this share of it
+_ORA_MEAN_SLACK = 1e-6
+_ORA_REL_ERR = 1e-3
 
 
 def _ora_integral(spec: CombinerSpec, a_eff: float, tol: float):
@@ -294,17 +299,16 @@ def _finish(policy, method, spec, qos, ln_arg, a_eff, div, gamma0=None,
 
 
 def _ora_route(spec: CombinerSpec) -> str:
-    """``"laguerre"`` for MRC-type (q = 1) laws whose every branch has a
-    closed real-axis transform, else ``"product"`` for L <= 2, and for
+    """The ORA route from (L, q) alone: ``"product"`` for L <= 2, except
+    an MRC-type (q = 1) pair with a mixture branch (GSNM), which takes
+    ``"laguerre"`` as every q = 1 law at L >= 3 does; otherwise for
     L >= 3 ``"law-ray"`` for p > 0 and ``"kummer"`` for AF (q = -1)."""
-    closed = spec.q == 1 and all(
-        b.closed_transform(spec.p, _PROBE_S) is not None
-        for b in set(spec.branches))
-    if closed:
+    if spec.q == 1 and (spec.L > 2 or any(
+            b.mixture()[0].size > 1 for b in spec.branches)):
         return "laguerre"
     if spec.L <= 2:
         return "product"
-    if integral_route(spec) == "law-ray":
+    if spec.p > 0:
         return "law-ray"
     if spec.q != -1:
         raise DomainError("ORA with p < 0 supports q = -1 only")
@@ -314,12 +318,15 @@ def _ora_route(spec: CombinerSpec) -> str:
 def ec_ora(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
     """EC under constant power and optimal rate adaptation.
 
-    ``route`` in the diagnostics names how E[(1 + gamma)^-A] was found
-    (see the module docstring): the Laguerre pairing where it applies,
-    else the double sum over the branch grids for L <= 2, else the law-ray
-    node sum (p > 0) or the Kummer pairing (AF).  ``err_estimate`` is on
-    E[(1 + gamma)^-A]; ``a_clamped`` is set when A was raised to the
-    smallest exponent evaluated, 1e-6 (the ergodic limit).
+    ``route`` in the diagnostics names how E[(1 + gamma)^-A] was found,
+    from (L, q) and whether a branch is a mixture (see the module
+    docstring): the double sum over the branch grids for L <= 2, the
+    Laguerre pairing for q = 1 at L >= 3 and for mixture pairs, else the
+    law-ray node sum (p > 0) or the Kummer pairing (AF).  ``err_estimate``
+    is on E[(1 + gamma)^-A]; ``a_clamped`` is set when A was raised to the
+    smallest exponent evaluated, 1e-6 (the ergodic limit).  A mean above 1
+    by more than 1e-6, or one whose error estimate exceeds 1e-3 of it,
+    raises NumericError with the capacity it implies as the best estimate.
     """
     a_eff, div = _effective_a(spec, qos)
     clamped = a_eff < _A_MIN
@@ -327,18 +334,23 @@ def ec_ora(spec: CombinerSpec, qos: QosSpec, tol: float = 1e-8) -> EcResult:
         a_eff = _A_MIN
     route = _ora_route(spec)
     if route == "laguerre" or route == "kummer":
-        val, diag = _ora_integral(spec, a_eff, tol)
-        ln_mean = _ln("ora", float(val))
+        mean, diag = _ora_integral(spec, a_eff, tol)
     else:
-        if route == "product":
-            # the double sum returns ln E itself, exact to the ergodic limit
-            est = x_ora_product(spec, a_eff)
-            ln_mean = est.value
-        else:
-            est = x_ora_mean(spec, a_eff)
-            ln_mean = _ln("ora", est.value)
+        est = (x_ora_product if route == "product" else x_ora_mean)(spec,
+                                                                   a_eff)
+        # the double sum returns ln E itself, exact to the ergodic limit
+        mean = math.exp(est.value) if route == "product" else est.value
         diag = {"err_estimate": est.error_estimate,
                 "evaluations": est.evaluations}
+    if mean > 1.0 + _ORA_MEAN_SLACK \
+            or diag["err_estimate"] > _ORA_REL_ERR * mean:
+        raise NumericError(
+            f"ora: E[(1 + gamma)^-A] = {mean:.6g} with error estimate "
+            f"{diag['err_estimate']:.2g} on the {route} route for "
+            f"{spec.branches!r} at A = {a_eff:.6g}",
+            best_estimate=(-math.log(mean) / (a_eff * _LN2) / div
+                           if mean > 0 else None))
+    ln_mean = est.value if route == "product" else _ln("ora", float(mean))
     diag["route"] = route
     if clamped:
         diag["a_clamped"] = True
@@ -570,6 +582,9 @@ def _opra(spec: CombinerSpec, qos: QosSpec, tol: float, method: str,
         return EcResult("opra", method, _snr_db(spec), qos.theta,
                         max(value, 0.0), cutoff_gamma0=cut.gamma0,
                         diagnostics={"regime": "no-outage-asymptotic",
+                                     "cutoff_residual": cut.residual,
+                                     "cutoff_iterations": cut.iterations,
+                                     "cutoff_solver": cut.solver,
                                      "route": integral_route(spec)})
     g0 = math.exp(lng0)
     return _finish("opra", method, spec, qos,

@@ -20,6 +20,9 @@ for spec, route in (
         (CombinerSpec.egc([Nakagami(1.5)] * 2, 1.0), "product"),
         (CombinerSpec.egc([Nakagami(1.5)] * 3, 1.0), "law-ray"),
         (CombinerSpec.af([GeneralizedGamma(2.6, 1.6)] * 2, 1.0), "product"),
+        (CombinerSpec.mrc([Nakagami(1.5)] * 2, 1.0), "product"),
+        # the Laguerre pairing over real-axis branch MGFs
+        (CombinerSpec.mrc([GeneralizedGamma(2.6, 1.2)] * 3, 1.0), "laguerre"),
         # the Kummer pairing reads the branch MGFs' derivative
         (CombinerSpec.af([GeneralizedGamma(2.6, 1.6)] * 3, 1.0), "kummer")):
     assert ec_ora(spec, qos).diagnostics["route"] == route

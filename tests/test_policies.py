@@ -8,6 +8,7 @@ from effcap.combiner import CombinerSpec
 from effcap.errors import DomainError, MethodUnavailableError, NumericError
 from effcap.fading import (
     AlphaEtaMu,
+    AlphaKappaMu,
     GeneralizedGamma,
     Gsnm,
     Nakagami,
@@ -124,19 +125,25 @@ class TestOraRoutes:
     @pytest.mark.parametrize("snr_db", [0.0, 10.0])
     @pytest.mark.parametrize("theta", [1e-3, 0.05, 0.1, 1.0])
     def test_single_branch_egc_is_mrc(self, snr_db, theta):
-        # one SNR law, two routes: the node sum (EGC) and the Laguerre
-        # pairing with the closed Nakagami MGF (MRC)
+        # one SNR law, two routes: the sum over the branch grid (EGC and
+        # MRC alike) and the Laguerre pairing with the closed Nakagami MGF
         snr, qos = 10 ** (snr_db / 10), QosSpec(theta)
+        mrc_spec = CombinerSpec.mrc([Nakagami(1.5)], snr)
         egc = ec_ora(CombinerSpec.egc([Nakagami(1.5)], snr), qos)
-        mrc = ec_ora(CombinerSpec.mrc([Nakagami(1.5)], snr), qos)
+        mrc = ec_ora(mrc_spec, qos)
         assert egc.diagnostics["route"] == "product"
-        assert mrc.diagnostics["route"] == "laguerre"
-        assert egc.value == pytest.approx(mrc.value, rel=1e-10)
+        assert mrc.diagnostics["route"] == "product"
+        mean, _ = _ora_integral(mrc_spec, qos.A, 1e-12)
+        want = -math.log(mean) / (qos.A * math.log(2))
+        assert egc.value == pytest.approx(want, rel=1e-10)
+        assert mrc.value == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("branches", [
         (Nakagami(1.5),) * 2, (Nakagami(0.6), Nakagami(3.0)),
         (AlphaEtaMu(2.0, 3.0, 1.2),) * 2, (AlphaEtaMu(2.0, 10.0, 0.7),),
-        (Nakagami(0.6), Nakagami(3.0), Nakagami(1.2))])
+        (Nakagami(0.6), Nakagami(3.0), Nakagami(1.2)),
+        # ec_ora pairs these over real-axis branch MGFs
+        (GeneralizedGamma(2.6, 1.2),) * 3, (AlphaKappaMu(2.1, 1.5, 1.8),) * 3])
     @pytest.mark.parametrize("snr_db", [0.0, 30.0])
     @pytest.mark.parametrize("a_exp", [0.6, 2.9, 29.0, 289.0])
     def test_node_sum_matches_laguerre(self, branches, snr_db, a_exp):
@@ -165,18 +172,25 @@ class TestOraRoutes:
     @pytest.mark.parametrize("a_exp", [0.05, 0.3, 0.45])
     def test_laguerre_small_exponent_against_mpmath(self, snr_db, a_exp):
         # below A = 1/2 the Laguerre pairing peels a Taylor head off the
-        # u^(A-1) edge; a head of fixed width was off by 1.6e-4 at 30 dB
+        # u^(A-1) edge; a head of fixed width was off by 1.6e-4 at 30 dB.
+        # X ~ Gamma(1.5 L, 1/1.5): E[(1 + k X)^-A] = (k/1.5)^-1.5L
+        # U(1.5 L, 1.5 L + 1 - A, 1.5/k); ec_ora sums the pair on the branch
+        # grids and pairs the triple
         import mpmath as mp
 
         k = 10 ** (snr_db / 10)
-        res = ec_ora(CombinerSpec.mrc([Nakagami(1.5)] * 2, k),
-                     QosSpec.from_a(a_exp))
-        with mp.workdps(30):
-            kt = mp.mpf(k) / mp.mpf(1.5)
-            mean = kt ** -3 * mp.hyperu(3, 4 - mp.mpf(a_exp), 1 / kt)
-            want = float(-mp.log(mean) / (mp.mpf(a_exp) * mp.log(2)))
-        assert res.diagnostics["route"] == "laguerre"
-        assert res.value == pytest.approx(want, rel=1e-10)
+        for n_branches, route in ((2, "product"), (3, "laguerre")):
+            spec = CombinerSpec.mrc([Nakagami(1.5)] * n_branches, k)
+            with mp.workdps(30):
+                kt, d = mp.mpf(k) / mp.mpf(1.5), mp.mpf(1.5) * n_branches
+                mean = kt ** -d * mp.hyperu(d, d + 1 - mp.mpf(a_exp), 1 / kt)
+                want = float(-mp.log(mean) / (mp.mpf(a_exp) * mp.log(2)))
+            got, _ = _ora_integral(spec, a_exp, 1e-8)
+            assert -math.log(got) / (a_exp * math.log(2)) == pytest.approx(
+                want, rel=1e-10)
+            res = ec_ora(spec, QosSpec.from_a(a_exp))
+            assert res.diagnostics["route"] == route
+            assert res.value == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("n_branches", [1, 2])
     @pytest.mark.parametrize("snr_db", [0.0, 30.0])
@@ -193,12 +207,19 @@ class TestOraRoutes:
             want, rel=1e-10)
 
     def test_routes_reported(self):
+        # the route follows (L, q) and whether a branch is a mixture
         qos = QosSpec(0.01)
         gg = CombinerSpec.mrc([GeneralizedGamma(2.6, 1.2)] * 2, 1.0)
+        aem2 = CombinerSpec.mrc([AlphaEtaMu(2.0, 3.0, 1.2)] * 2, 1.0)
+        gsnm = CombinerSpec.mrc([Gsnm(1.1, 3.0, 1.0, 1.0)] * 2, 1.0)
+        gg3 = CombinerSpec.mrc([GeneralizedGamma(2.6, 1.2)] * 3, 1.0)
+        akm3 = CombinerSpec.mrc([AlphaKappaMu(2.1, 1.5, 1.8)] * 3, 1.0)
         egc3 = CombinerSpec.egc([Nakagami(1.5)] * 3, 1.0)
         af3 = CombinerSpec.af([Nakagami(1.5)] * 3, 1.0)
         for spec, route in ((NAK2_EGC, "product"), (gg, "product"),
-                            (NAK2_MRC, "laguerre"), (egc3, "law-ray"),
+                            (NAK2_MRC, "product"), (aem2, "product"),
+                            (gsnm, "laguerre"), (gg3, "laguerre"),
+                            (akm3, "laguerre"), (egc3, "law-ray"),
                             (NAK2_AF, "product"), (af3, "kummer")):
             assert ec_ora(spec, qos).diagnostics["route"] == route
             assert ec_cifr(spec, qos).diagnostics["route"] == "mgf"
@@ -286,6 +307,21 @@ class TestOraProduct:
         assert math.exp(got.value) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("branches", [
+        (Nakagami(1.5),) * 2, (Nakagami(3.0),) * 2,
+        (Nakagami(1.2), Nakagami(2.5)), (AlphaEtaMu(2.0, 3.0, 1.2),) * 2,
+        (AlphaEtaMu(2.0, 10.0, 0.7),) * 2])
+    @pytest.mark.parametrize("snr_db", [0.5, 6.0, 9.5])
+    @pytest.mark.parametrize("theta", [1e-3, 1e-2, 1e-1])
+    def test_closed_mrc_against_laguerre(self, branches, snr_db, theta):
+        # pairs with closed branch MGFs take the double sum too
+        qos = QosSpec(theta)
+        spec = CombinerSpec.mrc(branches, 10 ** (snr_db / 10))
+        want, _ = _ora_integral(spec, qos.A, 1e-12)
+        got = combiner.x_ora_product(spec, qos.A)
+        assert math.exp(got.value) == pytest.approx(want, rel=1e-10)
+        assert ec_ora(spec, qos).diagnostics["route"] == "product"
+
+    @pytest.mark.parametrize("branches", [
         (Nakagami(1.5),) * 2, (GeneralizedGamma(0.7, 2.6),) * 2,
         (Nakagami(0.6), Nakagami(3.0)), (GeneralizedGamma(2.2, 1.5),)])
     @pytest.mark.parametrize("snr_db", [0.0, 30.0])
@@ -370,6 +406,20 @@ class TestOraKummer:
         assert res.diagnostics["route"] == "kummer"
         assert res.value == pytest.approx(
             -math.log(want) / (a_eff * math.log(2)) / 3, rel=1e-8)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0])
+    def test_garbage_is_refused(self, snr_db):
+        # at A_eff = 288.5 the pairing returns E[(1 + gamma)^-A] = 1.0e11
+        # at 0 dB, and at 20 dB a value with an error estimate 2.9 times
+        # its size; capped at 0, they read as capacities 0 and 0.00925
+        spec = CombinerSpec.af([Nakagami(1.5)] * 3, 10 ** (snr_db / 10))
+        qos = QosSpec.from_a(865.5)
+        mean, diag = _ora_integral(spec, qos.A / 3, 1e-8)
+        assert mean > 1.0 or diag["err_estimate"] > mean
+        with pytest.raises(NumericError, match="kummer") as err:
+            ec_ora(spec, qos)
+        assert err.value.best_estimate == pytest.approx(
+            -math.log(mean) / (qos.A * math.log(2)), rel=1e-12)
 
     @pytest.mark.xfail(strict=True,
                        reason="scipy.special.hyp1f1(a, 1, x) loses its "
@@ -527,11 +577,16 @@ class TestOpra:
         assert got.value == pytest.approx(mc.value, abs=5e-3)
 
     def test_converges_to_cifr_at_large_exponent(self):
+        # the no-outage closed form, reported as optimal_cutoff reports it
         qos = QosSpec.from_a(1000.0)
         for spec in (NAK2_MRC, NAK2_EGC, NAK2_AF):
-            opra = ec_opra_chf(spec, qos).value
+            res = ec_opra_chf(spec, qos)
             cifr = ec_cifr(spec, qos).value
-            assert abs(opra - cifr) / cifr <= 0.02
+            assert abs(res.value - cifr) / cifr <= 0.02
+            assert res.diagnostics["regime"] == "no-outage-asymptotic"
+            assert res.diagnostics["cutoff_solver"] == "no-outage"
+            assert res.diagnostics["cutoff_iterations"] == 0
+            assert res.diagnostics["cutoff_residual"] == 0.0
 
 
 class TestCifr:
