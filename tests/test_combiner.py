@@ -30,6 +30,7 @@ from effcap.errors import (
 from effcap import specfun as sf
 from effcap.fading import (
     AlphaEtaMu,
+    AlphaKappaMu,
     GeneralizedGamma,
     Gsnm,
     Nakagami,
@@ -430,6 +431,48 @@ class TestGsnmLawRay:
         big = np.abs(g_ref) >= np.abs(g_ref).max() * math.exp(-30.0)
         assert big.sum() > 40
         assert np.max(np.abs(g[big] / g_ref[big] - 1.0)) <= 1e-12
+
+
+class TestSumRuleStep:
+    """An i.i.d. pair's inner rule, one-sided at step 2h/A, against the
+    two-sided rule at h/A, and its laws at large shapes."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("model", [
+        Nakagami(0.6), Nakagami(1.5), Nakagami(500.0),
+        GeneralizedGamma(0.8, 1.5), GeneralizedGamma(2.6, 1.2),
+        AlphaKappaMu(2.1, 1.5, 1.8), AlphaKappaMu(2.0, 0.0, 0.8),
+        AlphaEtaMu(2.5, 3.0, 1.2),
+    ], ids=repr)
+    def test_iid_rule_against_the_two_sided_rule(self, model, p):
+        # the two-sided rule finds tau_c by bisection and sums both sides;
+        # every node of the level-0 law within e^-30 of its peak
+        phi = ray_rule(model, p, 2).phi
+        part = cb._summand((model,), p, phi)
+        grid = cb._law_grid((model, model), p, 0, 0)
+        j = grid.j_first + np.arange(grid.g.size)
+        x, g = cb._sum_rule(part, part, phi, True, 1).weights(j)
+        x_ref, g_ref = cb._sum_rule(part, part, phi, False, 1).weights(j)
+        assert np.array_equal(x, x_ref)
+        big = np.abs(g_ref) >= np.abs(g_ref).max() * math.exp(-30.0)
+        assert big.sum() > 40
+        assert np.max(np.abs(g[big] / g_ref[big] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [0.6, 1.5, 7.0, 60.0, 500.0])
+    def test_nakagami_pair_at_large_shapes(self, m):
+        # X ~ Gamma(2m, 1/m): the CDF about the mean, and E[X^-s]
+        spec = CombinerSpec.mrc([Nakagami(m)] * 2, 1.0)
+        a, th = 2.0 * m, 1.0 / m
+        for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
+            delta = a * th + k * math.sqrt(a) * th
+            if delta > 0.0:
+                assert cdf_x_gil_pelaez(spec, delta) == pytest.approx(
+                    float(sp.gammainc(a, delta / th)), rel=0.0, abs=1e-12)
+        for s_pow in (0.5, 1.0):
+            want = th ** -s_pow * math.exp(sp.gammaln(a - s_pow)
+                                           - sp.gammaln(a))
+            assert x_inverse_moment(spec, s_pow) == pytest.approx(
+                want, rel=1e-11)
 
 
 class TestLawRayManyBranches:

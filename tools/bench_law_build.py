@@ -8,10 +8,12 @@ Run from the repository root:
 
 Each case is one law, X = sum_l R_l^p over L branches of one fading
 family (Nakagami, GG, alpha-kappa-mu, alpha-eta-mu, GSNM; L in {2, 3, 4};
-p in {1, 2}), plus a mixed pair of two GSNM laws.  Every build runs in a
-fresh interpreter with one BLAS/OpenMP thread: the child imports effcap
-untimed, then times ``combiner._law_grid(branches, p, 0, 0)``, level 0 of
-the measure, with every cache empty.  Each repeat runs every tree once,
+p in {1, 2}), plus two pairs of unlike branches, whose sums take the
+two-sided inner rule: two GSNM laws (p in {1, 2}) and two Nakagami laws
+(p = 2).  Every build runs in a fresh interpreter with one BLAS/OpenMP
+thread: the child imports effcap untimed, then times
+``combiner._law_grid(branches, p, 0, 0)``, level 0 of the measure, with
+every cache empty.  Each repeat runs every tree once,
 in an order that alternates between repeats (``_REPEAT`` pairs), and the
 JSON keeps every time, the median and quartiles per tree, and the ratio
 of medians to the first tree.  A later tree is "faster" (or "slower")
@@ -54,6 +56,10 @@ def cases():
     for p in (1.0, 2.0):
         out.append((f"gsnm-mixed-x2-p{p:g}", p,
                     [_FAMILIES["gsnm"], ["Gsnm", [1.6, 2.2, 2.0, 1.0]]]))
+    # a pair of unlike single-component branches (closed-l1's nak-mrc-ind):
+    # its inner rule is the two-sided one, with no grid read
+    out.append(("nakagami-mixed-x2-p2", 2.0,
+                [["Nakagami", [1.2]], ["Nakagami", [2.5]]]))
     return out
 
 
